@@ -47,7 +47,6 @@ from .randmodel import (
     RandomModel,
     Uniform,
     distribution_from_spec,
-    expect_poly,
     joint_moment,
     linfty_norm,
     raw_moment,

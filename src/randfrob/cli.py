@@ -31,6 +31,8 @@ from .specfile import load_document, resolve_problem
 from .uqstats import StatCurve, majorant_sequence, moment_matrix, stat_curves
 
 GRID_SLACK = Fraction(1, 10**12)
+# Largest grid parse_grid builds; every point costs an exact evaluation.
+MAX_GRID_POINTS = 100_000
 
 
 def _fmt(x: float, full: bool) -> str:
@@ -50,12 +52,12 @@ def parse_grid(text: str) -> list[Fraction]:
         raise SpecError(f"grid step must be positive, got {step}")
     if end < start:
         raise SpecError(f"grid end {end} precedes start {start}")
-    grid = []
-    t = start
-    while t <= end + GRID_SLACK:
-        grid.append(t)
-        t += step
-    return grid
+    count = (end + GRID_SLACK - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise SpecError(
+            f"grid {text!r} has {count} points, more than the {MAX_GRID_POINTS} allowed"
+        )
+    return [start + k * step for k in range(count)]
 
 
 def _load_spec(arg: str) -> ProblemSpec:

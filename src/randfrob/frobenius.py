@@ -65,9 +65,6 @@ class SeriesProcess:
         return not self.coeffs
 
 
-ZERO_SERIES = SeriesProcess(coeffs={})
-
-
 @dataclass
 class ProblemSpec:
     """A fully resolved problem: series data, initial conditions, model."""
@@ -108,10 +105,19 @@ def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     """Run the coefficient recursion up to X_order, exactly.
 
     The division by (n+2)(n+1) is exact rational arithmetic; no rounding
-    occurs at any truncation order.
+    occurs at any truncation order.  X_order reads inputs up to index
+    order - 2, so a generator-backed series expanded to a smaller M raises
+    SpecError instead of solving with zeros in their place.
     """
     if order < 2:
         raise ValueError(f"truncation order must be >= 2, got {order}")
+    for label, proc in (("A", spec.a), ("B", spec.b), ("C", spec.c)):
+        if proc is not None and proc.generator is not None and proc.generator.order < order - 2:
+            raise SpecError(
+                f"series {label}: generator M={proc.generator.order} expands inputs"
+                f" up to index {proc.generator.order}, but order {order} needs"
+                f" index {order - 2}; raise M to at least {order - 2}"
+            )
     a_items = spec.a.items()
     b_items = spec.b.items()
     X = [spec.y0, spec.y1]
@@ -340,7 +346,7 @@ def build_problem(doc: Mapping) -> ProblemSpec:
         raise SpecError(f"unknown key(s) in 'problem': {sorted(unknown)}")
     t0 = to_fraction(prob.get("t0", 0))
     radius = _read_radius(prob.get("radius", "inf"))
-    default_order = _read_order(prob.get("order", 20))
+    default_order = _read_int(prob.get("order", 20), "'order'", 2)
 
     table = SymbolTable()
     blocks: list[DependenceBlock] = []
@@ -434,11 +440,15 @@ def _read_radius(value) -> Radius:
     return radius
 
 
-def _read_order(value) -> int:
-    order = to_fraction(value)
-    if order.denominator != 1 or order < 2:
-        raise SpecError(f"'order' must be an integer >= 2, got {value!r}")
-    return int(order)
+def _read_int(value, what: str, least: int) -> int:
+    """An integer >= least, given as a JSON integer, rational or string."""
+    try:
+        number = None if isinstance(value, bool) else to_fraction(value)
+    except (TypeError, SpecError):
+        number = None
+    if number is None or number.denominator != 1 or number < least:
+        raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(number)
 
 
 def _entries(value, what: str) -> list:
@@ -488,10 +498,7 @@ def _explicit_series(label: str, entries, table: SymbolTable) -> SeriesProcess:
         unknown = set(entry) - {"n", "value"}
         if unknown:
             raise SpecError(f"series {label}: unknown key(s) {sorted(unknown)}")
-        n = to_fraction(_require(entry, "n", f"series {label} entry"))
-        if n.denominator != 1 or n < 0:
-            raise SpecError(f"series {label}: index must be a nonnegative integer, got {entry['n']!r}")
-        n = int(n)
+        n = _read_int(_require(entry, "n", f"series {label} entry"), f"series {label}: index", 0)
         if n in coeffs:
             raise SpecError(f"series {label}: duplicate entry for n={n}")
         p = _value_poly(_require(entry, "value", f"series {label} entry"), table, f"series {label} term n={n}")
@@ -529,9 +536,7 @@ def _expand_generator(
             f"generator {label}: unknown family {family!r} (known: {list(_GENERATOR_FAMILIES)})"
         )
     m_value = gen.get("M")
-    order = 2 * default_order if m_value is None else int(to_fraction(m_value))
-    if order < 0:
-        raise SpecError(f"generator {label}: M must be nonnegative")
+    order = 2 * default_order if m_value is None else _read_int(m_value, f"generator {label}: M", 0)
 
     if family == "inverse_square":
         unknown = set(gen) - {"family", "M"}

@@ -224,9 +224,6 @@ class Poly:
         """Total degree; the zero polynomial reports 0."""
         return max((mono_degree(m) for m in self.terms), default=0)
 
-    def symbols(self) -> set[int]:
-        return {sid for mono in self.terms for sid, _ in mono}
-
     def eval(self, values) -> float:
         """Evaluate at a symbol-id-indexed mapping (or sequence) of reals.
 

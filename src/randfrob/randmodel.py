@@ -24,7 +24,6 @@ from typing import Iterator, Sequence, Union
 from .errors import DistributionError, MissingSymbolError
 from .poly import Mono, Poly, SymbolTable, to_fraction
 
-Rational = Fraction
 NormValue = Union[Fraction, float]  # math.inf marks an unbounded support
 
 
@@ -530,8 +529,3 @@ class RandomModel:
             for sid, v in sample_block(block, stream).items():
                 values[sid] = v
         return values
-
-
-def expect_poly(p: Poly, model: RandomModel) -> Fraction:
-    """Module-level alias for `RandomModel.expect_poly` (memoized on the model)."""
-    return model.expect_poly(p)

@@ -11,6 +11,24 @@ coefficients:
 rationals); `stat_curves` then evaluates any time grid in exact rational
 arithmetic, converting to float only on output.
 
+The second moments come from one exact kernel over the *distinct* monomials
+u, v of all X_n, which are far fewer than the term pairs of all (X_n, X_m):
+
+1. each monomial is packed into one int, a fixed bit field per symbol wide
+   enough for twice its largest exponent, so the key of a product monomial
+   is the sum of the keys; each X_n is scaled to integer numerators
+   a_{n,u} over its own denominator D_n;
+2. `RandomModel.expect_monomial` runs once per distinct product key
+   k_u + k_v, and those moments become integers e over one common
+   denominator D;
+3. with w_m[u] = sum_{v in X_m} e[k_u + k_v] a_{m,v}, the entry is
+   E[X_n X_m] = (sum_{u in X_n} a_{n,u} w_m[u]) / (D_n D_m D),
+   so the inner loops are pure integer arithmetic.
+
+`_pairwise_expect` multiplies term pairs one by one; it is the reference the
+kernel is tested against, selected per pair by `moment_matrix`'s
+`pair_threshold`.
+
 `majorant_sequence` builds the deterministic sequence H_n that dominates
 the mean-square norms ||X_n||: with D_s a sup/mean-square bound constant
 for the input coefficients at scale s, it satisfies
@@ -29,6 +47,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import UnboundedCoefficientError
 from .frobenius import (
@@ -37,14 +56,10 @@ from .frobenius import (
     coefficient_l2_norms,
     coefficient_sup_norms,
 )
-from .poly import mono_mul, to_fraction
+from .poly import Mono, Poly, mono_mul, to_fraction
 from .randmodel import RandomModel
 
 VARIANCE_CLAMP = 1e-12
-
-# Above this many monomial pairs, E[X_n X_m] is accumulated pair-by-pair
-# instead of materializing the product polynomial (memory control at N=20).
-PAIR_THRESHOLD = 100_000
 
 
 @dataclass
@@ -96,6 +111,7 @@ class MajorantSeq:
 
 
 def _pairwise_expect(model: RandomModel, p, q) -> Fraction:
+    """Reference E[P Q], one oracle call and Fraction product per term pair."""
     total = Fraction(0)
     for m1, c1 in p.terms.items():
         for m2, c2 in q.terms.items():
@@ -103,25 +119,84 @@ def _pairwise_expect(model: RandomModel, p, q) -> Fraction:
     return total
 
 
+def _field_shifts(monos: list[Mono]) -> dict[int, int]:
+    """Bit offset of each symbol's field in a packed monomial key.
+
+    A field holds twice the symbol's largest exponent in `monos`, so adding
+    the keys of two of them gives the key of their product without a carry
+    into the next field.
+    """
+    top: dict[int, int] = {}
+    for mono in monos:
+        for sid, e in mono:
+            if e > top.get(sid, 0):
+                top[sid] = e
+    shifts = {}
+    offset = 0
+    for sid in sorted(top):
+        shifts[sid] = offset
+        offset += (2 * top[sid]).bit_length()
+    return shifts
+
+
+def _second_moments(coeffs: list[Poly], model: RandomModel) -> list[list[Fraction]]:
+    """Exact E[X_n X_m] for all n, m by the packed-key kernel (module docstring)."""
+    # Distinct monomials in order of first appearance, so those of
+    # X_0..X_m are a prefix of `monos`.
+    monos = list(dict.fromkeys(mono for x in coeffs for mono in x.terms))
+    shifts = _field_shifts(monos)
+    keys = [sum(e << shifts[sid] for sid, e in mono) for mono in monos]
+
+    moments: dict[int, Fraction] = {}
+    for i, (ku, mu) in enumerate(zip(keys, monos)):
+        for kv, mv in zip(keys[i:], monos[i:]):
+            if ku + kv not in moments:
+                moments[ku + kv] = model.expect_monomial(mono_mul(mu, mv))
+    den = math.lcm(*(f.denominator for f in moments.values()))
+    scaled = {k: f.numerator * (den // f.denominator) for k, f in moments.items()}
+    gram = [[scaled[ku + kv] for kv in keys] for ku in keys]
+
+    index = {mono: i for i, mono in enumerate(monos)}
+    cols, nums, dens = [], [], []
+    for x in coeffs:
+        d = math.lcm(*(c.denominator for c in x.terms.values()))
+        cols.append([index[mono] for mono in x.terms])
+        nums.append([c.numerator * (d // c.denominator) for c in x.terms.values()])
+        dens.append(d)
+
+    n_tot = len(coeffs)
+    second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
+    live = 0  # the monomials of X_0..X_m are monos[:live]
+    for m in range(n_tot):
+        live = max(live, max(cols[m], default=-1) + 1)
+        w = [sum(map(mul, map(row.__getitem__, cols[m]), nums[m])) for row in gram[:live]]
+        for n in range(m + 1):
+            total = sum(map(mul, map(w.__getitem__, cols[n]), nums[n]))
+            second[n][m] = second[m][n] = Fraction(total, dens[n] * dens[m] * den)
+    return second
+
+
 def moment_matrix(
     sol: SeriesSolution,
     model: RandomModel,
-    pair_threshold: int = PAIR_THRESHOLD,
+    pair_threshold: int | None = None,
 ) -> MomentMatrix:
-    """Exact E[X_n] and E[X_n X_m] for all coefficient pairs."""
+    """Exact E[X_n] and E[X_n X_m] for all coefficient pairs.
+
+    Every entry comes from the packed-key kernel, except that with a
+    `pair_threshold` the pairs (X_n, X_m) of more than that many term pairs
+    are recomputed by the pair-by-pair reference `_pairwise_expect`;
+    `pair_threshold=0` sends every nonzero pair through the reference.
+    """
     coeffs = sol.X
-    n_tot = sol.order + 1
     means = [model.expect_poly(x) for x in coeffs]
-    second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
-    for n in range(n_tot):
-        for m in range(n, n_tot):
-            pairs = len(coeffs[n].terms) * len(coeffs[m].terms)
-            if pairs <= pair_threshold:
-                val = model.expect_poly(coeffs[n] * coeffs[m])
-            else:
-                val = _pairwise_expect(model, coeffs[n], coeffs[m])
-            second[n][m] = val
-            second[m][n] = val
+    second = _second_moments(coeffs, model)
+    if pair_threshold is not None:
+        for n, p in enumerate(coeffs):
+            for m in range(n, len(coeffs)):
+                q = coeffs[m]
+                if len(p.terms) * len(q.terms) > pair_threshold:
+                    second[n][m] = second[m][n] = _pairwise_expect(model, p, q)
     return MomentMatrix(means=means, second=second, order=sol.order)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import randfrob as rf
-from randfrob.cli import parse_grid, read_curve, run_command
+from randfrob.cli import MAX_GRID_POINTS, parse_grid, read_curve, run_command
 from randfrob.specfile import canonical_json, load_document, parse_document, resolve_problem
 
 
@@ -25,6 +25,14 @@ class TestGridParsing:
         for bad in ("0:1", "0:1:0", "1:0:0.5", "a:b:c"):
             with pytest.raises(rf.SpecError):
                 parse_grid(bad)
+
+    def test_size_guard(self):
+        # 10^9 + 1 points: rejected from the count, before any is built
+        with pytest.raises(rf.SpecError, match="1000000001 points"):
+            parse_grid("0:1:1e-9")
+        assert len(parse_grid(f"0:1:1/{MAX_GRID_POINTS - 1}")) == MAX_GRID_POINTS
+        with pytest.raises(rf.SpecError, match="more than"):
+            parse_grid(f"0:1:1/{MAX_GRID_POINTS}")
 
 
 class TestDocuments:
@@ -201,6 +209,29 @@ class TestCommands:
         assert run(capsys, "stats", "hermite_forced")[0] == 2  # missing --grid
         assert run(capsys, "mc", "hermite_forced", "--method", "guess",
                    "--samples", "1", "--grid", "0:1:1")[0] == 2
+
+    @pytest.mark.parametrize("m", [2.5, True, "x"])
+    def test_generator_m_must_be_integer(self, capsys, tmp_path, m):
+        doc = load_document(resolve_problem("beta_series"))
+        doc["generators"]["A"]["M"] = m
+        path = tmp_path / "bad_m.spec"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert "generator A: M must be an integer >= 0" in err
+
+    def test_order_beyond_generator_inputs(self, capsys, tmp_path):
+        doc = load_document(resolve_problem("beta_series"))
+        doc["generators"]["A"]["M"] = 3
+        path = tmp_path / "short_m.spec"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "coeffs.csv"
+        code, _, err = run(capsys, "solve", str(path), "--order", "10", "--out", str(out_path))
+        assert code == 1
+        assert "series A: generator M=3" in err and "order 10 needs index 8" in err
+        assert not out_path.exists()
+        # order M + 2 reads inputs up to index M only
+        assert run(capsys, "solve", str(path), "--order", "5", "--out", str(out_path))[0] == 0
 
     def test_missing_file_is_validation_failure(self, capsys):
         code, _, err = run(capsys, "check", "nowhere.spec")

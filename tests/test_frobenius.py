@@ -83,6 +83,9 @@ class TestBuildProblem:
             build_problem({**base, "symbols": [{"name": "A", "dist": "zeta", "params": {}}]})
         with pytest.raises(SpecError, match="radius"):
             build_problem({**base, "problem": {"radius": -1}})
+        for order in (True, Fraction(5, 2), "x", 1):
+            with pytest.raises(SpecError, match="'order' must be an integer >= 2"):
+                build_problem({**base, "problem": {"order": order}})
         with pytest.raises(SpecError, match="undeclared symbol"):
             build_problem({**base, "series": {"B": [{"n": 0, "value": "Q"}]}})
         with pytest.raises(SpecError, match="duplicate"):

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, build_problem, compute_coeffs
@@ -46,6 +48,93 @@ class TestMomentMatrix:
         streamed = rf.moment_matrix(sol, hermite_forced.model, pair_threshold=0)
         assert full.means == streamed.means
         assert full.second == streamed.second
+
+
+def assert_kernel_matches_reference(coeffs, model):
+    """The packed-key kernel equals the pair-by-pair reference exactly."""
+    sol = rf.SeriesSolution(X=list(coeffs), order=len(coeffs) - 1, spec=None)
+    kernel = rf.moment_matrix(sol, model)
+    reference = rf.moment_matrix(sol, model, pair_threshold=0)
+    assert kernel.means == reference.means
+    assert kernel.second == reference.second
+
+
+def kernel_model():
+    """Dependent multinomial pair (P, Q) beside independent scalar symbols."""
+    table = rf.SymbolTable()
+    p, q, u, g, b = (table.add(name) for name in ("P", "Q", "U", "G", "B"))
+    return rf.RandomModel(table, [
+        rf.DependenceBlock((p, q), rf.MultinomialVector(3, ("1/3", "2/3"))),
+        rf.DependenceBlock((u,), rf.Uniform(-1, 2)),
+        rf.DependenceBlock((g,), rf.Gamma(2, 3)),
+        rf.DependenceBlock((b,), rf.Bernoulli("7/20")),
+    ])
+
+
+_monomials = st.lists(st.integers(0, 4), min_size=5, max_size=5).map(
+    lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e)
+)
+_polys = st.dictionaries(
+    _monomials, st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=4
+).map(Poly)
+
+
+def edge_model():
+    """W, Y0, Z in that symbol-id order, so a carry out of Y0's field lands in Z's."""
+    table = rf.SymbolTable()
+    w, y, z = (table.add(name) for name in ("W", "Y0", "Z"))
+    model = rf.RandomModel(table, [
+        rf.DependenceBlock((w,), rf.Beta(2, 3)),
+        rf.DependenceBlock((y,), rf.Uniform(0, 1)),
+        rf.DependenceBlock((z,), rf.Gamma(3, 2)),
+    ])
+    return model, Poly.symbol(w), Poly.symbol(y), Poly.symbol(z)
+
+
+def edge_coeffs(case):
+    _, w, y, z = edge_model()
+    half = Fraction(1, 2)
+    return {
+        "zero": [Poly.zero(), Poly.zero(), Poly.zero()],
+        "constants": [Poly.const(1), Poly.zero(), Poly.const(-half), Poly.const(3)],
+        "mixed_zero_and_constant": [Poly.zero(), Poly.const(3), z, Poly.zero(), y + half],
+        # largest exponents 8: Y0^8 * Y0^8 = Y0^16 and W^8 * W^8 = W^16
+        "power_of_two_16": [y**8, z, Poly.const(2), w**8 * y + z**2, half * y**8 * z - w],
+        # largest exponents 16: Y0^15 * Y0^16 = Y0^31 and Y0^16 * Y0^16 = Y0^32
+        "power_of_two_32": [y**16, y**15 * w, Poly.const(half), z * y**16 + w**16,
+                            z + y, w**15 * z**16 - 3],
+    }[case]
+
+
+class TestMomentKernel:
+    @pytest.mark.parametrize(
+        "name,order",
+        [("airy", 14), ("hermite", 14), ("hermite_forced", 14),
+         ("polynomial_data", 8), ("beta_series", 8)],
+    )
+    def test_bundled_match_reference(self, bundled_specs, name, order):
+        spec = bundled_specs[name]
+        assert_kernel_matches_reference(compute_coeffs(spec, order).X, spec.model)
+
+    @given(st.lists(_polys, min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_random_coefficients_match_reference(self, coeffs):
+        assert_kernel_matches_reference(coeffs, kernel_model())
+
+    @pytest.mark.parametrize(
+        "case",
+        ["zero", "constants", "mixed_zero_and_constant", "power_of_two_16", "power_of_two_32"],
+    )
+    def test_edge_cases_match_reference(self, case):
+        assert_kernel_matches_reference(edge_coeffs(case), edge_model()[0])
+
+    def test_constants_are_products(self):
+        coeffs = edge_coeffs("constants")
+        sol = rf.SeriesSolution(X=coeffs, order=len(coeffs) - 1, spec=None)
+        mm = rf.moment_matrix(sol, edge_model()[0])
+        values = [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(3)]
+        assert mm.means == values
+        assert mm.second == [[a * b for b in values] for a in values]
 
 
 class TestStatCurves:
