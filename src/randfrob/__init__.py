@@ -50,7 +50,6 @@ from .randmodel import (
     joint_moment,
     linfty_norm,
     raw_moment,
-    sample_block,
 )
 from .specfile import bundled_problems, canonical_json, load_document, resolve_problem
 from .uqstats import (

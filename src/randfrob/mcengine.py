@@ -6,11 +6,15 @@ Two independent routes per sampled realization of the random symbols:
   rk4     freeze the sampled values into scalar coefficient functions and
           integrate the equation with classical fixed-step RK4.
 
-Sampling is counter-seeded: realization i draws from a Philox stream keyed
-by (seed, i), so results are bit-identical across runs, chunk layouts and
-worker counts.  Samples are processed in fixed-size chunks whose partial
-sums are combined with compensated summation in chunk order; the reduction
-tree never depends on scheduling.
+Sampling is counter-seeded: samples are processed in chunks of a fixed
+size CHUNK, and chunk k draws all its realizations from one Philox stream
+keyed by (seed, k), so results are bit-identical across runs and worker
+counts.  The chunks' partial sums are combined with compensated summation
+in chunk order; the reduction tree never depends on scheduling.
+
+Both routes evaluate their random polynomials through one `_EvalPlan`,
+built once per call: each distinct monomial is formed once per chunk and
+added, scaled, into every polynomial that uses it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .frobenius import ProblemSpec, SeriesProcess, SeriesSolution
-from .poly import Poly
+from .poly import Mono, Poly
 from .randmodel import RandomModel
 from .uqstats import StatCurve
 
@@ -67,39 +71,52 @@ def _worker_count() -> int:
 def _sample_matrix(model: RandomModel, seed: int, start: int, count: int) -> np.ndarray:
     """Draw realizations start .. start+count-1 as a (count, n_symbols) array.
 
-    Realization i uses a Philox stream keyed by (seed, i).  One Generator is
-    reused and re-keyed per sample, which draws the exact same values as a
-    freshly constructed Generator(Philox(key=[seed, i])) would.
+    `start` opens chunk start // CHUNK, which draws from its own Philox
+    stream keyed by (seed, chunk index).
     """
-    out = np.empty((count, model.n_symbols))
-    mask = (1 << 64) - 1
-    stream = np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
-    template = dict(stream.bit_generator.state)
-    zero_counter = np.zeros(4, dtype=np.uint64)
-    key = np.empty(2, dtype=np.uint64)
-    key[0] = seed & mask
-    for j in range(count):
-        key[1] = (start + j) & mask
-        template["state"] = {"counter": zero_counter, "key": key.copy()}
-        template["buffer"] = zero_counter
-        template["buffer_pos"] = 4
-        template["has_uint32"] = 0
-        template["uinteger"] = 0
-        stream.bit_generator.state = template
-        out[j, :] = model.draw(stream)
-    return out
+    key = np.array([seed & ((1 << 64) - 1), start // CHUNK], dtype=np.uint64)
+    stream = np.random.Generator(np.random.Philox(key=key))
+    return model.draw(stream, count)
 
 
-def _eval_poly_batch(p: Poly, values: np.ndarray) -> np.ndarray:
-    """Evaluate a polynomial on every row of a (count, n_symbols) matrix."""
-    count = values.shape[0]
-    total = np.zeros(count)
-    for mono, coeff in p.terms.items():
-        term = np.full(count, float(coeff))
-        for sid, e in mono:
-            term *= values[:, sid] ** e
-        total += term
-    return total
+class _EvalPlan:
+    """Evaluates a list of polynomials on every row of a sample matrix.
+
+    Built once per Monte Carlo call and shared read-only by the chunk
+    workers: the distinct monomials of all the polynomials, each with the
+    (row, float coefficient) entries that use it, and per symbol the powers
+    those monomials need.
+    """
+
+    def __init__(self, polys: Sequence[Poly]):
+        self.rows = len(polys)
+        entries: dict[Mono, list[tuple[int, float]]] = {}
+        for row, p in enumerate(polys):
+            for mono, coeff in p.terms.items():
+                entries.setdefault(mono, []).append((row, float(coeff)))
+        self.monomials = list(entries.items())
+        self.powers = sorted({factor for mono in entries for factor in mono})
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """A (len(polys), count) array: row r is polynomial r at every draw."""
+        count = values.shape[0]
+        power = {(sid, e): values[:, sid] ** e if e > 1 else values[:, sid]
+                 for sid, e in self.powers}
+        out = np.zeros((self.rows, count))
+        scratch = np.empty(count)
+        for mono, entries in self.monomials:
+            if not mono:
+                term = 1.0
+            elif len(mono) == 1:
+                term = power[mono[0]]
+            else:
+                np.multiply(power[mono[0]], power[mono[1]], out=scratch)
+                for factor in mono[2:]:
+                    scratch *= power[factor]
+                term = scratch
+            for row, coeff in entries:
+                out[row] += coeff * term
+        return out
 
 
 def _run_chunks(
@@ -167,12 +184,10 @@ def mc_series(
     taus = np.array([float(t) - t0 for t in grid])
     # Power matrix (grid, order+1): partial sum is one matmul per chunk.
     powers = taus[:, None] ** np.arange(sol.order + 1)[None, :]
+    plan = _EvalPlan(sol.X)
 
     def worker(start: int, count: int):
-        values = _sample_matrix(model, cfg.seed, start, count)
-        coeff_rows = np.empty((sol.order + 1, count))
-        for n, p in enumerate(sol.X):
-            coeff_rows[n, :] = _eval_poly_batch(p, values)
+        coeff_rows = plan(_sample_matrix(model, cfg.seed, start, count))
         paths = powers @ coeff_rows  # (grid, count)
         return paths.sum(axis=1), (paths * paths).sum(axis=1)
 
@@ -180,10 +195,12 @@ def mc_series(
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
 
 
-def _dense_series(proc: SeriesProcess | None, cap: int | None) -> list[tuple[int, Poly]]:
+def _dense_series(proc: SeriesProcess | None, cap: int | None) -> list[Poly]:
+    """Coefficients 0 .. highest index kept, zero where the series has none."""
     if proc is None:
         return []
-    return [(n, p) for n, p in proc.items() if cap is None or n <= cap]
+    terms = {n: p for n, p in proc.items() if cap is None or n <= cap}
+    return [terms.get(n, Poly.zero()) for n in range(max(terms, default=-1) + 1)]
 
 
 def _steps_for(delta: float, h: float) -> int:
@@ -220,32 +237,24 @@ def mc_rk4(
     if ts and ts[0] < t0 - 1e-12:
         raise ValueError(f"grid must start at or after t0={t0:g}")
 
-    a_terms = _dense_series(spec.a, cfg.input_truncation)
-    b_terms = _dense_series(spec.b, cfg.input_truncation)
-    c_terms = _dense_series(spec.c, cfg.input_truncation)
-
-    legs = []  # (t_start, n_steps, h_actual, record_after)
+    legs = []  # (t_start, n_steps, h_actual)
     t_prev = t0
     for t in ts:
         delta = t - t_prev
         if delta <= 1e-14:
-            legs.append((t_prev, 0, cfg.rk4_step, True))
+            legs.append((t_prev, 0, cfg.rk4_step))
         else:
             n = _steps_for(delta, cfg.rk4_step)
-            legs.append((t_prev, n, delta / n, True))
+            legs.append((t_prev, n, delta / n))
         t_prev = t
 
-    def coeff_matrix(terms: list[tuple[int, Poly]], values: np.ndarray) -> np.ndarray | None:
-        if not terms:
-            return None
-        deg = max(n for n, _ in terms)
-        mat = np.zeros((deg + 1, values.shape[0]))
-        for n, p in terms:
-            mat[n, :] = _eval_poly_batch(p, values)
-        return mat
+    # One plan over a, b, c's coefficients and the initial values, in that order.
+    inputs = [_dense_series(proc, cfg.input_truncation) for proc in (spec.a, spec.b, spec.c)]
+    plan = _EvalPlan([p for series in inputs for p in series] + [spec.y0, spec.y1])
+    bounds = np.cumsum([0] + [len(series) for series in inputs])
 
-    def series_at(mat: np.ndarray | None, tau: float):
-        if mat is None:
+    def series_at(mat: np.ndarray, tau: float):
+        if not len(mat):
             return 0.0
         acc = mat[-1]
         for row in mat[-2::-1]:
@@ -253,18 +262,15 @@ def mc_rk4(
         return acc
 
     def worker(start: int, count: int):
-        values = _sample_matrix(model, cfg.seed, start, count)
-        a_mat = coeff_matrix(a_terms, values)
-        b_mat = coeff_matrix(b_terms, values)
-        c_mat = coeff_matrix(c_terms, values)
+        rows = plan(_sample_matrix(model, cfg.seed, start, count))
+        a_mat, b_mat, c_mat = (rows[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
         def accel(tau: float, x, v):
             return series_at(c_mat, tau) - series_at(b_mat, tau) * x - series_at(a_mat, tau) * v
 
-        x = _eval_poly_batch(spec.y0, values)
-        v = _eval_poly_batch(spec.y1, values)
+        x, v = rows[-2], rows[-1]
         sums = np.empty((len(ts), count))
-        for g, (t_start, n_steps, h, _) in enumerate(legs):
+        for g, (t_start, n_steps, h) in enumerate(legs):
             for i in range(n_steps):
                 t_a = t_start + i * h
                 tau_a = t_a - t0

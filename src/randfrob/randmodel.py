@@ -9,9 +9,9 @@ supports, always as exact `Fraction` values: distribution parameters are
 coerced to rationals on construction, so the expectation of any polynomial
 in the symbols is an exact rational.
 
-Sampling draws from a caller-supplied `numpy.random.Generator`, one block
-at a time in declaration order, so a fixed seed reproduces the exact draw
-sequence.
+Sampling draws a whole batch of realizations from a caller-supplied
+`numpy.random.Generator`: one vectorized call per block, in declaration
+order, so a fixed seed and batch size reproduce the exact draws.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import DistributionError, MissingSymbolError
 from .poly import Mono, Poly, SymbolTable, to_fraction
@@ -41,7 +44,8 @@ class Distribution:
         """Essential supremum of |Z| (math.inf when the support is unbounded)."""
         raise NotImplementedError
 
-    def sample(self, stream) -> float:
+    def sample(self, stream, size: int) -> np.ndarray:
+        """`size` independent draws: shape (size,), or (size, arity) for vector kinds."""
         raise NotImplementedError
 
 
@@ -84,8 +88,8 @@ class PointMass(Distribution):
     def linfty(self) -> Fraction:
         return abs(self.value)
 
-    def sample(self, stream) -> float:
-        return float(self.value)
+    def sample(self, stream, size: int) -> np.ndarray:
+        return np.full(size, float(self.value))
 
 
 @dataclass(frozen=True)
@@ -105,8 +109,8 @@ class Bernoulli(Distribution):
     def linfty(self) -> Fraction:
         return Fraction(1) if self.p > 0 else Fraction(0)
 
-    def sample(self, stream) -> float:
-        return 1.0 if stream.random() < self._p_float else 0.0
+    def sample(self, stream, size: int) -> np.ndarray:
+        return (stream.random(size) < self._p_float).astype(float)
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,8 @@ class Binomial(Distribution):
     def linfty(self) -> Fraction:
         return Fraction(self.n) if self.p > 0 else Fraction(0)
 
-    def sample(self, stream) -> float:
-        return float(stream.binomial(self.n, float(self.p)))
+    def sample(self, stream, size: int) -> np.ndarray:
+        return stream.binomial(self.n, float(self.p), size).astype(float)
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,8 @@ class Beta(Distribution):
     def linfty(self) -> Fraction:
         return Fraction(1)
 
-    def sample(self, stream) -> float:
-        return float(stream.beta(float(self.alpha), float(self.beta)))
+    def sample(self, stream, size: int) -> np.ndarray:
+        return stream.beta(float(self.alpha), float(self.beta), size)
 
 
 @dataclass(frozen=True)
@@ -183,8 +187,8 @@ class Gamma(Distribution):
     def linfty(self) -> float:
         return math.inf
 
-    def sample(self, stream) -> float:
-        return float(stream.gamma(float(self.shape), 1.0 / float(self.rate)))
+    def sample(self, stream, size: int) -> np.ndarray:
+        return stream.gamma(float(self.shape), 1.0 / float(self.rate), size)
 
 
 @dataclass(frozen=True)
@@ -206,8 +210,8 @@ class Uniform(Distribution):
     def linfty(self) -> Fraction:
         return max(abs(self.a), abs(self.b))
 
-    def sample(self, stream) -> float:
-        return float(stream.uniform(float(self.a), float(self.b)))
+    def sample(self, stream, size: int) -> np.ndarray:
+        return stream.uniform(float(self.a), float(self.b), size)
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,9 @@ class FiniteDiscrete(Distribution):
             raise DistributionError("support and probabilities differ in length")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        # cumulative probabilities, summed exactly and rounded once
+        object.__setattr__(self, "_cum_floats", np.array([float(c) for c in accumulate(probs)]))
+        object.__setattr__(self, "_support_floats", np.array([float(x) for x in support]))
 
     def raw_moment(self, k: int) -> Fraction:
         return sum((p * x**k for x, p in zip(self.support, self.probs)), Fraction(0))
@@ -232,14 +239,10 @@ class FiniteDiscrete(Distribution):
         points = [abs(x) for x, p in zip(self.support, self.probs) if p > 0]
         return max(points, default=Fraction(0))
 
-    def sample(self, stream) -> float:
-        u = stream.random()
-        acc = Fraction(0)
-        for x, p in zip(self.support, self.probs):
-            acc += p
-            if u < acc:
-                return float(x)
-        return float(self.support[-1])
+    def sample(self, stream, size: int) -> np.ndarray:
+        # first point whose cumulative probability exceeds u
+        idx = np.searchsorted(self._cum_floats, stream.random(size), side="right")
+        return self._support_floats[np.minimum(idx, len(self.support) - 1)]
 
 
 @dataclass(frozen=True)
@@ -294,17 +297,17 @@ class MultinomialVector(Distribution):
     def component_linfty(self, index: int) -> Fraction:
         return Fraction(self.trials) if self.probs[index] > 0 else Fraction(0)
 
-    def sample(self, stream) -> tuple[float, ...]:
+    def sample(self, stream, size: int) -> np.ndarray:
         # Sequential binomial decomposition: condition each category count on
         # the trials not yet assigned to earlier categories.
-        remaining = self.trials
-        counts = []
-        for cond in self._cond_floats:
-            c = int(stream.binomial(remaining, cond))
-            counts.append(float(c))
+        counts = np.empty((size, self.arity))
+        remaining = np.full(size, self.trials, dtype=np.int64)
+        for j, cond in enumerate(self._cond_floats):
+            c = stream.binomial(remaining, cond)
+            counts[:, j] = c
             remaining -= c
-        counts.append(float(remaining))
-        return tuple(counts)
+        counts[:, -1] = remaining
+        return counts
 
 
 def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -342,10 +345,6 @@ def distribution_from_spec(kind: str, params: dict) -> Distribution:
     if extra:
         raise DistributionError(f"{key}: unknown parameter(s) {extra}")
     args = {p: params[p] for p in wanted}
-    if key == "binomial":
-        args["n"] = _as_int(args["n"], "binomial n")
-    if key == "multinomial":
-        args["trials"] = _as_int(args["trials"], "multinomial trials")
     cls = {
         "pointmass": PointMass,
         "bernoulli": Bernoulli,
@@ -358,7 +357,14 @@ def distribution_from_spec(kind: str, params: dict) -> Distribution:
     }[key]
     if key in ("finite_discrete", "multinomial"):
         args = {k: tuple(v) if isinstance(v, (list, tuple)) else v for k, v in args.items()}
-    return cls(**args)
+    try:
+        if key == "binomial":
+            args["n"] = _as_int(args["n"], "binomial n")
+        if key == "multinomial":
+            args["trials"] = _as_int(args["trials"], "multinomial trials")
+        return cls(**args)
+    except TypeError as exc:  # a bool or non-numeric parameter
+        raise DistributionError(f"{key}: {exc}") from exc
 
 
 def _as_int(value, what: str) -> int:
@@ -405,14 +411,6 @@ def joint_moment(block: DependenceBlock, exponents: Sequence[int]) -> Fraction:
 
 def linfty_norm(dist: Distribution) -> NormValue:
     return dist.linfty()
-
-
-def sample_block(block: DependenceBlock, stream) -> dict[int, float]:
-    """One joint draw of a block as a symbol-id -> value map."""
-    value = block.dist.sample(stream)
-    if isinstance(block.dist, MultinomialVector):
-        return dict(zip(block.symbols, value))
-    return {block.symbols[0]: value}
 
 
 class RandomModel:
@@ -519,13 +517,14 @@ class RandomModel:
         """sqrt(E[P^2]) through the moment oracle."""
         return math.sqrt(float(self.expect_poly(p * p)))
 
-    def sample_block(self, block: DependenceBlock, stream) -> dict[int, float]:
-        return sample_block(block, stream)
+    def draw(self, stream, count: int) -> np.ndarray:
+        """`count` joint draws of every block as a (count, n_symbols) matrix.
 
-    def draw(self, stream) -> list[float]:
-        """One joint draw of every block, as a dense symbol-id-indexed list."""
-        values = [0.0] * self.n_symbols
+        Each block draws all `count` values in one call, blocks in
+        declaration order.  The matrix is column-major, so each symbol's
+        draws are contiguous.
+        """
+        values = np.empty((count, self.n_symbols), order="F")
         for block in self.blocks:
-            for sid, v in sample_block(block, stream).items():
-                values[sid] = v
+            values[:, list(block.symbols)] = block.dist.sample(stream, count).reshape(count, -1)
         return values

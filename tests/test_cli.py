@@ -220,6 +220,19 @@ class TestCommands:
         assert code == 1
         assert "generator A: M must be an integer >= 0" in err
 
+    @pytest.mark.parametrize("problem,index,param", [
+        ("hermite_forced", 0, "p"),  # bernoulli
+        ("hermite", 1, "b"),  # uniform bound
+    ])
+    def test_bool_distribution_parameter(self, capsys, tmp_path, problem, index, param):
+        doc = load_document(resolve_problem(problem))
+        doc["symbols"][index]["params"][param] = True
+        path = tmp_path / "bool_param.spec"
+        path.write_text(canonical_json(doc))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert "bool is not a rational value" in err
+
     def test_order_beyond_generator_inputs(self, capsys, tmp_path):
         doc = load_document(resolve_problem("beta_series"))
         doc["generators"]["A"]["M"] = 3

@@ -5,9 +5,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from conftest import BUNDLED
 
 import randfrob as rf
-from randfrob import McConfig, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series
+from randfrob import McConfig, Poly, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series
+from randfrob import mcengine
+from randfrob.mcengine import CHUNK, _EvalPlan, _sample_matrix
 
 GRID7 = [0.25 * k for k in range(7)]
 
@@ -62,6 +65,33 @@ class TestReproducibility:
         b = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
         assert a.mean == b.mean
         assert a.variance == b.variance
+
+    def test_rk4_thread_count_invariance(self, hermite_forced, monkeypatch):
+        cfg = McConfig(samples=2 * CHUNK + 37, seed=11, method="rk4", rk4_step=0.05)
+        curves = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("RANDFROB_THREADS", threads)
+            curves.append(quiet_rk4(hermite_forced, [0.0, 0.5, 1.0], cfg))
+        for curve in curves[1:]:
+            assert curve.mean == curves[0].mean
+            assert curve.variance == curves[0].variance
+
+    def test_first_chunk_rows_independent_of_sample_count(self, hermite_forced, hf_solution,
+                                                         monkeypatch):
+        seen = {}
+
+        def recording(model, seed, start, count):
+            values = _sample_matrix(model, seed, start, count)
+            seen[samples, start] = values
+            return values
+
+        monkeypatch.setattr(mcengine, "_sample_matrix", recording)
+        for samples in (CHUNK, CHUNK + 100):
+            mc_series(hf_solution, hermite_forced.model, [1.0],
+                      McConfig(samples=samples, seed=6, method="series"))
+        assert sorted(seen) == [(CHUNK, 0), (CHUNK + 100, 0), (CHUNK + 100, CHUNK)]
+        assert (seen[CHUNK, 0] == seen[CHUNK + 100, 0]).all()
+        assert seen[CHUNK + 100, CHUNK].shape == (100, hermite_forced.model.n_symbols)
 
     def test_seed_changes_draws(self, hermite_forced, hf_solution):
         a = mc_series(hf_solution, hermite_forced.model, [1.0],
@@ -182,6 +212,39 @@ class TestMethodAgreement:
         mcr = quiet_rk4(spec, grid, McConfig(samples=n, seed=57, method="rk4", rk4_step=1e-3))
         report = compare_curves(mcs, mcr)
         assert all(p.mean_sigmas < 3 for p in report.points)
+
+
+class TestEvalPlan:
+    @staticmethod
+    def check_rows(polys, values):
+        got = _EvalPlan(polys)(values)
+        assert got.shape == (len(polys), len(values))
+        for r, p in enumerate(polys):
+            for j, row in enumerate(values):
+                want = p.eval(row)
+                assert abs(got[r, j] - want) <= 1e-12 * abs(want), (r, j)
+
+    @pytest.mark.parametrize("order", [6, 9, 12])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_poly_eval(self, bundled_specs, name, order):
+        spec = bundled_specs[name]
+        sol = compute_coeffs(spec, order)
+        values = _sample_matrix(spec.model, order, 0, 40)
+        self.check_rows(sol.X, values)
+
+    def test_constant_and_zero(self, hermite_forced, hf_solution):
+        values = _sample_matrix(hermite_forced.model, 1, 0, 10)
+        polys = [Poly.const(Fraction(7, 3)), Poly.zero(), hf_solution.X[3], Poly.zero()]
+        got = _EvalPlan(polys)(values)
+        assert (got[0] == 7 / 3).all()
+        assert (got[1] == 0).all() and (got[3] == 0).all()
+        self.check_rows(polys, values)
+
+    def test_shared_monomials_formed_once(self, hf_solution):
+        plan = _EvalPlan(hf_solution.X)
+        monos = [m for m, _ in plan.monomials]
+        assert len(monos) == len(set(monos)) == len({m for p in hf_solution.X for m in p.terms})
+        assert sum(len(e) for _, e in plan.monomials) == sum(len(p.terms) for p in hf_solution.X)
 
 
 class TestCompare:

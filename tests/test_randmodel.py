@@ -1,6 +1,7 @@
 """Moment oracle, norms and sampling, checked against independent oracles."""
 
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from randfrob import (
     joint_moment,
     linfty_norm,
     raw_moment,
-    sample_block,
 )
 
 
@@ -133,7 +133,7 @@ class TestJointMoments:
         # sampling oracle: enumeration within 5 standard errors
         rng = np.random.default_rng(123)
         n = 100_000
-        draws = np.array([MULTI.sample(rng) for _ in range(n)])
+        draws = MULTI.sample(rng, n)
         prod = draws[:, 0] * draws[:, 1]
         se = prod.std(ddof=1) / math.sqrt(n)
         assert abs(prod.mean() - float(enumeration_moment((1, 1)))) < 5 * se
@@ -171,7 +171,8 @@ class TestExpectPoly:
         model = example_model()
         p = Poly.symbol(0) * Poly.symbol(1)
         rng = np.random.default_rng(7)
-        vals = np.array([p.eval(model.draw(rng)) for _ in range(100_000)])
+        draws = model.draw(rng, 100_000)
+        vals = draws[:, 0] * draws[:, 1]  # p = A * Y0
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - 0.35) < 5 * se
 
@@ -250,35 +251,63 @@ class TestNorms:
         assert model.poly_l2_norm(Poly.symbol(1)) == pytest.approx(math.sqrt(1.5))
 
 
+def one_block_model(dist):
+    t = SymbolTable()
+    for i in range(dist.arity):
+        t.add(f"x{i}")
+    return RandomModel(t, [DependenceBlock(tuple(range(dist.arity)), dist)])
+
+
 class TestSampling:
     def test_pointmass_constant(self):
-        t = SymbolTable()
-        t.add("x")
-        block = DependenceBlock((0,), PointMass(2))
+        model = one_block_model(PointMass(2))
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            assert sample_block(block, rng) == {0: 2.0}
+        assert model.draw(rng, 5).tolist() == [[2.0]] * 5
 
     def test_degenerate_bernoulli(self):
-        t = SymbolTable()
-        t.add("x")
-        block = DependenceBlock((0,), Bernoulli(1))
+        model = one_block_model(Bernoulli(1))
         rng = np.random.default_rng(0)
-        assert all(sample_block(block, rng)[0] == 1.0 for _ in range(100))
+        assert (model.draw(rng, 100) == 1.0).all()
 
     def test_multinomial_counts_sum_to_trials(self):
-        block = multinomial_block()
+        model = one_block_model(MULTI)
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            draw = sample_block(block, rng)
-            assert draw[0] + draw[1] == 3.0
-            assert draw[0] == int(draw[0]) >= 0
+        draws = model.draw(rng, 200)
+        assert draws.shape == (200, 2)
+        assert (draws.sum(axis=1) == 3.0).all()
+        assert (draws == np.floor(draws)).all() and (draws >= 0).all()
+
+    def test_multinomial_vector_draws_sum_to_trials(self):
+        dist = MultinomialVector(7, (Fraction(1, 6), Fraction(0), Fraction(1, 3), Fraction(1, 2)))
+        draws = dist.sample(np.random.default_rng(8), 5000)
+        assert draws.shape == (5000, 4)
+        assert (draws.sum(axis=1) == 7.0).all()
+        assert (draws[:, 1] == 0).all()  # a zero-probability category stays empty
+
+    def test_finite_discrete_mass_on_last_point(self):
+        d = FiniteDiscrete((Fraction(-1), Fraction(0), Fraction(5)), (0, 0, 1))
+        assert (d.sample(np.random.default_rng(3), 10_000) == 5.0).all()
+
+    def test_finite_discrete_skips_zero_probability_point(self):
+        d = FiniteDiscrete((Fraction(-1), Fraction(7), Fraction(2)),
+                           (Fraction(1, 2), 0, Fraction(1, 2)))
+        draws = d.sample(np.random.default_rng(4), 10_000)
+        assert set(draws.tolist()) == {-1.0, 2.0}
+
+    def test_draw_layout(self):
+        # columns follow symbol ids; blocks draw in declaration order
+        model = example_model()
+        draws = model.draw(np.random.default_rng(2), 1000)
+        assert draws.shape == (1000, 4)
+        assert set(draws[:, 0].tolist()) <= {0.0, 1.0}
+        assert (draws[:, 1] > 0).all()
+        assert (draws[:, 2] + draws[:, 3] == 3.0).all()
 
     def test_seed_reproducibility(self):
         model = example_model()
-        a = [model.draw(np.random.default_rng(99)) for _ in range(3)]
-        b = [model.draw(np.random.default_rng(99)) for _ in range(3)]
-        assert a == b
+        a = model.draw(np.random.default_rng(99), 3)
+        b = model.draw(np.random.default_rng(99), 3)
+        assert (a == b).all()
 
     @pytest.mark.parametrize(
         "dist",
@@ -293,9 +322,9 @@ class TestSampling:
         ],
     )
     def test_sample_mean_matches_first_moment(self, dist):
-        rng = np.random.default_rng(hash(dist.kind) & 0xFFFF)
+        rng = np.random.default_rng(zlib.crc32(dist.kind.encode()))
         n = 100_000
-        draws = np.array([dist.sample(rng) for _ in range(n)])
+        draws = dist.sample(rng, n)
         se = draws.std(ddof=1) / math.sqrt(n)
         tol = 5 * se if se > 0 else 1e-12
         assert abs(draws.mean() - float(raw_moment(dist, 1))) < tol
