@@ -131,7 +131,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
-    order = args.order or spec.default_order
+    order = spec.default_order if args.order is None else args.order
     sol = compute_coeffs(spec, order)
     rows = [[n, format_poly(p, spec.table)] for n, p in enumerate(sol.X)]
     _write_csv(args.out, ["n", "polynomial"], rows)
@@ -141,7 +141,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_stats(args) -> int:
     spec = _load_spec(args.spec)
-    order = args.order or spec.default_order
+    order = spec.default_order if args.order is None else args.order
     grid = parse_grid(args.grid)
     sol = compute_coeffs(spec, order)
     mm = moment_matrix(sol, spec.model)
@@ -153,12 +153,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_mc(args) -> int:
     spec = _load_spec(args.spec)
-    order = args.order or spec.default_order
+    order = spec.default_order if args.order is None else args.order
     grid = [float(t) for t in parse_grid(args.grid)]
     cfg = McConfig(
         samples=args.samples,
         seed=args.seed,
-        method=args.method,
         rk4_step=args.step,
         input_truncation=args.input_truncation,
     )
@@ -180,7 +179,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_majorant(args) -> int:
     spec = _load_spec(args.spec)
-    order = args.order or 2 * spec.default_order
+    order = 2 * spec.default_order if args.order is None else args.order
     maj = majorant_sequence(spec, args.s, order)
     rows = [
         [n, _fmt(h, args.full_precision), _fmt(h * maj.s**n, args.full_precision)]

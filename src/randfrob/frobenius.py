@@ -13,14 +13,15 @@ Matching coefficients of the series expansion of the equation gives
               / ((n+2)(n+1)),   n >= 0,
 
 which `compute_coeffs` evaluates with exact rational arithmetic.  The
-homogeneous equation is the C = 0 special case.  Missing series entries are
-zero polynomials; sparse problem files simply omit them.
+homogeneous equation is the C = 0 special case: C is then an empty series.
+Missing series entries are zero polynomials; sparse problem files simply
+omit them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -42,7 +43,6 @@ class GeneratorRule:
 
     family: str
     order: int  # M: highest expanded index
-    params: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -58,12 +58,6 @@ class SeriesProcess:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def max_index(self) -> int:
-        return max(self.coeffs, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 @dataclass
 class ProblemSpec:
@@ -71,7 +65,7 @@ class ProblemSpec:
 
     a: SeriesProcess
     b: SeriesProcess
-    c: SeriesProcess | None
+    c: SeriesProcess  # empty for a source-free equation
     y0: Poly
     y1: Poly
     t0: Fraction
@@ -83,10 +77,6 @@ class ProblemSpec:
     @property
     def table(self) -> SymbolTable:
         return self.model.table
-
-    @property
-    def homogeneous(self) -> bool:
-        return self.c is None or self.c.is_zero()
 
 
 @dataclass
@@ -101,6 +91,21 @@ class SeriesSolution:
         assert len(self.X) == self.order + 1
 
 
+def _convolution(a_items, b_items, X: Sequence[Poly], n: int) -> Poly:
+    """sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the stored terms."""
+    acc = Poly.zero()
+    for k, ak in a_items:  # k = n - m, so m = n - k
+        if k > n:
+            break
+        m = n - k
+        acc = acc + (m + 1) * (ak * X[m + 1])
+    for k, bk in b_items:
+        if k > n:
+            break
+        acc = acc + bk * X[n - k]
+    return acc
+
+
 def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     """Run the coefficient recursion up to X_order, exactly.
 
@@ -112,7 +117,7 @@ def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     if order < 2:
         raise ValueError(f"truncation order must be >= 2, got {order}")
     for label, proc in (("A", spec.a), ("B", spec.b), ("C", spec.c)):
-        if proc is not None and proc.generator is not None and proc.generator.order < order - 2:
+        if proc.generator is not None and proc.generator.order < order - 2:
             raise SpecError(
                 f"series {label}: generator M={proc.generator.order} expands inputs"
                 f" up to index {proc.generator.order}, but order {order} needs"
@@ -122,21 +127,10 @@ def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     b_items = spec.b.items()
     X = [spec.y0, spec.y1]
     for n in range(order - 1):
-        acc = Poly.zero()
-        for k, ak in a_items:  # k = n - m, so m = n - k
-            if k > n:
-                break
-            m = n - k
-            acc = acc + (m + 1) * (ak * X[m + 1])
-        for k, bk in b_items:
-            if k > n:
-                break
-            acc = acc + bk * X[n - k]
-        rhs = -acc
-        if spec.c is not None:
-            cn = spec.c.coeff(n)
-            if cn is not None:
-                rhs = rhs + cn
+        rhs = -_convolution(a_items, b_items, X, n)
+        cn = spec.c.coeff(n)
+        if cn is not None:
+            rhs = rhs + cn
         X.append(Fraction(1, (n + 2) * (n + 1)) * rhs)
     return SeriesSolution(X=X, order=order, spec=spec)
 
@@ -156,20 +150,10 @@ def residual_coefficients(sol: SeriesSolution) -> list[Poly]:
     b_items = spec.b.items()
     residuals = []
     for n in range(sol.order - 1):
-        acc = ((n + 2) * (n + 1)) * sol.X[n + 2]
-        for k, ak in a_items:
-            if k > n:
-                break
-            m = n - k
-            acc = acc + (m + 1) * (ak * sol.X[m + 1])
-        for k, bk in b_items:
-            if k > n:
-                break
-            acc = acc + bk * sol.X[n - k]
-        if spec.c is not None:
-            cn = spec.c.coeff(n)
-            if cn is not None:
-                acc = acc - cn
+        acc = ((n + 2) * (n + 1)) * sol.X[n + 2] + _convolution(a_items, b_items, sol.X, n)
+        cn = spec.c.coeff(n)
+        if cn is not None:
+            acc = acc - cn
         residuals.append(acc)
     return residuals
 
@@ -287,9 +271,8 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     for label, p in (("Y0", spec.y0), ("Y1", spec.y1)):
         norm = model.poly_l2_norm(p)
         l2_checks.append(L2Check(label, norm, math.isfinite(norm)))
-    if spec.c is not None:
-        for n, norm in sorted(coefficient_l2_norms(spec.c, model).items()):
-            l2_checks.append(L2Check(f"C_{n}", norm, math.isfinite(norm)))
+    for n, norm in sorted(coefficient_l2_norms(spec.c, model).items()):
+        l2_checks.append(L2Check(f"C_{n}", norm, math.isfinite(norm)))
     for check in l2_checks:
         if not check.finite:
             failed = True
@@ -344,7 +327,7 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     unknown = set(prob) - {"t0", "radius", "order"}
     if unknown:
         raise SpecError(f"unknown key(s) in 'problem': {sorted(unknown)}")
-    t0 = to_fraction(prob.get("t0", 0))
+    t0 = _read_rational(prob.get("t0", 0), "'t0'")
     radius = _read_radius(prob.get("radius", "inf"))
     default_order = _read_int(prob.get("order", 20), "'order'", 2)
 
@@ -416,11 +399,10 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     except DistributionError as exc:
         raise SpecError(str(exc)) from exc
 
-    c_proc = processes["C"]
     return ProblemSpec(
         a=processes["A"],
         b=processes["B"],
-        c=None if c_proc.is_zero() else c_proc,
+        c=processes["C"],
         y0=y0,
         y1=y1,
         t0=t0,
@@ -434,16 +416,24 @@ def build_problem(doc: Mapping) -> ProblemSpec:
 def _read_radius(value) -> Radius:
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
         return math.inf
-    radius = to_fraction(value)
+    radius = _read_rational(value, "radius")
     if radius <= 0:
         raise SpecError(f"radius must be positive, got {radius}")
     return radius
 
 
+def _read_rational(value, what: str) -> Fraction:
+    """A rational given as a number or a string such as "7/20"; bools fail."""
+    try:
+        return to_fraction(value)
+    except (TypeError, SpecError):
+        raise SpecError(f"{what} must be a rational number, got {value!r}") from None
+
+
 def _read_int(value, what: str, least: int) -> int:
     """An integer >= least, given as a JSON integer, rational or string."""
     try:
-        number = None if isinstance(value, bool) else to_fraction(value)
+        number = to_fraction(value)
     except (TypeError, SpecError):
         number = None
     if number is None or number.denominator != 1 or number < least:
@@ -482,14 +472,12 @@ def _make_dist(entry: Mapping, context: str):
 
 def _value_poly(value, table: SymbolTable, context: str) -> Poly:
     """A series/initial value: rational literal or polynomial expression text."""
-    if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
     if isinstance(value, str):
         try:
             return parse_poly(value, table)
         except MissingSymbolError as exc:
             raise SpecError(f"{context}: {exc}") from exc
-    raise SpecError(f"{context}: expected a rational or expression string, got {value!r}")
+    return Poly.const(_read_rational(value, context))
 
 
 def _explicit_series(label: str, entries, table: SymbolTable) -> SeriesProcess:
@@ -563,7 +551,4 @@ def _expand_generator(
         sid = table.add(name)
         blocks.append(DependenceBlock((sid,), dist))
         coeffs[n] = Poly.symbol(sid)
-    return SeriesProcess(
-        coeffs=coeffs,
-        generator=GeneratorRule(family, order, {"prefix": prefix, "dist": dist.kind}),
-    )
+    return SeriesProcess(coeffs=coeffs, generator=GeneratorRule(family, order))

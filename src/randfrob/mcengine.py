@@ -46,15 +46,12 @@ class McConfig:
 
     samples: int
     seed: int
-    method: str = "series"
     rk4_step: float = 1e-3
     input_truncation: int | None = None
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.method not in ("series", "rk4"):
-            raise ValueError(f"method must be 'series' or 'rk4', got {self.method!r}")
         if self.rk4_step <= 0:
             raise ValueError("rk4_step must be positive")
 
@@ -178,8 +175,6 @@ def mc_series(
     cfg: McConfig,
 ) -> StatCurve:
     """Sample the random symbols and evaluate the truncated series per draw."""
-    if cfg.method != "series":
-        raise ValueError(f"mc_series called with method {cfg.method!r}")
     t0 = float(sol.spec.t0)
     taus = np.array([float(t) - t0 for t in grid])
     # Power matrix (grid, order+1): partial sum is one matmul per chunk.
@@ -195,10 +190,8 @@ def mc_series(
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
 
 
-def _dense_series(proc: SeriesProcess | None, cap: int | None) -> list[Poly]:
+def _dense_series(proc: SeriesProcess, cap: int | None) -> list[Poly]:
     """Coefficients 0 .. highest index kept, zero where the series has none."""
-    if proc is None:
-        return []
     terms = {n: p for n, p in proc.items() if cap is None or n <= cap}
     return [terms.get(n, Poly.zero()) for n in range(max(terms, default=-1) + 1)]
 
@@ -228,8 +221,6 @@ def mc_rk4(
     grid points (aligned to whole steps; non-dividing spacings are warned
     about and quantized).
     """
-    if cfg.method != "rk4":
-        raise ValueError(f"mc_rk4 called with method {cfg.method!r}")
     t0 = float(spec.t0)
     ts = [float(t) for t in grid]
     if any(t1 > t2 for t1, t2 in zip(ts, ts[1:])):

@@ -220,10 +220,6 @@ class Poly:
             e >>= 1
         return result
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports 0."""
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def eval(self, values) -> float:
         """Evaluate at a symbol-id-indexed mapping (or sequence) of reals.
 

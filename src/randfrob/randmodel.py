@@ -17,7 +17,7 @@ order, so a fixed seed and batch size reproduce the exact draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Sequence, Union
@@ -40,9 +40,17 @@ class Distribution:
         """Exact E[Z^k] for scalar kinds; vector kinds reject the query."""
         raise DistributionError(f"raw_moment unsupported for kind {self.kind!r}")
 
+    def joint_moment(self, exponents: Sequence[int]) -> Fraction:
+        """Exact E[prod Z_i^{e_i}]; a scalar kind has one exponent."""
+        return raw_moment(self, exponents[0])  # rejects a negative order
+
     def linfty(self) -> NormValue:
         """Essential supremum of |Z| (math.inf when the support is unbounded)."""
         raise NotImplementedError
+
+    def component_linfty(self, index: int) -> NormValue:
+        """Essential supremum of |Z_index|; a scalar kind has one component."""
+        return self.linfty()
 
     def sample(self, stream, size: int) -> np.ndarray:
         """`size` independent draws: shape (size,), or (size, arity) for vector kinds."""
@@ -59,6 +67,13 @@ def _check_positive(v: Fraction, what: str) -> Fraction:
     if v <= 0:
         raise DistributionError(f"{what} must be positive, got {v}")
     return v
+
+
+def _check_count(value, what: str) -> int:
+    count = to_fraction(value)
+    if count.denominator != 1 or count < 0:
+        raise DistributionError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(count)
 
 
 def _normalize_probs(probs: Sequence, what: str) -> tuple[Fraction, ...]:
@@ -121,8 +136,7 @@ class Binomial(Distribution):
     kind = "binomial"
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise DistributionError(f"trial count must be a nonnegative int, got {self.n!r}")
+        object.__setattr__(self, "n", _check_count(self.n, "binomial n"))
         object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
 
     def raw_moment(self, k: int) -> Fraction:
@@ -253,8 +267,7 @@ class MultinomialVector(Distribution):
     kind = "multinomial"
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 0:
-            raise DistributionError(f"trial count must be a nonnegative int, got {self.trials!r}")
+        object.__setattr__(self, "trials", _check_count(self.trials, "multinomial trials"))
         probs = _normalize_probs(self.probs, "multinomial probabilities")
         object.__setattr__(self, "probs", probs)
         # conditional success probabilities of the sequential decomposition
@@ -319,59 +332,34 @@ def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-_DIST_PARAMS = {
-    "pointmass": ("value",),
-    "bernoulli": ("p",),
-    "binomial": ("n", "p"),
-    "beta": ("alpha", "beta"),
-    "gamma": ("shape", "rate"),
-    "uniform": ("a", "b"),
-    "finite_discrete": ("support", "probs"),
-    "multinomial": ("trials", "probs"),
+_DISTRIBUTIONS = {
+    cls.kind: cls
+    for cls in (PointMass, Bernoulli, Binomial, Beta, Gamma, Uniform,
+                FiniteDiscrete, MultinomialVector)
 }
 
 
 def distribution_from_spec(kind: str, params: dict) -> Distribution:
-    """Build a distribution from its problem-file form (kind name + params)."""
+    """Build a distribution from its problem-file form (kind name + params).
+
+    The parameter names are the fields of the kind's class, in order.
+    """
     key = str(kind).lower()
-    if key not in _DIST_PARAMS:
-        known = ", ".join(sorted(_DIST_PARAMS))
+    cls = _DISTRIBUTIONS.get(key)
+    if cls is None:
+        known = ", ".join(sorted(_DISTRIBUTIONS))
         raise DistributionError(f"unknown distribution kind {kind!r} (known: {known})")
-    wanted = _DIST_PARAMS[key]
+    wanted = [f.name for f in fields(cls)]
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing:
         raise DistributionError(f"{key}: missing parameter(s) {missing}")
     if extra:
         raise DistributionError(f"{key}: unknown parameter(s) {extra}")
-    args = {p: params[p] for p in wanted}
-    cls = {
-        "pointmass": PointMass,
-        "bernoulli": Bernoulli,
-        "binomial": Binomial,
-        "beta": Beta,
-        "gamma": Gamma,
-        "uniform": Uniform,
-        "finite_discrete": FiniteDiscrete,
-        "multinomial": MultinomialVector,
-    }[key]
-    if key in ("finite_discrete", "multinomial"):
-        args = {k: tuple(v) if isinstance(v, (list, tuple)) else v for k, v in args.items()}
     try:
-        if key == "binomial":
-            args["n"] = _as_int(args["n"], "binomial n")
-        if key == "multinomial":
-            args["trials"] = _as_int(args["trials"], "multinomial trials")
-        return cls(**args)
+        return cls(**params)
     except TypeError as exc:  # a bool or non-numeric parameter
         raise DistributionError(f"{key}: {exc}") from exc
-
-
-def _as_int(value, what: str) -> int:
-    frac = to_fraction(value)
-    if frac.denominator != 1:
-        raise DistributionError(f"{what} must be an integer, got {value!r}")
-    return int(frac)
 
 
 @dataclass(frozen=True)
@@ -404,9 +392,7 @@ def joint_moment(block: DependenceBlock, exponents: Sequence[int]) -> Fraction:
         raise DistributionError(
             f"expected {len(block.symbols)} exponents, got {len(exps)}"
         )
-    if isinstance(block.dist, MultinomialVector):
-        return block.dist.joint_moment(exps)
-    return raw_moment(block.dist, exps[0])
+    return block.dist.joint_moment(exps)
 
 
 def linfty_norm(dist: Distribution) -> NormValue:
@@ -446,12 +432,6 @@ class RandomModel:
     def n_symbols(self) -> int:
         return len(self.table)
 
-    def block_of(self, sid: int) -> int:
-        try:
-            return self._owner[sid][0]
-        except KeyError:
-            raise MissingSymbolError(f"unknown symbol id {sid}") from None
-
     def joint_moment(self, bidx: int, exponents: tuple[int, ...]) -> Fraction:
         key = (bidx, exponents)
         cached = self._moment_cache.get(key)
@@ -490,10 +470,7 @@ class RandomModel:
 
     def symbol_linfty(self, sid: int) -> NormValue:
         bidx, pos = self._owner[sid]
-        dist = self.blocks[bidx].dist
-        if isinstance(dist, MultinomialVector):
-            return dist.component_linfty(pos)
-        return dist.linfty()
+        return self.blocks[bidx].dist.component_linfty(pos)
 
     def poly_linfty_bound(self, p: Poly) -> NormValue:
         """Triangle-inequality upper bound on ess sup |P|.

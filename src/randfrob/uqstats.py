@@ -283,10 +283,9 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
                 )
             d_s = max(d_s, float(norm) * s_f**n)
             max_index = max(max_index, n)
-    if spec.c is not None:
-        for n, norm in coefficient_l2_norms(spec.c, model).items():
-            d_s = max(d_s, norm * s_f**n)
-            max_index = max(max_index, n)
+    for n, norm in coefficient_l2_norms(spec.c, model).items():
+        d_s = max(d_s, norm * s_f**n)
+        max_index = max(max_index, n)
 
     h = [model.poly_l2_norm(spec.y0), model.poly_l2_norm(spec.y1)]
     h.append((d_s / 2) * (h[1] + h[0] + 1))

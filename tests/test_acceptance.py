@@ -92,11 +92,11 @@ def test_mc_consistency(hermite_forced, hf_solution, flagship_curves):
     exact = flagship_curves[20]
     mcs = rf.mc_series(
         hf_solution, hermite_forced.model, GRID7,
-        McConfig(samples=100_000, seed=20240501, method="series"),
+        McConfig(samples=100_000, seed=20240501),
     )
     mcr = rf.mc_rk4(
         hermite_forced, hermite_forced.model, GRID7,
-        McConfig(samples=100_000, seed=20240502, method="rk4", rk4_step=1e-3),
+        McConfig(samples=100_000, seed=20240502, rk4_step=1e-3),
     )
     worst = 0.0
     var_rel = 0.0
@@ -200,7 +200,7 @@ def test_deterministic_reduction():
         series_vals.append(float(acc))
     rk4 = rf.mc_rk4(
         spec, spec.model, [float(t) for t in grid],
-        McConfig(samples=1, seed=0, method="rk4", rk4_step=1e-4),
+        McConfig(samples=1, seed=0, rk4_step=1e-4),
     )
     worst = max(abs(a - b) for a, b in zip(series_vals, rk4.mean))
     _check(
@@ -221,7 +221,7 @@ def test_rk4_order():
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3):
         curve = rf.mc_rk4(
-            spec, spec.model, grid, McConfig(samples=1, seed=0, method="rk4", rk4_step=h)
+            spec, spec.model, grid, McConfig(samples=1, seed=0, rk4_step=h)
         )
         errors.append(max(abs(m - math.cos(2 * t)) for m, t in zip(curve.mean, grid)))
     ratios = [c / f for c, f in zip(errors, errors[1:])]

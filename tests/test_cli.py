@@ -233,6 +233,39 @@ class TestCommands:
         assert code == 1
         assert "bool is not a rational value" in err
 
+    @pytest.mark.parametrize("place,value,key", [
+        (("problem", "t0"), True, "'t0'"),
+        (("problem", "t0"), [1], "'t0'"),
+        (("problem", "radius"), True, "radius"),
+        (("initial", "Y0"), True, "initial Y0"),
+        (("series", "A", 0, "value"), True, "series A term n=1"),
+    ])
+    def test_wrong_type_value(self, capsys, tmp_path, place, value, key):
+        doc = load_document(resolve_problem("hermite_forced"))
+        target = doc
+        for step in place[:-1]:
+            target = target[step]
+        target[place[-1]] = value
+        path = tmp_path / "wrong_type.spec"
+        path.write_text(canonical_json(doc))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 1
+        assert err.startswith(f"error: {key} ")
+
+    @pytest.mark.parametrize("argv", [
+        ("solve",),
+        ("stats", "--grid", "0:1:0.5"),
+        ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5"),
+        ("majorant", "--s", "1.6"),
+    ])
+    def test_order_zero_is_rejected(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, argv[0], "hermite_forced", *argv[1:],
+                           "--order", "0", "--out", str(out_path))
+        assert code == 1
+        assert "order must be >= 2" in err
+        assert not out_path.exists()
+
     def test_order_beyond_generator_inputs(self, capsys, tmp_path):
         doc = load_document(resolve_problem("beta_series"))
         doc["generators"]["A"]["M"] = 3

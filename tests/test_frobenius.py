@@ -4,10 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_coefficients
-from conftest import scalar_series_coeffs
+from conftest import eval_poly_exact, scalar_series_coeffs
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_sparse_series = st.dictionaries(st.integers(0, 4), _rationals, max_size=3)
 
 
 def sym(spec, name):
@@ -27,7 +32,6 @@ class TestBuildProblem:
         assert spec.b.coeffs == {0: sym(spec, "A")}
         assert spec.c.coeffs == {2: sym(spec, "C")}
         assert spec.y0 == sym(spec, "Y0")
-        assert not spec.homogeneous
 
     def test_symbol_in_two_blocks(self):
         doc = {
@@ -140,6 +144,7 @@ class TestRecursion:
         # independent implementation of the source-free recursion, compared
         # term for term with the general path on a C == 0 problem
         spec = bundled_specs["hermite"]
+        assert spec.c.coeffs == {}  # source-free: C is the empty series
         sol = compute_coeffs(spec, 12)
         X = [spec.y0, spec.y1]
         for n in range(11):
@@ -212,7 +217,6 @@ class TestRecursion:
         )
         values = {spec.table.id_of(n): v for n, v in
                   (("a0", Fraction(1, 2)), ("b0", Fraction(1)), ("c0", Fraction(-2)))}
-        from conftest import eval_poly_exact
         for n in range(13):
             assert eval_poly_exact(sol.X[n], values) == oracle[n]
 
@@ -225,6 +229,33 @@ class TestResiduals:
 
     def test_all_zero_airy(self, bundled_specs):
         sol = compute_coeffs(bundled_specs["airy"], 20)
+        assert all(r == Poly.zero() for r in residual_coefficients(sol))
+
+    @given(a=_sparse_series, b=_sparse_series, c=_sparse_series,
+           y0=_rationals, y1=_rationals, order=st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_point_mass_specs_match_scalar_recursion(self, a, b, c, y0, y1, order):
+        # every input is its own point-mass symbol, so evaluating X_n at the
+        # point masses must give the scalar recursion, independently written
+        values = {}
+
+        def symbol(name, value):
+            values[name] = value
+            return name
+
+        series = {label: [{"n": n, "value": symbol(f"{label}{n}", v)} for n, v in terms.items()]
+                  for label, terms in (("A", a), ("B", b), ("C", c))}
+        initial = {"Y0": symbol("Y0", y0), "Y1": symbol("Y1", y1)}
+        spec = build_problem({
+            "symbols": [{"name": k, "dist": "pointmass", "params": {"value": v}}
+                        for k, v in values.items()],
+            "series": series,
+            "initial": initial,
+        })
+        sol = compute_coeffs(spec, order)
+        point = {spec.table.id_of(k): v for k, v in values.items()}
+        assert [eval_poly_exact(x, point) for x in sol.X] == scalar_series_coeffs(
+            a, b, c, y0, y1, order)
         assert all(r == Poly.zero() for r in residual_coefficients(sol))
 
     def test_corruption_detected(self, hermite_forced):

@@ -35,22 +35,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(samples=0, seed=1)
         with pytest.raises(ValueError):
-            McConfig(samples=10, seed=1, method="exact")
-        with pytest.raises(ValueError):
-            McConfig(samples=10, seed=1, method="rk4", rk4_step=0)
-
-    def test_method_guards(self, hermite_forced, hf_solution):
-        cfg = McConfig(samples=4, seed=1, method="rk4")
-        with pytest.raises(ValueError):
-            mc_series(hf_solution, hermite_forced.model, [0.0], cfg)
-        cfg = McConfig(samples=4, seed=1, method="series")
-        with pytest.raises(ValueError):
-            mc_rk4(hermite_forced, hermite_forced.model, [0.0], cfg)
+            McConfig(samples=10, seed=1, rk4_step=0)
 
 
 class TestReproducibility:
     def test_bit_identical_reruns(self, hermite_forced, hf_solution):
-        cfg = McConfig(samples=3000, seed=11, method="series")
+        cfg = McConfig(samples=3000, seed=11)
         a = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
         b = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
         assert a.mean == b.mean
@@ -58,7 +48,7 @@ class TestReproducibility:
         assert a.ci_halfwidth == b.ci_halfwidth
 
     def test_thread_count_invariance(self, hermite_forced, hf_solution, monkeypatch):
-        cfg = McConfig(samples=20000, seed=11, method="series")
+        cfg = McConfig(samples=20000, seed=11)
         monkeypatch.setenv("RANDFROB_THREADS", "1")
         a = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
         monkeypatch.setenv("RANDFROB_THREADS", "4")
@@ -67,7 +57,7 @@ class TestReproducibility:
         assert a.variance == b.variance
 
     def test_rk4_thread_count_invariance(self, hermite_forced, monkeypatch):
-        cfg = McConfig(samples=2 * CHUNK + 37, seed=11, method="rk4", rk4_step=0.05)
+        cfg = McConfig(samples=2 * CHUNK + 37, seed=11, rk4_step=0.05)
         curves = []
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("RANDFROB_THREADS", threads)
@@ -88,22 +78,22 @@ class TestReproducibility:
         monkeypatch.setattr(mcengine, "_sample_matrix", recording)
         for samples in (CHUNK, CHUNK + 100):
             mc_series(hf_solution, hermite_forced.model, [1.0],
-                      McConfig(samples=samples, seed=6, method="series"))
+                      McConfig(samples=samples, seed=6))
         assert sorted(seen) == [(CHUNK, 0), (CHUNK + 100, 0), (CHUNK + 100, CHUNK)]
         assert (seen[CHUNK, 0] == seen[CHUNK + 100, 0]).all()
         assert seen[CHUNK + 100, CHUNK].shape == (100, hermite_forced.model.n_symbols)
 
     def test_seed_changes_draws(self, hermite_forced, hf_solution):
         a = mc_series(hf_solution, hermite_forced.model, [1.0],
-                      McConfig(samples=500, seed=1, method="series"))
+                      McConfig(samples=500, seed=1))
         b = mc_series(hf_solution, hermite_forced.model, [1.0],
-                      McConfig(samples=500, seed=2, method="series"))
+                      McConfig(samples=500, seed=2))
         assert a.mean != b.mean
 
 
 class TestSeriesMethod:
     def test_flagship_t0_within_scatter(self, hermite_forced, hf_solution):
-        cfg = McConfig(samples=20000, seed=3, method="series")
+        cfg = McConfig(samples=20000, seed=3)
         curve = mc_series(hf_solution, hermite_forced.model, [0.0], cfg)
         sigma = curve.ci_halfwidth[0] / 1.96
         assert abs(curve.mean[0] - 1.0) < 3 * sigma
@@ -120,7 +110,7 @@ class TestSeriesMethod:
         spec = build_problem(doc)
         sol = compute_coeffs(spec, 12)
         exact = rf.stat_curves(rf.moment_matrix(sol, spec.model), GRID7, spec.t0)
-        mc = mc_series(sol, spec.model, GRID7, McConfig(samples=64, seed=5, method="series"))
+        mc = mc_series(sol, spec.model, GRID7, McConfig(samples=64, seed=5))
         for i in range(len(GRID7)):
             assert mc.mean[i] == pytest.approx(exact.mean[i], abs=1e-12)
             assert mc.variance[i] == pytest.approx(0.0, abs=1e-12)
@@ -128,25 +118,25 @@ class TestSeriesMethod:
     def test_single_sample_variance_warned(self, hermite_forced, hf_solution):
         with pytest.warns(UserWarning, match="single draw"):
             curve = mc_series(hf_solution, hermite_forced.model, [1.0],
-                              McConfig(samples=1, seed=9, method="series"))
+                              McConfig(samples=1, seed=9))
         assert curve.variance == [0.0]
 
     def test_variance_nonnegative(self, hermite_forced, hf_solution):
         curve = mc_series(hf_solution, hermite_forced.model, GRID7,
-                          McConfig(samples=777, seed=13, method="series"))
+                          McConfig(samples=777, seed=13))
         assert all(v >= 0 for v in curve.variance)
 
 
 class TestRk4Method:
     def test_harmonic_oscillator(self):
         spec = oscillator_spec(b=1)
-        cfg = McConfig(samples=1, seed=0, method="rk4", rk4_step=1e-3)
+        cfg = McConfig(samples=1, seed=0, rk4_step=1e-3)
         curve = quiet_rk4(spec, [math.pi / 3], cfg)
         assert abs(curve.mean[0] - 0.5) < 1e-6
 
     def test_step_quantization_warns(self):
         spec = oscillator_spec(b=1)
-        cfg = McConfig(samples=2, seed=0, method="rk4", rk4_step=1e-3)
+        cfg = McConfig(samples=2, seed=0, rk4_step=1e-3)
         with pytest.warns(UserWarning, match="does not divide"):
             mc_rk4(spec, spec.model, [math.pi / 3], cfg)
 
@@ -155,7 +145,7 @@ class TestRk4Method:
         grid = [0.25 * k for k in range(13)]
         errors = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            cfg = McConfig(samples=1, seed=0, method="rk4", rk4_step=h)
+            cfg = McConfig(samples=1, seed=0, rk4_step=h)
             curve = quiet_rk4(spec, grid, cfg)
             errors.append(max(abs(m - math.cos(2 * t)) for m, t in zip(curve.mean, grid)))
         for coarse, fine in zip(errors, errors[1:]):
@@ -168,13 +158,13 @@ class TestRk4Method:
             "initial": {"Y0": 0, "Y1": 0},
         }
         spec = build_problem(doc)
-        cfg = McConfig(samples=2, seed=0, method="rk4", rk4_step=1e-2)
+        cfg = McConfig(samples=2, seed=0, rk4_step=1e-2)
         curve = quiet_rk4(spec, [0.0, 0.5, 1.0], cfg)
         assert curve.mean == [0.0, 0.0, 0.0]
         assert curve.variance == [0.0, 0.0, 0.0]
 
     def test_grid_validation(self, hermite_forced):
-        cfg = McConfig(samples=2, seed=0, method="rk4")
+        cfg = McConfig(samples=2, seed=0)
         with pytest.raises(ValueError, match="ascending"):
             mc_rk4(hermite_forced, hermite_forced.model, [1.0, 0.5], cfg)
         with pytest.raises(ValueError, match="t0"):
@@ -184,9 +174,9 @@ class TestRk4Method:
         # same seed and sample count: deviation is series truncation only
         n = 2000
         mcs = mc_series(hf_solution, hermite_forced.model, GRID7,
-                        McConfig(samples=n, seed=42, method="series"))
+                        McConfig(samples=n, seed=42))
         mcr = quiet_rk4(hermite_forced, GRID7,
-                        McConfig(samples=n, seed=42, method="rk4", rk4_step=1e-3))
+                        McConfig(samples=n, seed=42, rk4_step=1e-3))
         # the gap is the N=20 truncation error, growing steeply with t
         tols = {0.0: 1e-12, 0.25: 1e-12, 0.5: 1e-12, 0.75: 1e-9, 1.0: 1e-7,
                 1.25: 1e-5, 1.5: 5e-4}
@@ -208,8 +198,8 @@ class TestMethodAgreement:
         spec = bundled_specs[name]
         sol = compute_coeffs(spec, 20)
         n = 2000
-        mcs = mc_series(sol, spec.model, grid, McConfig(samples=n, seed=31, method="series"))
-        mcr = quiet_rk4(spec, grid, McConfig(samples=n, seed=57, method="rk4", rk4_step=1e-3))
+        mcs = mc_series(sol, spec.model, grid, McConfig(samples=n, seed=31))
+        mcr = quiet_rk4(spec, grid, McConfig(samples=n, seed=57, rk4_step=1e-3))
         report = compare_curves(mcs, mcr)
         assert all(p.mean_sigmas < 3 for p in report.points)
 
@@ -275,6 +265,6 @@ class TestCompare:
     def test_summary_text(self, hermite_forced, hf_solution, hf_moments):
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
         mc = mc_series(hf_solution, hermite_forced.model, GRID7,
-                       McConfig(samples=4000, seed=3, method="series"))
+                       McConfig(samples=4000, seed=3))
         text = compare_curves(exact, mc).summary()
         assert "max abs dev" in text and "CI" in text
