@@ -9,6 +9,7 @@ cross-validates with reproducible Monte Carlo sampling.
 
 from .errors import (
     DistributionError,
+    ExponentOverflowError,
     GridMismatchError,
     MissingSymbolError,
     RandfrobError,

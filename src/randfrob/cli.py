@@ -152,13 +152,18 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    # Each of these flags is read by one method only; the other would ignore it.
+    for flag, method in (("--order", "series"), ("--step", "rk4"), ("--input-truncation", "rk4")):
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.method != method:
+            print(f"error: {flag} applies only to --method {method}", file=sys.stderr)
+            return 2
     spec = _load_spec(args.spec)
     order = spec.default_order if args.order is None else args.order
     grid = [float(t) for t in parse_grid(args.grid)]
     cfg = McConfig(
         samples=args.samples,
         seed=args.seed,
-        rk4_step=args.step,
+        rk4_step=McConfig.rk4_step if args.step is None else args.step,
         input_truncation=args.input_truncation,
     )
     if args.method == "series":
@@ -227,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("series", "rk4"), required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-3, help="RK4 step size")
+    p.add_argument("--step", type=float, default=None, help="RK4 step size (default 1e-3)")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--input-truncation", type=int, default=None)
     p.add_argument("--grid", required=True)

@@ -23,3 +23,7 @@ class UnboundedCoefficientError(RandfrobError):
 
 class GridMismatchError(RandfrobError):
     """Two curves were compared on different time grids."""
+
+
+class ExponentOverflowError(RandfrobError, ValueError):
+    """A monomial exponent reached the limit of its packed bit field."""

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .frobenius import ProblemSpec, SeriesProcess, SeriesSolution
-from .poly import Mono, Poly
+from .poly import Poly, key_factors
 from .randmodel import RandomModel
 from .uqstats import StatCurve
 
@@ -80,19 +80,19 @@ class _EvalPlan:
     """Evaluates a list of polynomials on every row of a sample matrix.
 
     Built once per Monte Carlo call and shared read-only by the chunk
-    workers: the distinct monomials of all the polynomials, each with the
-    (row, float coefficient) entries that use it, and per symbol the powers
-    those monomials need.
+    workers: the distinct monomials of all the polynomials, each decoded once
+    into (symbol id, exponent) factors and listed with the (row, float
+    coefficient) entries that use it, and per symbol the powers they need.
     """
 
     def __init__(self, polys: Sequence[Poly]):
         self.rows = len(polys)
-        entries: dict[Mono, list[tuple[int, float]]] = {}
+        entries: dict[int, list[tuple[int, float]]] = {}
         for row, p in enumerate(polys):
-            for mono, coeff in p.terms.items():
-                entries.setdefault(mono, []).append((row, float(coeff)))
-        self.monomials = list(entries.items())
-        self.powers = sorted({factor for mono in entries for factor in mono})
+            for key, num in p.terms.items():
+                entries.setdefault(key, []).append((row, num / p.den))
+        self.monomials = [(key_factors(key), rows) for key, rows in entries.items()]
+        self.powers = sorted({factor for mono, _ in self.monomials for factor in mono})
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """A (len(polys), count) array: row r is polynomial r at every draw."""

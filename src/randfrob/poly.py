@@ -1,37 +1,41 @@
 """Exact sparse polynomial arithmetic in named random symbols.
 
-A polynomial maps monomials to exact rational coefficients.  Monomials are
-stored sparsely as tuples of ``(symbol id, exponent)`` pairs, sorted by
-symbol id, with no zero exponents; the empty tuple is the constant
-monomial.  Coefficients are `fractions.Fraction`, so arithmetic never
-rounds; floating point enters only through `Poly.eval`.
+A `SymbolTable` interns symbol names as dense ids in declaration order.  A
+`Poly` keeps one packed, canonical form: each monomial is one int key, in
+which symbol id s raised to e adds e << (FIELD_BITS * s), so the key of a
+product of monomials is the sum of their keys; `terms` maps each key to a
+nonzero integer numerator over one positive denominator `den`, with
+gcd(den, *numerators) == 1.  Arithmetic is integer dict work plus one gcd
+reduction per result, so it never rounds; `Fraction` appears only at the
+edges and floating point only in `Poly.eval`.
 
-Symbols are interned in a `SymbolTable`, which assigns dense integer ids in
-declaration order.  `format_poly` orders terms by graded lexicographic
-order on symbol ids, which makes serialization deterministic across runs
-and platforms, and `parse_poly` reads the same syntax back:
+Exponents stay below EXP_LIMIT, so the top bit of each field is a guard
+and a sum of two keys never carries into the next field.  Each Poly keeps
+`top`, an upper bound on its exponents; a product whose bound reaches the
+limit decodes its keys and raises ExponentOverflowError.
+
+`format_poly` writes terms in graded lexicographic order on symbol ids, so
+serialization is deterministic, and `parse_poly` reads the same syntax:
 
     3/2*A^2*Y0 - 1/6*Y1 + 2
 
-No simplification beyond like-term collection is performed: symbols are
-opaque, so e.g. a 0/1-valued symbol squared stays squared.  Reductions that
-depend on the symbol's distribution belong to the moment layer.
+Symbols are opaque: a 0/1-valued symbol squared stays squared.  Reductions
+that depend on the symbol's distribution belong to the moment layer.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping
 
-from .errors import MissingSymbolError, SpecError
+import numpy as np
 
-# Sparse monomial: ((symbol id, exponent), ...) sorted by id, exponents > 0.
-Mono = tuple[tuple[int, int], ...]
+from .errors import ExponentOverflowError, MissingSymbolError, SpecError
 
-CONST_MONO: Mono = ()
-
-Scalar = Union[int, Fraction]
+FIELD_BITS = 32  # bits per symbol in a monomial key, a whole number of bytes
+EXP_LIMIT = 1 << (FIELD_BITS - 1)
 
 
 def to_fraction(value) -> Fraction:
@@ -52,26 +56,35 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"cannot read {type(value).__name__} as a rational number")
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sparse exponent vectors (exponents add)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for sid, e in b:
-        exps[sid] = exps.get(sid, 0) + e
-    return tuple(sorted(exps.items()))
+def key_factors(key: int) -> list[tuple[int, int]]:
+    """The (symbol id, exponent) pairs of a key's nonzero fields, by symbol id."""
+    out = []
+    while key:
+        shift = (key & -key).bit_length() - 1
+        shift -= shift % FIELD_BITS
+        e = (key >> shift) & ((1 << FIELD_BITS) - 1)
+        out.append((shift // FIELD_BITS, e))
+        key ^= e << shift
+    return out
 
 
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
+def _top_exponent(keys) -> int:
+    """The largest exponent in `keys`, which must stay below EXP_LIMIT."""
+    top = max((e for key in keys for _, e in key_factors(key)), default=0)
+    if top >= EXP_LIMIT:
+        raise ExponentOverflowError(f"exponent {top} exceeds the limit {EXP_LIMIT - 1}")
+    return top
 
 
-def _grlex_key(m: Mono):
-    # Sorting ascending by this key lists monomials in descending graded
-    # lexicographic order (higher total degree first, then earlier symbols).
-    return (-mono_degree(m), tuple((sid, -e) for sid, e in m))
+def _new(nums: dict[int, int], den: int, top: int) -> Poly:
+    """A Poly of nonzero numerators over a positive den, reduced by their gcd."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums, den = {k: n // g for k, n in nums.items()}, den // g
+    p = object.__new__(Poly)
+    p.terms, p.den, p.top = nums, den, top
+    return p
 
 
 class SymbolTable:
@@ -116,20 +129,19 @@ class SymbolTable:
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Values are immutable by convention: every operation returns a new Poly,
-    so instances can be shared freely between tasks.
+    Fields as in the module docstring.  Values are immutable by convention:
+    every operation returns a new Poly, so instances can be shared freely.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den", "top")
 
-    def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        canonical: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c != 0:
-                    canonical[mono] = c
-        self.terms = canonical
+    def __init__(self, terms: Mapping[int, int] | None = None, den: int = 1):
+        """From integer numerators keyed by packed monomial keys, over `den` > 0."""
+        nums = {k: n for k, n in terms.items() if n} if terms else {}
+        if den < 1 or any(k < 0 for k in nums):
+            raise ValueError("a Poly needs nonnegative keys and a positive denominator")
+        p = _new(nums, den, _top_exponent(nums))
+        self.terms, self.den, self.top = p.terms, p.den, p.top
 
     @classmethod
     def zero(cls) -> Poly:
@@ -137,11 +149,12 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> Poly:
-        return cls({CONST_MONO: to_fraction(value)})
+        c = to_fraction(value)
+        return cls({0: c.numerator}, c.denominator)
 
     @classmethod
     def symbol(cls, sid: int) -> Poly:
-        return cls({((sid, 1),): Fraction(1)})
+        return cls({1 << (FIELD_BITS * sid): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -150,7 +163,7 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; value equality only
 
@@ -158,23 +171,21 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, 0) + coeff
+        g = math.gcd(self.den, other.den)
+        f_self, f_other = other.den // g, self.den // g  # both sides over the lcm
+        out = dict(self.terms) if f_self == 1 else {k: n * f_self for k, n in self.terms.items()}
+        for k, n in other.terms.items():
+            acc = out.get(k, 0) + n * f_other
             if acc:
-                out[mono] = acc
+                out[k] = acc
             else:
-                out.pop(mono, None)
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
+                del out[k]
+        return _new(out, self.den * f_self, max(self.top, other.top))
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        result = Poly.__new__(Poly)
-        result.terms = {mono: -coeff for mono, coeff in self.terms.items()}
-        return result
+        return _new({k: -n for k, n in self.terms.items()}, self.den, self.top)
 
     def __sub__(self, other) -> Poly:
         other = _as_poly(other)
@@ -192,33 +203,38 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                acc = out.get(mono, 0) + c1 * c2
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        result = Poly.__new__(Poly)
-        result.terms = out
-        return result
+        a, b = self.terms, other.terms
+        # Terms come out in the order of the double loop over a, then b.
+        if len(a) == 1:
+            ((ka, na),) = a.items()
+            out = {ka + kb: na * nb for kb, nb in b.items()}
+        elif len(b) == 1:
+            ((kb, nb),) = b.items()
+            out = {ka + kb: na * nb for ka, na in a.items()}
+        else:
+            out = {}
+            for ka, na in a.items():
+                for kb, nb in b.items():
+                    k = ka + kb
+                    acc = out.get(k, 0) + na * nb
+                    if acc:
+                        out[k] = acc
+                    else:
+                        del out[k]
+        top = self.top + other.top
+        if top >= EXP_LIMIT:
+            top = _top_exponent(out)
+        return _new(out, self.den * other.den, top)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if exponent == 0:
+            return Poly.const(1)
+        half = self ** (exponent // 2)  # square-and-multiply, one check per product
+        return half * half * self if exponent & 1 else half * half
 
     def eval(self, values) -> float:
         """Evaluate at a symbol-id-indexed mapping (or sequence) of reals.
@@ -227,9 +243,9 @@ class Poly:
         monomial product is formed.
         """
         total = 0.0
-        for mono, coeff in self.terms.items():
+        for key, num in self.terms.items():
             prod = 1.0
-            for sid, e in mono:
+            for sid, e in key_factors(key):
                 try:
                     v = values[sid]
                 except (KeyError, IndexError):
@@ -237,27 +253,18 @@ class Poly:
                         f"no value assigned for symbol id {sid}"
                     ) from None
                 prod *= float(v) ** e
-            total += float(coeff) * prod
+            total += (num / self.den) * prod
         return total
 
-    def sorted_terms(self) -> Iterator[tuple[Mono, Fraction]]:
-        """Terms in descending graded lexicographic order (constant last)."""
-        for mono in sorted(self.terms, key=_grlex_key):
-            yield mono, self.terms[mono]
-
     def __repr__(self) -> str:
-        if not self.terms:
-            return "Poly(0)"
         return f"Poly({format_poly(self)})"
 
 
 def _as_poly(value):
     if isinstance(value, Poly):
         return value
-    if isinstance(value, bool):
-        return NotImplemented
-    if isinstance(value, (int, Fraction)):
-        return Poly({CONST_MONO: value}) if value else Poly.zero()
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return _new({0: value.numerator} if value else {}, value.denominator, 0)
     return NotImplemented
 
 
@@ -270,21 +277,32 @@ def format_poly(p: Poly, table: SymbolTable | None = None) -> str:
     """
     if not p.terms:
         return "0"
-
-    def name(sid: int) -> str:
-        return table.name_of(sid) if table is not None else f"s{sid}"
+    keys = list(p.terms)
+    fields = max(1, -(-max(keys).bit_length() // FIELD_BITS))
+    raw = b"".join([k.to_bytes(fields * FIELD_BITS // 8, "little") for k in keys])
+    exps = np.frombuffer(raw, f"<u{FIELD_BITS // 8}").reshape(len(keys), fields).astype(np.int64)
+    # Descending graded lexicographic order: total degree first, then the
+    # exponent of symbol 0, of symbol 1, ...  lexsort's last row is primary.
+    order = np.lexsort(np.vstack([-exps[:, ::-1].T, -exps.sum(axis=1)]))
+    exps = exps[order]
+    names = [table.name_of(s) if table is not None else f"s{s}" for s in range(fields)]
+    words: list[list[str]] = [[] for _ in keys]
+    rows, sids = np.nonzero(exps)
+    for r, s, e in zip(rows.tolist(), sids.tolist(), exps[rows, sids].tolist()):
+        words[r].append(names[s] if e == 1 else f"{names[s]}^{e}")
 
     pieces: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        mag = abs(coeff)
-        factors = [f"{name(sid)}^{e}" if e > 1 else name(sid) for sid, e in mono]
-        if not factors or mag != 1:
-            factors.insert(0, str(mag))
+    for i, factors in zip(order.tolist(), words):
+        num = p.terms[keys[i]]
+        g = math.gcd(num, p.den)
+        mag = f"{abs(num) // g}/{p.den // g}" if p.den != g else str(abs(num) // g)
+        if not factors or mag != "1":
+            factors.insert(0, mag)
         text = "*".join(factors)
         if not pieces:
-            pieces.append(f"-{text}" if coeff < 0 else text)
+            pieces.append(f"-{text}" if num < 0 else text)
         else:
-            pieces.append(f"- {text}" if coeff < 0 else f"+ {text}")
+            pieces.append(f"- {text}" if num < 0 else f"+ {text}")
     return " ".join(pieces)
 
 
@@ -316,7 +334,8 @@ def parse_poly(text: str, table: SymbolTable) -> Poly:
 
     Grammar: terms joined by + or -, each term a '*'-separated product of a
     rational coefficient and symbols with optional ^integer exponents.
-    Unknown symbol names raise MissingSymbolError.
+    Unknown symbol names raise MissingSymbolError; an exponent of EXP_LIMIT
+    or more raises SpecError.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -368,5 +387,8 @@ def parse_poly(text: str, table: SymbolTable) -> Poly:
             expect_factor = False
         if expect_factor:
             raise SpecError(f"dangling '*' in polynomial {text!r}")
-        result = result + Poly({tuple(sorted(mono.items())): coeff})
+        if max(mono.values(), default=0) >= EXP_LIMIT:
+            raise SpecError(f"exponents must stay below {EXP_LIMIT}: {text!r}")
+        key = sum(e << (FIELD_BITS * sid) for sid, e in mono.items())
+        result = result + Poly({key: coeff.numerator}, coeff.denominator)
     return result

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import DistributionError, MissingSymbolError
-from .poly import Mono, Poly, SymbolTable, to_fraction
+from .poly import Poly, SymbolTable, key_factors, to_fraction
 
 NormValue = Union[Fraction, float]  # math.inf marks an unbounded support
 
@@ -426,7 +426,7 @@ class RandomModel:
             raise DistributionError(f"symbols missing from every block: {missing}")
         self._owner = owner
         self._moment_cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        self._monomial_cache: dict[Mono, Fraction] = {}
+        self._monomial_cache: dict[int, Fraction] = {}  # by monomial key
 
     @property
     def n_symbols(self) -> int:
@@ -440,13 +440,13 @@ class RandomModel:
             self._moment_cache[key] = cached
         return cached
 
-    def expect_monomial(self, mono: Mono) -> Fraction:
-        """E[prod sym^e]: factorizes across blocks, joint within a block."""
-        cached = self._monomial_cache.get(mono)
+    def expect_monomial(self, key: int) -> Fraction:
+        """E[prod sym^e] of a monomial key: factorizes across blocks, joint within one."""
+        cached = self._monomial_cache.get(key)
         if cached is not None:
             return cached
         per_block: dict[int, list[int]] = {}
-        for sid, e in mono:
+        for sid, e in key_factors(key):
             info = self._owner.get(sid)
             if info is None:
                 raise MissingSymbolError(
@@ -458,15 +458,12 @@ class RandomModel:
         total = Fraction(1)
         for bidx, exps in per_block.items():
             total *= self.joint_moment(bidx, tuple(exps))
-        self._monomial_cache[mono] = total
+        self._monomial_cache[key] = total
         return total
 
     def expect_poly(self, p: Poly) -> Fraction:
         """Exact E[P] by linearity over terms."""
-        return sum(
-            (coeff * self.expect_monomial(mono) for mono, coeff in p.terms.items()),
-            Fraction(0),
-        )
+        return sum((n * self.expect_monomial(k) for k, n in p.terms.items()), Fraction(0)) / p.den
 
     def symbol_linfty(self, sid: int) -> NormValue:
         bidx, pos = self._owner[sid]
@@ -480,19 +477,21 @@ class RandomModel:
         appears.
         """
         total = Fraction(0)
-        for mono, coeff in p.terms.items():
-            factor = abs(coeff)
-            for sid, e in mono:
+        for key, num in p.terms.items():
+            factor = abs(num)
+            for sid, e in key_factors(key):
                 norm = self.symbol_linfty(sid)
                 if norm == math.inf:
                     return math.inf
                 factor *= norm**e
             total += factor
-        return total
+        return total / p.den
 
     def poly_l2_norm(self, p: Poly) -> float:
-        """sqrt(E[P^2]) through the moment oracle."""
-        return math.sqrt(float(self.expect_poly(p * p)))
+        """sqrt(E[P^2]) through the moment oracle, from key sums without forming P^2."""
+        terms = p.terms.items()
+        second = sum(a * b * self.expect_monomial(j + k) for j, a in terms for k, b in terms)
+        return math.sqrt(float(second / p.den**2))
 
     def draw(self, stream, count: int) -> np.ndarray:
         """`count` joint draws of every block as a (count, n_symbols) matrix.

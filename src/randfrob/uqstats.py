@@ -12,16 +12,14 @@ rationals); `stat_curves` then evaluates any time grid in exact rational
 arithmetic, converting to float only on output.
 
 The second moments come from one exact kernel over the *distinct* monomials
-u, v of all X_n, which are far fewer than the term pairs of all (X_n, X_m):
+u, v of all X_n, which are far fewer than the term pairs of all (X_n, X_m).
+It reads each X_n as `Poly` stores it, integer numerators a_{n,u} over one
+denominator D_n, keyed by packed monomial keys k_u (see `poly`):
 
-1. each monomial is packed into one int, a fixed bit field per symbol wide
-   enough for twice its largest exponent, so the key of a product monomial
-   is the sum of the keys; each X_n is scaled to integer numerators
-   a_{n,u} over its own denominator D_n;
-2. `RandomModel.expect_monomial` runs once per distinct product key
+1. `RandomModel.expect_monomial` runs once per distinct product key
    k_u + k_v, and those moments become integers e over one common
    denominator D;
-3. with w_m[u] = sum_{v in X_m} e[k_u + k_v] a_{m,v}, the entry is
+2. with w_m[u] = sum_{v in X_m} e[k_u + k_v] a_{m,v}, the entry is
    E[X_n X_m] = (sum_{u in X_n} a_{n,u} w_m[u]) / (D_n D_m D),
    so the inner loops are pure integer arithmetic.
 
@@ -56,7 +54,7 @@ from .frobenius import (
     coefficient_l2_norms,
     coefficient_sup_norms,
 )
-from .poly import Mono, Poly, mono_mul, to_fraction
+from .poly import Poly, to_fraction
 from .randmodel import RandomModel
 
 VARIANCE_CLAMP = 1e-12
@@ -110,69 +108,40 @@ class MajorantSeq:
     input_max_index: int  # highest input-series index the bound constant saw
 
 
-def _pairwise_expect(model: RandomModel, p, q) -> Fraction:
+def _pairwise_expect(model: RandomModel, p: Poly, q: Poly) -> Fraction:
     """Reference E[P Q], one oracle call and Fraction product per term pair."""
     total = Fraction(0)
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            total += c1 * c2 * model.expect_monomial(mono_mul(m1, m2))
+    for k1, n1 in p.terms.items():
+        for k2, n2 in q.terms.items():
+            total += Fraction(n1, p.den) * Fraction(n2, q.den) * model.expect_monomial(k1 + k2)
     return total
-
-
-def _field_shifts(monos: list[Mono]) -> dict[int, int]:
-    """Bit offset of each symbol's field in a packed monomial key.
-
-    A field holds twice the symbol's largest exponent in `monos`, so adding
-    the keys of two of them gives the key of their product without a carry
-    into the next field.
-    """
-    top: dict[int, int] = {}
-    for mono in monos:
-        for sid, e in mono:
-            if e > top.get(sid, 0):
-                top[sid] = e
-    shifts = {}
-    offset = 0
-    for sid in sorted(top):
-        shifts[sid] = offset
-        offset += (2 * top[sid]).bit_length()
-    return shifts
 
 
 def _second_moments(coeffs: list[Poly], model: RandomModel) -> list[list[Fraction]]:
     """Exact E[X_n X_m] for all n, m by the packed-key kernel (module docstring)."""
-    # Distinct monomials in order of first appearance, so those of
-    # X_0..X_m are a prefix of `monos`.
-    monos = list(dict.fromkeys(mono for x in coeffs for mono in x.terms))
-    shifts = _field_shifts(monos)
-    keys = [sum(e << shifts[sid] for sid, e in mono) for mono in monos]
+    # Distinct monomial keys in order of first appearance, so those of
+    # X_0..X_m are a prefix of `keys`.
+    keys = list(dict.fromkeys(key for x in coeffs for key in x.terms))
 
-    moments: dict[int, Fraction] = {}
-    for i, (ku, mu) in enumerate(zip(keys, monos)):
-        for kv, mv in zip(keys[i:], monos[i:]):
-            if ku + kv not in moments:
-                moments[ku + kv] = model.expect_monomial(mono_mul(mu, mv))
+    products = dict.fromkeys(ku + kv for i, ku in enumerate(keys) for kv in keys[i:])
+    moments = {k: model.expect_monomial(k) for k in products}
     den = math.lcm(*(f.denominator for f in moments.values()))
     scaled = {k: f.numerator * (den // f.denominator) for k, f in moments.items()}
     gram = [[scaled[ku + kv] for kv in keys] for ku in keys]
 
-    index = {mono: i for i, mono in enumerate(monos)}
-    cols, nums, dens = [], [], []
-    for x in coeffs:
-        d = math.lcm(*(c.denominator for c in x.terms.values()))
-        cols.append([index[mono] for mono in x.terms])
-        nums.append([c.numerator * (d // c.denominator) for c in x.terms.values()])
-        dens.append(d)
+    index = {key: i for i, key in enumerate(keys)}
+    cols = [[index[key] for key in x.terms] for x in coeffs]
+    nums = [x.terms.values() for x in coeffs]
 
     n_tot = len(coeffs)
     second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
-    live = 0  # the monomials of X_0..X_m are monos[:live]
+    live = 0  # the monomials of X_0..X_m are keys[:live]
     for m in range(n_tot):
         live = max(live, max(cols[m], default=-1) + 1)
         w = [sum(map(mul, map(row.__getitem__, cols[m]), nums[m])) for row in gram[:live]]
         for n in range(m + 1):
             total = sum(map(mul, map(w.__getitem__, cols[n]), nums[n]))
-            second[n][m] = second[m][n] = Fraction(total, dens[n] * dens[m] * den)
+            second[n][m] = second[m][n] = Fraction(total, coeffs[n].den * coeffs[m].den * den)
     return second
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import randfrob as rf
 from randfrob.cli import MAX_GRID_POINTS, parse_grid, read_curve, run_command
+from randfrob.poly import EXP_LIMIT
 from randfrob.specfile import canonical_json, load_document, parse_document, resolve_problem
 
 
@@ -265,6 +266,40 @@ class TestCommands:
         assert code == 1
         assert "order must be >= 2" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("method,flag,value", [
+        ("rk4", "--order", "0"),
+        ("series", "--input-truncation", "0"),
+        ("series", "--step", "0.01"),
+    ])
+    def test_mc_flag_of_other_method(self, capsys, tmp_path, method, flag, value):
+        out_path = tmp_path / "mc.csv"
+        code, _, err = run(capsys, "mc", "hermite_forced", "--method", method,
+                           "--samples", "10", "--grid", "0:0.5:0.25", flag, value,
+                           "--out", str(out_path))
+        assert code == 2
+        assert err == f"error: {flag} applies only to --method {'rk4' if method == 'series' else 'series'}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("y0,b0,code,message", [
+        (f"Y0^{EXP_LIMIT - 1}", None, 0, ""),
+        (f"Y0^{EXP_LIMIT}", None, 1, f"error: exponents must stay below {EXP_LIMIT}"),
+        # X_2 = -B_0 X_0 / 2 carries Y0's exponent to the limit
+        (f"Y0^{EXP_LIMIT - 1}", "Y0", 1, f"error: exponent {EXP_LIMIT} exceeds"),
+        (f"Y0^{EXP_LIMIT - 2}", "Y0", 0, ""),
+    ])
+    def test_exponent_limit(self, capsys, tmp_path, y0, b0, code, message):
+        doc = {
+            "symbols": [{"name": "Y0", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+            "series": {"B": [{"n": 0, "value": b0}] if b0 else []},
+            "initial": {"Y0": y0, "Y1": 0},
+        }
+        path = tmp_path / "exponent.spec"
+        path.write_text(canonical_json(doc))
+        got, _, err = run(capsys, "solve", str(path), "--order", "2",
+                          "--out", str(tmp_path / "c.csv"))
+        assert got == code
+        assert err.startswith(message) and "Traceback" not in err
 
     def test_order_beyond_generator_inputs(self, capsys, tmp_path):
         doc = load_document(resolve_problem("beta_series"))

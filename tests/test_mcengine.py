@@ -5,7 +5,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from conftest import BUNDLED
+from conftest import BUNDLED, decode_key
 
 import randfrob as rf
 from randfrob import McConfig, Poly, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series
@@ -232,8 +232,9 @@ class TestEvalPlan:
 
     def test_shared_monomials_formed_once(self, hf_solution):
         plan = _EvalPlan(hf_solution.X)
-        monos = [m for m, _ in plan.monomials]
-        assert len(monos) == len(set(monos)) == len({m for p in hf_solution.X for m in p.terms})
+        monos = [tuple(m) for m, _ in plan.monomials]
+        assert len(monos) == len(set(monos)) == len({k for p in hf_solution.X for k in p.terms})
+        assert set(monos) == {decode_key(k) for p in hf_solution.X for k in p.terms}
         assert sum(len(e) for _, e in plan.monomials) == sum(len(p.terms) for p in hf_solution.X)
 
 

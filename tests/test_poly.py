@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from randfrob import MissingSymbolError, Poly, SpecError, SymbolTable, format_poly, parse_poly
+from randfrob.errors import ExponentOverflowError
+from randfrob.poly import EXP_LIMIT
+from conftest import OraclePoly, decode_key
 
 
 @pytest.fixture
@@ -36,7 +39,7 @@ class TestArithmetic:
         combined = a_y0 + Fraction(-1, 2) * a_y0
         expected_coeff = Fraction(1) + Fraction(-1, 2)
         assert combined == expected_coeff * a_y0
-        assert list(combined.terms.values()) == [Fraction(1, 2)]
+        assert list(combined.terms.values()) == [1] and combined.den == 2
 
     def test_multiplicative_identity(self, table):
         p = 3 * sym(table, "A") - sym(table, "Y1") + 7
@@ -46,9 +49,9 @@ class TestArithmetic:
     def test_exponent_addition_no_idempotence(self, table):
         a = sym(table, "A")
         sq = a * a
-        ((mono, coeff),) = sq.terms.items()
-        assert mono == ((table.id_of("A"), 2),)
-        assert coeff == 1
+        ((key, num),) = sq.terms.items()
+        assert decode_key(key) == ((table.id_of("A"), 2),)
+        assert num == 1 and sq.den == 1
 
     def test_product_against_double_loop_oracle(self, table):
         y0, y1 = sym(table, "Y0"), sym(table, "Y1")
@@ -57,8 +60,8 @@ class TestArithmetic:
 
         # independent oracle: expand term-by-term into a plain dict
         expanded = {}
-        for m1, c1 in p.terms.items():
-            for m2, c2 in q.terms.items():
+        for m1, c1 in OraclePoly.of(p).terms.items():
+            for m2, c2 in OraclePoly.of(q).terms.items():
                 exps = dict(m1)
                 for s, e in m2:
                     exps[s] = exps.get(s, 0) + e
@@ -66,7 +69,7 @@ class TestArithmetic:
                 expanded[key] = expanded.get(key, Fraction(0)) + c1 * c2
         expanded = {k: v for k, v in expanded.items() if v}
 
-        assert (p * q).terms == expanded
+        assert OraclePoly.of(p * q).terms == expanded
         assert p * q == y0 * y0 - y1 * y1
 
     def test_pow(self, table):
@@ -91,7 +94,7 @@ class TestRingAxioms:
             for _ in range(rng.randint(0, 3)):
                 mono[rng.randrange(len(table))] = rng.randint(1, 3)
             coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            p = p + Poly({tuple(sorted(mono.items())): coeff})
+            p = p + OraclePoly({tuple(sorted(mono.items())): coeff}).packed()
         return p
 
     @pytest.mark.parametrize("seed", range(25))
@@ -181,6 +184,43 @@ class TestTextForm:
         a, y0 = sym(table, "A"), sym(table, "Y0")
         p = Poly.const(1) + y0 + a + y0 * y0 + a * y0 + a * a
         assert format_poly(p, table) == "A^2 + A*Y0 + Y0^2 + A + Y0 + 1"
+
+
+class TestExponentLimit:
+    def test_parse_boundary(self, table):
+        a = table.id_of("A")
+        p = parse_poly(f"A^{EXP_LIMIT - 1}", table)
+        assert OraclePoly.of(p).terms == {((a, EXP_LIMIT - 1),): 1}
+        for text in (f"A^{EXP_LIMIT}", f"A^{EXP_LIMIT - 1}*A", f"2*Y0 + A^{2 * EXP_LIMIT}"):
+            with pytest.raises(SpecError, match=f"exponents must stay below {EXP_LIMIT}"):
+                parse_poly(text, table)
+
+    def test_product_boundary(self, table):
+        # A's field sits just below Y0's, so a carry out of A would change Y0
+        a, y0 = table.id_of("A"), table.id_of("Y0")
+        near = parse_poly(f"A^{EXP_LIMIT - 2}*Y0", table)
+        at_limit = near * sym(table, "A")
+        assert OraclePoly.of(at_limit).terms == {((a, EXP_LIMIT - 1), (y0, 1)): 1}
+        with pytest.raises(ExponentOverflowError):
+            at_limit * sym(table, "A")
+        with pytest.raises(ExponentOverflowError):
+            at_limit * (sym(table, "A") + 1)
+        with pytest.raises(ExponentOverflowError):
+            near**2
+        assert isinstance(ExponentOverflowError("x"), ValueError)
+        # the operands are untouched and their neighbour fields still add up
+        assert OraclePoly.of(at_limit * sym(table, "Y0")).terms == {
+            ((a, EXP_LIMIT - 1), (y0, 2)): 1
+        }
+
+    def test_bound_reaching_limit_is_checked_exactly(self, table):
+        # the stored bound says the product might overflow; no field does
+        a, y0 = table.id_of("A"), table.id_of("Y0")
+        half = EXP_LIMIT // 2
+        p = parse_poly(f"A^{half} + 1", table) * parse_poly(f"Y0^{half}", table)
+        assert OraclePoly.of(p).terms == {((a, half), (y0, half)): 1, ((y0, half),): 1}
+        with pytest.raises(ExponentOverflowError):
+            p * parse_poly(f"A^{half}", table)
 
 
 class TestSymbolTable:

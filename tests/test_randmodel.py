@@ -27,6 +27,7 @@ from randfrob import (
     linfty_norm,
     raw_moment,
 )
+from randfrob.poly import EXP_LIMIT
 
 
 def quad_moment(pdf, k, lo, hi):
@@ -249,6 +250,12 @@ class TestNorms:
     def test_poly_l2_norm(self):
         model = example_model()
         assert model.poly_l2_norm(Poly.symbol(1)) == pytest.approx(math.sqrt(1.5))
+
+    def test_poly_l2_norm_at_exponent_limit(self):
+        # P * P would pass the packed exponent limit; E[P^2] itself is fine
+        model = one_block_model(Uniform(0, 1))
+        p = Poly.symbol(0) ** (EXP_LIMIT - 1)
+        assert model.poly_l2_norm(p) == math.sqrt(1 / (2 * EXP_LIMIT - 1))
 
 
 def one_block_model(dist):

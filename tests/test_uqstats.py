@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, build_problem, compute_coeffs
-from conftest import eval_poly_exact
+from conftest import OraclePoly, eval_poly_exact
 
 
 class TestMomentMatrix:
@@ -76,7 +76,7 @@ _monomials = st.lists(st.integers(0, 4), min_size=5, max_size=5).map(
 )
 _polys = st.dictionaries(
     _monomials, st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=4
-).map(Poly)
+).map(lambda terms: OraclePoly(terms).packed())
 
 
 def edge_model():
