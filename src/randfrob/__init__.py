@@ -17,8 +17,6 @@ from .errors import (
     UnboundedCoefficientError,
 )
 from .frobenius import (
-    GeneratorRule,
-    HypothesisReport,
     ProblemSpec,
     SeriesProcess,
     SeriesSolution,
@@ -28,7 +26,6 @@ from .frobenius import (
     validate_hypotheses,
 )
 from .mcengine import (
-    ComparisonReport,
     McConfig,
     compare_curves,
     mc_rk4,
@@ -48,9 +45,6 @@ from .randmodel import (
     RandomModel,
     Uniform,
     distribution_from_spec,
-    joint_moment,
-    linfty_norm,
-    raw_moment,
 )
 from .specfile import bundled_problems, canonical_json, load_document, resolve_problem
 from .uqstats import (

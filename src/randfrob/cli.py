@@ -263,11 +263,11 @@ def run_command(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except RandfrobError as exc:
+    except (RandfrobError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:  # an exact value converted to float
+        print(f"error: a value is out of float range ({exc})", file=sys.stderr)
         return 1
 
 

@@ -298,7 +298,6 @@ def mc_rk4(
 class PointComparison:
     t: float
     mean_delta: float
-    var_delta: float
     mean_sigmas: float | None  # |delta| in combined-CI standard errors
     outside_ci: bool | None
 
@@ -311,7 +310,6 @@ class ComparisonReport:
     max_abs_var: float
     max_rel_var: float
     has_ci: bool
-    n_outside_ci: int
     labels: tuple[str, str]
 
     def summary(self) -> str:
@@ -348,7 +346,6 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
     has_ci = a.ci_halfwidth is not None or b.ci_halfwidth is not None
     points = []
     max_abs_mean = max_rel_mean = max_abs_var = max_rel_var = 0.0
-    n_outside = 0
     for i, t in enumerate(a.grid):
         dmean = a.mean[i] - b.mean[i]
         dvar = a.variance[i] - b.variance[i]
@@ -372,9 +369,7 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
             else:
                 sigmas = 0.0 if dmean == 0 else math.inf
                 outside = dmean != 0
-            if outside:
-                n_outside += 1
-        points.append(PointComparison(t, dmean, dvar, sigmas, outside))
+        points.append(PointComparison(t, dmean, sigmas, outside))
     return ComparisonReport(
         points=points,
         max_abs_mean=max_abs_mean,
@@ -382,6 +377,5 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
         max_abs_var=max_abs_var,
         max_rel_var=max_rel_var,
         has_ci=has_ci,
-        n_outside_ci=n_outside,
         labels=(a.label, b.label),
     )

@@ -7,7 +7,7 @@ product of monomials is the sum of their keys; `terms` maps each key to a
 nonzero integer numerator over one positive denominator `den`, with
 gcd(den, *numerators) == 1.  Arithmetic is integer dict work plus one gcd
 reduction per result, so it never rounds; `Fraction` appears only at the
-edges and floating point only in `Poly.eval`.
+edges, and float evaluation lives in `mcengine._EvalPlan`.
 
 Exponents stay below EXP_LIMIT, so the top bit of each field is a guard
 and a sum of two keys never carries into the next field.  Each Poly keeps
@@ -235,26 +235,6 @@ class Poly:
             return Poly.const(1)
         half = self ** (exponent // 2)  # square-and-multiply, one check per product
         return half * half * self if exponent & 1 else half * half
-
-    def eval(self, values) -> float:
-        """Evaluate at a symbol-id-indexed mapping (or sequence) of reals.
-
-        Rational coefficients convert to float at the last step, after the
-        monomial product is formed.
-        """
-        total = 0.0
-        for key, num in self.terms.items():
-            prod = 1.0
-            for sid, e in key_factors(key):
-                try:
-                    v = values[sid]
-                except (KeyError, IndexError):
-                    raise MissingSymbolError(
-                        f"no value assigned for symbol id {sid}"
-                    ) from None
-                prod *= float(v) ** e
-            total += (num / self.den) * prod
-        return total
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)})"

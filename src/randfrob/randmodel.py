@@ -3,11 +3,12 @@
 All probabilistic structure lives here.  A `RandomModel` partitions the
 symbols of a `SymbolTable` into mutually independent dependence blocks;
 within a block the joint distribution may couple its symbols (the
-multinomial vector being the canonical example).  Raw and joint moments
-are computed in closed form or by exhaustive enumeration of finite
-supports, always as exact `Fraction` values: distribution parameters are
-coerced to rationals on construction, so the expectation of any polynomial
-in the symbols is an exact rational.
+multinomial vector being the canonical example).  `Distribution.joint_moment`
+checks its exponents and computes a block's moment in closed form or by
+exhaustive enumeration of a finite support, always as an exact `Fraction`:
+distribution parameters are coerced to rationals on construction, so the
+expectation of any polynomial in the symbols is an exact rational.
+`RandomModel.expect_monomial` caches those block moments and multiplies them.
 
 Sampling draws a whole batch of realizations from a caller-supplied
 `numpy.random.Generator`: one vectorized call per block, in declaration
@@ -41,8 +42,18 @@ class Distribution:
         raise DistributionError(f"raw_moment unsupported for kind {self.kind!r}")
 
     def joint_moment(self, exponents: Sequence[int]) -> Fraction:
-        """Exact E[prod Z_i^{e_i}]; a scalar kind has one exponent."""
-        return raw_moment(self, exponents[0])  # rejects a negative order
+        """Exact E[prod Z_i^{e_i}], one nonnegative exponent per component."""
+        if len(exponents) != self.arity:
+            raise DistributionError(
+                f"expected {self.arity} exponent(s) for {self.kind}, got {len(exponents)}"
+            )
+        if min(exponents) < 0:
+            raise DistributionError("moment order must be nonnegative")
+        return self._moment(exponents)
+
+    def _moment(self, exponents: Sequence[int]) -> Fraction:
+        """`joint_moment` after its checks; a scalar kind has one exponent."""
+        return self.raw_moment(exponents[0])
 
     def linfty(self) -> NormValue:
         """Essential supremum of |Z| (math.inf when the support is unbounded)."""
@@ -290,11 +301,7 @@ class MultinomialVector(Distribution):
                 pmf = pmf / math.factorial(c) * p**c
             yield counts, pmf
 
-    def joint_moment(self, exponents: Sequence[int]) -> Fraction:
-        if len(exponents) != self.arity:
-            raise DistributionError(
-                f"expected {self.arity} exponents for multinomial block, got {len(exponents)}"
-            )
+    def _moment(self, exponents: Sequence[int]) -> Fraction:
         total = Fraction(0)
         for counts, pmf in self.support():
             value = Fraction(1)
@@ -378,27 +385,6 @@ class DependenceBlock:
             )
 
 
-def raw_moment(dist: Distribution, k: int) -> Fraction:
-    """Exact E[Z^k]; k = 0 gives 1 for every kind."""
-    if k < 0:
-        raise DistributionError("moment order must be nonnegative")
-    return dist.raw_moment(k)
-
-
-def joint_moment(block: DependenceBlock, exponents: Sequence[int]) -> Fraction:
-    """Exact E[prod Z_i^{e_i}] over one block, by closed form or enumeration."""
-    exps = tuple(exponents)
-    if len(exps) != len(block.symbols):
-        raise DistributionError(
-            f"expected {len(block.symbols)} exponents, got {len(exps)}"
-        )
-    return block.dist.joint_moment(exps)
-
-
-def linfty_norm(dist: Distribution) -> NormValue:
-    return dist.linfty()
-
-
 class RandomModel:
     """Partition of all symbols into mutually independent dependence blocks.
 
@@ -432,14 +418,6 @@ class RandomModel:
     def n_symbols(self) -> int:
         return len(self.table)
 
-    def joint_moment(self, bidx: int, exponents: tuple[int, ...]) -> Fraction:
-        key = (bidx, exponents)
-        cached = self._moment_cache.get(key)
-        if cached is None:
-            cached = joint_moment(self.blocks[bidx], exponents)
-            self._moment_cache[key] = cached
-        return cached
-
     def expect_monomial(self, key: int) -> Fraction:
         """E[prod sym^e] of a monomial key: factorizes across blocks, joint within one."""
         cached = self._monomial_cache.get(key)
@@ -457,7 +435,11 @@ class RandomModel:
             exps[pos] = e
         total = Fraction(1)
         for bidx, exps in per_block.items():
-            total *= self.joint_moment(bidx, tuple(exps))
+            block_key = (bidx, tuple(exps))
+            moment = self._moment_cache.get(block_key)
+            if moment is None:
+                moment = self._moment_cache[block_key] = self.blocks[bidx].dist.joint_moment(exps)
+            total *= moment
         self._monomial_cache[key] = total
         return total
 

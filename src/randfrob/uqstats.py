@@ -8,8 +8,9 @@ coefficients:
     E[(X^N)^2] = sum_{n,m} E[X_n X_m] tau^{n+m},      tau = t - t0.
 
 `moment_matrix` computes those moments once per solve (they are exact
-rationals); `stat_curves` then evaluates any time grid in exact rational
-arithmetic, converting to float only on output.
+rationals).  `stat_curves` (a grid, emitted as floats) and `exact_stats`
+(one time, exact) then evaluate both sums by Horner in tau, the second
+after grouping E[X_n X_m] by the power n + m.
 
 The second moments come from one exact kernel over the *distinct* monomials
 u, v of all X_n, which are far fewer than the term pairs of all (X_n, X_m).
@@ -182,13 +183,7 @@ def stat_curves(
     taken at their exact binary/decimal value), emitted as doubles.
     """
     t0 = to_fraction(t0)
-    # Collapse the double sum over (n, m) by total power n + m.
-    diag = [Fraction(0)] * (2 * mm.order + 1)
-    for n in range(mm.order + 1):
-        row = mm.second[n]
-        for m in range(mm.order + 1):
-            diag[n + m] += row[m]
-
+    second = _by_power(mm)
     ts, means, variances = [], [], []
     for t in grid:
         tau = to_fraction(t) - t0
@@ -198,12 +193,20 @@ def stat_curves(
                 stacklevel=2,
             )
         mean = _horner(mm.means, tau)
-        second = _horner(diag, tau)
-        var = second - mean * mean
+        var = _horner(second, tau) - mean * mean
         ts.append(float(t))
         means.append(float(mean))
         variances.append(float(var))
     return StatCurve(grid=ts, mean=means, variance=variances, label=label)
+
+
+def _by_power(mm: MomentMatrix) -> list[Fraction]:
+    """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k."""
+    out = [Fraction(0)] * (2 * mm.order + 1)
+    for n, row in enumerate(mm.second):
+        for m, entry in enumerate(row):
+            out[n + m] += entry
+    return out
 
 
 def _horner(coeffs, tau: Fraction) -> Fraction:
@@ -216,13 +219,8 @@ def _horner(coeffs, tau: Fraction) -> Fraction:
 def exact_stats(mm: MomentMatrix, t, t0) -> tuple[Fraction, Fraction]:
     """Mean and variance at a single time, as exact rationals."""
     tau = to_fraction(t) - to_fraction(t0)
-    powers = [tau**k for k in range(2 * mm.order + 1)]
-    mean = sum((c * powers[n] for n, c in enumerate(mm.means)), Fraction(0))
-    second = Fraction(0)
-    for n in range(mm.order + 1):
-        for m in range(mm.order + 1):
-            second += mm.second[n][m] * powers[n + m]
-    return mean, second - mean * mean
+    mean = _horner(mm.means, tau)
+    return mean, _horner(_by_power(mm), tau) - mean * mean
 
 
 def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import randfrob as rf
@@ -50,7 +51,7 @@ def decode_key(key: int) -> tuple[tuple[int, int], ...]:
 
 
 def eval_poly_exact(p: rf.Poly, values: dict[int, Fraction]) -> Fraction:
-    """Test-side exact polynomial evaluation (independent of Poly.eval)."""
+    """Test-side exact polynomial evaluation."""
     return OraclePoly.of(p).eval_exact(values)
 
 
@@ -145,12 +146,17 @@ class OraclePoly:
         return total
 
     def eval_float(self, values) -> float:
-        """Float evaluation in the documented order of `Poly.eval`."""
+        """Float evaluation in `mcengine._EvalPlan`'s order and arithmetic.
+
+        Each term multiplies its powers by symbol id, then is scaled by its
+        coefficient and summed.  Powers are numpy's, which for integer
+        exponents can differ from Python's `**` in the last bit.
+        """
         total = 0.0
         for m, c in self.terms.items():
             prod = 1.0
             for sid, e in m:
-                prod *= float(values[sid]) ** e
+                prod *= float(np.array(float(values[sid])) ** e)
             total += float(c) * prod
         return total
 

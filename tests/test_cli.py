@@ -301,6 +301,27 @@ class TestCommands:
         assert got == code
         assert err.startswith(message) and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check",),
+        ("stats", "--grid", "0:1:0.5"),
+        ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5"),
+        ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05"),
+        ("majorant", "--s", "0.5"),
+    ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant"])
+    def test_value_out_of_float_range(self, capsys, tmp_path, argv):
+        doc = {
+            "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+            "initial": {"Y0": "1e400*A", "Y1": 0},
+        }
+        path = tmp_path / "huge.spec"
+        path.write_text(canonical_json(doc))
+        out_path = tmp_path / "out.csv"
+        out_flag = () if argv[0] == "check" else ("--out", str(out_path))
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:], *out_flag)
+        assert code == 1
+        assert err.startswith("error: a value is out of float range") and "Traceback" not in err
+        assert not out_path.exists()
+
     def test_order_beyond_generator_inputs(self, capsys, tmp_path):
         doc = load_document(resolve_problem("beta_series"))
         doc["generators"]["A"]["M"] = 3

@@ -1,6 +1,7 @@
 """Problem building, the coefficient recursion, and hypothesis validation."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_coefficients
+from randfrob.specfile import parse_document
 from conftest import eval_poly_exact, scalar_series_coeffs
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -78,33 +80,71 @@ class TestBuildProblem:
         spec = build_problem(doc)
         assert sorted(spec.a.coeffs) == list(range(13))
 
-    def test_error_catalogue(self):
+    @pytest.mark.parametrize("doc,message", [
+        ('[1]', "top level must be a JSON object"),
+        ([1], "problem document must be a JSON object"),
+        ({"extra": 1}, "unknown top-level"),
+        ({"problem": [1]}, "'problem' must be an object"),
+        ({"problem": {"step": 1}}, "unknown key(s) in 'problem'"),
+        ({"problem": {"t0": "x"}}, "'t0' must be a rational number"),
+        ({"problem": {"radius": -1}}, "radius must be positive"),
+        *[({"problem": {"order": order}}, "'order' must be an integer >= 2")
+          for order in (True, Fraction(5, 2), "x", 1)],
+        ({"symbols": {"name": "A"}}, "'symbols' must be a list"),
+        ({"symbols": [1]}, "'symbols' entries must be objects"),
+        ({"symbols": [{"dist": "bernoulli"}]}, "symbols entry: missing key 'name'"),
+        ({"symbols": [{"name": 3, "dist": "bernoulli"}]}, "symbol name must be a string"),
+        ({"symbols": [{"name": "A", "dist": "zeta", "params": {}}]},
+         "symbol 'A': unknown distribution kind"),
+        ({"symbols": [{"name": "A", "dist": "bernoulli", "params": [1]}]},
+         "'params' must be an object"),
+        ({"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": 1}, "seed": 1}]},
+         "symbol 'A': unknown key(s) ['seed']"),
+        ({"symbols": [{"name": "A", "dist": "multinomial",
+                       "params": {"trials": 1, "probs": [0.5, 0.5]}}]},
+         "vector distribution 'multinomial' needs a block declaration"),
+        ({"blocks": [{"names": [], "dist": "pointmass"}]}, "'names' must be a non-empty list"),
+        ({"blocks": [{"names": ["X", "Y", "Z"], "dist": "multinomial",
+                      "params": {"trials": 1, "probs": [0.5, 0.5]}}]},
+         "block of 3 symbol(s) does not match multinomial arity 2"),
+        ({"series": [1]}, "'series' must be an object"),
+        ({"series": {"D": []}}, "unknown series name(s)"),
+        ({"series": {"B": [{"n": 0, "value": 1, "step": 1}]}}, "series B: unknown key(s)"),
+        ({"series": {"B": [{"n": 0, "value": "Q"}]}}, "undeclared symbol"),
+        ({"series": {"B": [{"n": 0, "value": "A"}, {"n": 0, "value": 1}]}},
+         "duplicate entry for n=0"),
+        ({"series": {"B": [{"n": 0, "value": "A $ 1"}]}}, "cannot parse polynomial near"),
+        ({"series": {"B": [{"n": 0, "value": "A^"}]}}, "missing exponent after '^'"),
+        ({"series": {"B": [{"n": 0, "value": "^2"}]}}, "unexpected '^'"),
+        ({"series": {"B": [{"n": 0, "value": "A*"}]}}, "dangling '*'"),
+        ({"generators": [1]}, "'generators' must be an object"),
+        ({"generators": {"D": {}}}, "unknown generator target(s)"),
+        ({"series": {"A": [{"n": 0, "value": 1}]},
+          "generators": {"A": {"family": "inverse_square"}}}, "not both"),
+        ({"generators": {"A": [1]}}, "generator for series A must be an object"),
+        ({"generators": {"A": {"family": "markov"}}}, "unknown family 'markov'"),
+        ({"generators": {"A": {"family": "inverse_square", "dist": "beta"}}},
+         "generator A: unknown key(s) ['dist']"),
+        ({"generators": {"A": {"family": "iid", "dist": "beta", "shape": 1}}},
+         "generator A: unknown key(s) ['shape']"),
+        ({"generators": {"A": {"family": "iid", "dist": "multinomial",
+                               "params": {"trials": 1, "probs": [0.5, 0.5]}}}},
+         "iid family needs a scalar distribution"),
+        ({"symbols": [{"name": "A_0", "dist": "bernoulli", "params": {"p": 0.5}}],
+          "generators": {"A": {"family": "iid", "dist": "bernoulli", "params": {"p": 0.5}}}},
+         "generated symbol 'A_0' clashes"),
+        ({"initial": None}, "'initial' must be an object with exactly the keys Y0 and Y1"),
+        ({"symbols": []}, "a random model needs at least one block"),
+    ])
+    def test_error_catalogue(self, doc, message):
         base = {
             "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": 0.35}}],
             "initial": {"Y0": 1, "Y1": 0},
         }
-        with pytest.raises(SpecError, match="unknown distribution kind"):
-            build_problem({**base, "symbols": [{"name": "A", "dist": "zeta", "params": {}}]})
-        with pytest.raises(SpecError, match="radius"):
-            build_problem({**base, "problem": {"radius": -1}})
-        for order in (True, Fraction(5, 2), "x", 1):
-            with pytest.raises(SpecError, match="'order' must be an integer >= 2"):
-                build_problem({**base, "problem": {"order": order}})
-        with pytest.raises(SpecError, match="undeclared symbol"):
-            build_problem({**base, "series": {"B": [{"n": 0, "value": "Q"}]}})
-        with pytest.raises(SpecError, match="duplicate"):
-            build_problem({**base, "series": {"B": [{"n": 0, "value": "A"},
-                                                    {"n": 0, "value": 1}]}})
-        with pytest.raises(SpecError, match="unknown top-level"):
-            build_problem({**base, "extra": 1})
-        with pytest.raises(SpecError, match="initial"):
-            build_problem({"symbols": base["symbols"]})
-        with pytest.raises(SpecError, match="not both"):
-            build_problem({**base,
-                           "series": {"A": [{"n": 0, "value": 1}]},
-                           "generators": {"A": {"family": "inverse_square"}}})
-        with pytest.raises(SpecError, match="family"):
-            build_problem({**base, "generators": {"A": {"family": "markov"}}})
+        with pytest.raises(SpecError, match=re.escape(message)):
+            if isinstance(doc, str):  # a problem file's text
+                doc = parse_document(doc)
+            build_problem({**base, **doc} if isinstance(doc, dict) else doc)
 
 
 class TestRecursion:

@@ -1,14 +1,17 @@
 """Monte Carlo engine: reproducibility, the RK4 oracle, and comparisons."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
 
 import pytest
-from conftest import BUNDLED, decode_key
+from conftest import BUNDLED, OraclePoly, decode_key
 
 import randfrob as rf
-from randfrob import McConfig, Poly, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series
+from randfrob import (
+    McConfig, Poly, SeriesProcess, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series,
+)
 from randfrob import mcengine
 from randfrob.mcengine import CHUNK, _EvalPlan, _sample_matrix
 
@@ -170,6 +173,19 @@ class TestRk4Method:
         with pytest.raises(ValueError, match="t0"):
             mc_rk4(hermite_forced, hermite_forced.model, [-1.0], cfg)
 
+    def test_input_truncation_cuts_input_series(self, bundled_specs):
+        # equal to a run on the same spec with A, B, C cut at index K by hand
+        spec = bundled_specs["beta_series"]  # A and B reach index 40
+        k, grid = 3, [0.0, 0.3, 0.6]
+        cfg = McConfig(samples=64, seed=5, rk4_step=1e-2)
+        cut = dataclasses.replace(spec, **{
+            name: SeriesProcess({n: p for n, p in getattr(spec, name).items() if n <= k})
+            for name in ("a", "b", "c")
+        })
+        truncated = quiet_rk4(spec, grid, dataclasses.replace(cfg, input_truncation=k))
+        assert truncated == quiet_rk4(cut, grid, cfg)
+        assert truncated.mean[1:] != quiet_rk4(spec, grid, cfg).mean[1:]
+
     def test_matches_series_on_identical_draws(self, hermite_forced, hf_solution):
         # same seed and sample count: deviation is series truncation only
         n = 2000
@@ -210,8 +226,9 @@ class TestEvalPlan:
         got = _EvalPlan(polys)(values)
         assert got.shape == (len(polys), len(values))
         for r, p in enumerate(polys):
+            oracle = OraclePoly.of(p)
             for j, row in enumerate(values):
-                want = p.eval(row)
+                want = oracle.eval_float(row)
                 assert abs(got[r, j] - want) <= 1e-12 * abs(want), (r, j)
 
     @pytest.mark.parametrize("order", [6, 9, 12])

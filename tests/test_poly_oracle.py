@@ -6,11 +6,13 @@ order, because Monte Carlo sums and the coefficient dump follow that order.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randfrob import Poly, SymbolTable, compute_coeffs, format_poly, parse_poly
+from randfrob.mcengine import _EvalPlan
 from conftest import BUNDLED, OraclePoly
 
 NAMES = ("A", "Y0", "Y1", "C")
@@ -62,7 +64,8 @@ class TestAgainstOracle:
     @given(_oracles, st.lists(_coeffs, min_size=len(NAMES), max_size=len(NAMES)))
     @settings(max_examples=100, deadline=None)
     def test_eval(self, p, point):
-        assert p.packed().eval(point) == p.eval_float(point)
+        row = np.array([[float(v) for v in point]])
+        assert _EvalPlan([p.packed()])(row)[0, 0] == p.eval_float(point)
 
     @given(_oracles)
     @settings(max_examples=150, deadline=None)

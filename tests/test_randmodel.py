@@ -23,9 +23,6 @@ from randfrob import (
     RandomModel,
     SymbolTable,
     Uniform,
-    joint_moment,
-    linfty_norm,
-    raw_moment,
 )
 from randfrob.poly import EXP_LIMIT
 
@@ -38,17 +35,17 @@ def quad_moment(pdf, k, lo, hi):
 
 class TestRawMoments:
     def test_bernoulli_power_collapse(self):
-        assert raw_moment(Bernoulli(Fraction(7, 20)), 3) == Fraction(7, 20)
-        assert raw_moment(Bernoulli(Fraction(7, 20)), 0) == 1
+        assert Bernoulli(Fraction(7, 20)).raw_moment(3) == Fraction(7, 20)
+        assert Bernoulli(Fraction(7, 20)).raw_moment(0) == 1
 
     def test_gamma_second_moment(self):
-        got = raw_moment(Gamma(2, 2), 2)
+        got = Gamma(2, 2).raw_moment(2)
         assert got == Fraction(3, 2)
         pdf = lambda z: 4 * z * math.exp(-2 * z)  # shape 2, rate 2
         assert float(got) == pytest.approx(quad_moment(pdf, 2, 0, 40), abs=1e-9)
 
     def test_beta_first_moment(self):
-        got = raw_moment(Beta(11, 15), 1)
+        got = Beta(11, 15).raw_moment(1)
         assert got == Fraction(11, 26)
         norm = special.beta(11, 15)
         pdf = lambda z: z**10 * (1 - z) ** 14 / norm
@@ -56,12 +53,12 @@ class TestRawMoments:
 
     def test_uniform_antiderivative(self):
         # integral of z^2 on [0,1] is z^3/3
-        assert raw_moment(Uniform(0, 1), 2) == Fraction(1, 3)
-        assert raw_moment(Uniform(-2, 3), 1) == Fraction(1, 2)
+        assert Uniform(0, 1).raw_moment(2) == Fraction(1, 3)
+        assert Uniform(-2, 3).raw_moment(1) == Fraction(1, 2)
 
     def test_pointmass(self):
-        assert raw_moment(PointMass(Fraction(-3, 2)), 3) == Fraction(-27, 8)
-        assert raw_moment(PointMass(0), 0) == 1
+        assert PointMass(Fraction(-3, 2)).raw_moment(3) == Fraction(-27, 8)
+        assert PointMass(0).raw_moment(0) == 1
 
     def test_binomial_enumeration(self):
         # oracle: direct support enumeration with binomial pmf
@@ -70,18 +67,18 @@ class TestRawMoments:
             math.comb(n, i) * p**i * (1 - p) ** (n - i) * Fraction(i**2)
             for i in range(n + 1)
         )
-        assert raw_moment(Binomial(n, p), 2) == expected
-        assert raw_moment(Binomial(n, p), 1) == Fraction(3, 5)
+        assert Binomial(n, p).raw_moment(2) == expected
+        assert Binomial(n, p).raw_moment(1) == Fraction(3, 5)
 
     def test_finite_discrete(self):
         d = FiniteDiscrete((Fraction(-1), Fraction(2)), (Fraction(1, 4), Fraction(3, 4)))
-        assert raw_moment(d, 2) == Fraction(1, 4) + Fraction(3) == Fraction(13, 4)
+        assert d.raw_moment(2) == Fraction(1, 4) + Fraction(3) == Fraction(13, 4)
 
     def test_vector_kind_rejected(self):
         with pytest.raises(DistributionError):
-            raw_moment(MultinomialVector(3, (Fraction(1, 5), Fraction(4, 5))), 2)
-        with pytest.raises(DistributionError):
-            raw_moment(Bernoulli(Fraction(1, 2)), -1)
+            MultinomialVector(3, (Fraction(1, 5), Fraction(4, 5))).raw_moment(2)
+        with pytest.raises(DistributionError, match="nonnegative"):
+            Bernoulli(Fraction(1, 2)).joint_moment((-1,))
 
 
 MULTI = MultinomialVector(3, (Fraction(1, 5), Fraction(4, 5)))
@@ -106,29 +103,31 @@ def enumeration_moment(exps):
 
 class TestJointMoments:
     def test_empty_product(self):
-        assert joint_moment(multinomial_block(), (0, 0)) == 1
+        assert multinomial_block().dist.joint_moment((0, 0)) == 1
 
     def test_first_component(self):
-        got = joint_moment(multinomial_block(), (1, 0))
+        got = multinomial_block().dist.joint_moment((1, 0))
         assert got == enumeration_moment((1, 0)) == Fraction(3, 5)
 
     def test_cross_moment(self):
-        got = joint_moment(multinomial_block(), (1, 1))
+        got = multinomial_block().dist.joint_moment((1, 1))
         assert got == enumeration_moment((1, 1)) == Fraction(24, 25)
         # identity E[Y1*C] = E[Y1(3-Y1)] = 3E[Y1] - E[Y1^2]
-        ey = joint_moment(multinomial_block(), (1, 0))
-        eyy = joint_moment(multinomial_block(), (2, 0))
+        ey = multinomial_block().dist.joint_moment((1, 0))
+        eyy = multinomial_block().dist.joint_moment((2, 0))
         assert got == 3 * ey - eyy
 
     def test_arity_mismatch(self):
-        with pytest.raises(DistributionError):
-            joint_moment(multinomial_block(), (1, 0, 0))
+        with pytest.raises(DistributionError, match="expected 2 exponent"):
+            multinomial_block().dist.joint_moment((1, 0, 0))
+        with pytest.raises(DistributionError, match="expected 1 exponent"):
+            Bernoulli(Fraction(1, 2)).joint_moment((1, 0))
 
     def test_scalar_block_delegates(self):
         t = SymbolTable()
         t.add("A")
         block = DependenceBlock((0,), Bernoulli(Fraction(7, 20)))
-        assert joint_moment(block, (5,)) == Fraction(7, 20)
+        assert block.dist.joint_moment((5,)) == Fraction(7, 20)
 
     def test_multinomial_vs_mc(self):
         # sampling oracle: enumeration within 5 standard errors
@@ -192,7 +191,7 @@ class TestExpectPoly:
             model.expect_poly(Poly.symbol(9))
 
     def test_memoization_bit_identical(self):
-        # cached (model) vs uncached (module function per block) paths
+        # a second, cached query vs a fresh model's first
         model = example_model()
         p = (Poly.symbol(0) + Poly.symbol(2)) ** 3 - Poly.symbol(1) * Poly.symbol(3)
         cached_twice = [model.expect_poly(p), model.expect_poly(p)]
@@ -214,14 +213,14 @@ class TestNorms:
         ],
     )
     def test_bounded(self, dist, expected):
-        assert linfty_norm(dist) == expected
+        assert dist.linfty() == expected
 
     def test_gamma_unbounded(self):
-        assert linfty_norm(Gamma(2, 2)) == math.inf
+        assert Gamma(2, 2).linfty() == math.inf
 
     def test_zero_probability_point_ignored(self):
         d = FiniteDiscrete((Fraction(100), Fraction(1)), (0, 1))
-        assert linfty_norm(d) == 1
+        assert d.linfty() == 1
 
     @pytest.mark.parametrize(
         "dist",
@@ -236,9 +235,9 @@ class TestNorms:
     )
     def test_moment_growth_bound(self, dist):
         # essential boundedness: E[Z^k] <= ||Z||^k for all k <= 12
-        norm = linfty_norm(dist)
+        norm = dist.linfty()
         for k in range(13):
-            assert abs(raw_moment(dist, k)) <= norm**k + Fraction(0)
+            assert abs(dist.raw_moment(k)) <= norm**k + Fraction(0)
 
     def test_poly_linfty_bound(self):
         model = example_model()
@@ -334,7 +333,7 @@ class TestSampling:
         draws = dist.sample(rng, n)
         se = draws.std(ddof=1) / math.sqrt(n)
         tol = 5 * se if se > 0 else 1e-12
-        assert abs(draws.mean() - float(raw_moment(dist, 1))) < tol
+        assert abs(draws.mean() - float(dist.raw_moment(1))) < tol
 
 
 class TestValidationAndFactory:

@@ -218,13 +218,28 @@ def finite_discrete_doc(with_multinomial):
 
 
 def block_support(block):
-    """Exhaustive (assignment, probability) pairs for one block."""
+    """Exhaustive (assignment, probability) pairs for one block, from its parameters."""
     dist = block.dist
     if isinstance(dist, rf.MultinomialVector):
-        return [(dict(zip(block.symbols, counts)), pmf) for counts, pmf in dist.support()]
-    assert isinstance(dist, rf.FiniteDiscrete)
-    sid = block.symbols[0]
-    return [({sid: x}, p) for x, p in zip(dist.support, dist.probs)]
+        points = []
+        for counts in itertools.product(range(dist.trials + 1), repeat=dist.arity):
+            if sum(counts) == dist.trials:
+                pmf = Fraction(math.factorial(dist.trials))
+                for c, p in zip(counts, dist.probs):
+                    pmf = pmf * p**c / math.factorial(c)
+                points.append((dict(zip(block.symbols, counts)), pmf))
+        return points
+    if isinstance(dist, rf.PointMass):
+        pairs = [(dist.value, Fraction(1))]
+    elif isinstance(dist, rf.Bernoulli):
+        pairs = [(0, 1 - dist.p), (1, dist.p)]
+    elif isinstance(dist, rf.Binomial):
+        pairs = [(i, math.comb(dist.n, i) * dist.p**i * (1 - dist.p) ** (dist.n - i))
+                 for i in range(dist.n + 1)]
+    else:
+        assert isinstance(dist, rf.FiniteDiscrete)
+        pairs = zip(dist.support, dist.probs)
+    return [({block.symbols[0]: x}, p) for x, p in pairs]
 
 
 def enumerate_stats(spec, order, t):
@@ -249,7 +264,54 @@ def enumerate_stats(spec, order, t):
     return mean, second - mean * mean
 
 
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+_prob = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(4, 5), max_denominator=5)
+_finite_scalars = st.one_of(
+    _small.map(lambda v: ("pointmass", {"value": str(v)})),
+    _prob.map(lambda p: ("bernoulli", {"p": str(p)})),
+    st.tuples(st.integers(0, 2), _prob).map(
+        lambda np_: ("binomial", {"n": np_[0], "p": str(np_[1])})),
+    st.tuples(_small, _small, _prob).map(
+        lambda x: ("finite_discrete", {"support": [str(x[0]), str(x[1])],
+                                       "probs": [str(x[2]), str(1 - x[2])]})),
+)
+
+
+@st.composite
+def finite_support_docs(draw):
+    """Small random problems whose symbols all have finite support."""
+    kinds = draw(st.lists(_finite_scalars, min_size=1, max_size=3))
+    names = [f"S{i}" for i in range(len(kinds))]
+    doc = {"symbols": [{"name": n, "dist": k, "params": p} for n, (k, p) in zip(names, kinds)]}
+    if draw(st.booleans()):
+        p = draw(_prob)
+        doc["blocks"] = [{"names": ["M0", "M1"], "dist": "multinomial",
+                          "params": {"trials": draw(st.integers(0, 2)),
+                                     "probs": [str(p), str(1 - p)]}}]
+        names += ["M0", "M1"]
+    monomials = st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)).map(
+        lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e))
+    polys = st.dictionaries(monomials, _small, min_size=1, max_size=2).map(
+        lambda terms: OraclePoly(terms).format(names))
+    doc["series"] = {
+        label: [{"n": n, "value": v} for n, v in draw(st.dictionaries(
+            st.integers(0, 2), polys, max_size=2)).items()]
+        for label in ("A", "B", "C")
+    }
+    doc["initial"] = {"Y0": draw(polys), "Y1": draw(polys)}
+    return doc
+
+
 class TestEnumerationEquivalence:
+    # exact_stats evaluates through the same Horner code as stat_curves
+    @given(finite_support_docs(), st.integers(2, 5),
+           st.fractions(min_value=-1, max_value=1, max_denominator=4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_finite_support_specs(self, doc, order, t):
+        spec = build_problem(doc)
+        mm = rf.moment_matrix(compute_coeffs(spec, order), spec.model)
+        assert rf.exact_stats(mm, t, spec.t0) == enumerate_stats(spec, order, t)
+
     @pytest.mark.parametrize("with_multinomial", [False, True])
     @pytest.mark.parametrize("order", [4, 6])
     def test_exact_match(self, with_multinomial, order):
