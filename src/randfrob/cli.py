@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,10 +64,13 @@ def _load_spec(arg: str) -> ProblemSpec:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fp:
+            writer = csv.writer(fp, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_curve(path: str, curve: StatCurve, full: bool) -> None:
@@ -115,13 +117,12 @@ def _cmd_check(args) -> int:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(f"status: {report.status}")
-        est = report.radius_estimate
-        print(f"radius estimate: {'inf' if math.isinf(est) else f'{est:.6g}'}"
-              f" (declared {'inf' if math.isinf(report.declared_radius) else f'{report.declared_radius:.6g}'})")
-        for c in report.coefficient_checks:
+        print(f"radius estimate: {report.radius_estimate:.6g}"
+              f" (declared {report.declared_radius:.6g})")
+        for c in report.coefficients:
             tag = "ok" if c.bounded else "UNBOUNDED"
-            print(f"  {c.series}_{c.index}: sup bound {c.sup_bound:.6g} [{tag}]")
-        for c in report.l2_checks:
+            print(f"  {c.series}_{c.n}: sup bound {c.sup_bound:.6g} [{tag}]")
+        for c in report.l2:
             tag = "ok" if c.finite else "INFINITE"
             print(f"  {c.label}: mean-square norm {c.norm:.6g} [{tag}]")
         for msg in report.messages:

@@ -21,11 +21,11 @@ omit them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .errors import DistributionError, MissingSymbolError, SpecError
+from .errors import DistributionError, MissingSymbolError, SpecError, UnboundedCoefficientError
 from .poly import Poly, SymbolTable, parse_poly, to_fraction
 from .randmodel import (
     DependenceBlock,
@@ -162,17 +162,29 @@ def residual_coefficients(sol: SeriesSolution) -> list[Poly]:
 # coefficient norms and hypothesis validation
 
 
-def coefficient_sup_norms(proc: SeriesProcess, model: RandomModel) -> dict[int, NormValue]:
-    """Triangle-inequality ess-sup bound for each explicit coefficient."""
-    return {n: model.poly_linfty_bound(p) for n, p in proc.items()}
+def sup_norms(spec: ProblemSpec) -> list[tuple[str, int, NormValue]]:
+    """(series, n, bound) for each stored A_n, then each B_n.
+
+    The bound is `RandomModel.poly_linfty_bound`: math.inf when unbounded.
+    """
+    return [
+        (label, n, spec.model.poly_linfty_bound(p))
+        for label, proc in (("A", spec.a), ("B", spec.b))
+        for n, p in proc.items()
+    ]
 
 
-def coefficient_l2_norms(proc: SeriesProcess, model: RandomModel) -> dict[int, float]:
-    return {n: model.poly_l2_norm(p) for n, p in proc.items()}
+def bounded_sup_norms(spec: ProblemSpec) -> list[tuple[str, int, NormValue]]:
+    """`sup_norms`, raising UnboundedCoefficientError at the first infinite bound."""
+    norms = sup_norms(spec)
+    for label, n, bound in norms:
+        if bound == math.inf:
+            raise UnboundedCoefficientError(f"{label}_{n} not essentially bounded")
+    return norms
 
 
-def _radius_estimate(proc: SeriesProcess, norms: Mapping[int, NormValue]) -> float:
-    """Root-test radius estimate from the available coefficient norms.
+def _radius_estimate(proc: SeriesProcess, norms: list[tuple[int, float]]) -> float:
+    """Root-test radius estimate from the (n, norm) pairs of the series.
 
     A series without a generator rule has finitely many nonzero terms, so
     the root test gives an infinite radius.  For generator-backed families
@@ -181,17 +193,14 @@ def _radius_estimate(proc: SeriesProcess, norms: Mapping[int, NormValue]) -> flo
     """
     if proc.generator is None:
         return math.inf
-    rho = 0.0
-    for n, v in norms.items():
-        if n >= 1 and v > 0:
-            rho = max(rho, float(v) ** (1.0 / n))
+    rho = max((v ** (1.0 / n) for n, v in norms if n >= 1 and v > 0), default=0.0)
     return math.inf if rho == 0.0 else 1.0 / rho
 
 
 @dataclass(frozen=True)
 class CoefficientCheck:
     series: str
-    index: int
+    n: int
     sup_bound: float  # math.inf when unbounded
     bounded: bool
 
@@ -205,44 +214,22 @@ class L2Check:
 
 @dataclass
 class HypothesisReport:
-    """Verdicts on the conditions for a mean-square analytic solution."""
+    """Verdicts on the hypotheses; the fields, in order, are `check --json`'s keys."""
 
-    coefficient_checks: list[CoefficientCheck]
-    l2_checks: list[L2Check]
+    status: str  # "pass" | "warn" | "fail"
+    messages: list[str]
     radius_estimate_a: float
     radius_estimate_b: float
     radius_estimate: float
     declared_radius: float
-    status: str  # "pass" | "warn" | "fail"
-    messages: list[str]
+    coefficients: list[CoefficientCheck]
+    l2: list[L2Check]
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "messages": list(self.messages),
-            "radius_estimate_a": _json_real(self.radius_estimate_a),
-            "radius_estimate_b": _json_real(self.radius_estimate_b),
-            "radius_estimate": _json_real(self.radius_estimate),
-            "declared_radius": _json_real(self.declared_radius),
-            "coefficients": [
-                {
-                    "series": c.series,
-                    "n": c.index,
-                    "sup_bound": _json_real(c.sup_bound),
-                    "bounded": c.bounded,
-                }
-                for c in self.coefficient_checks
-            ],
-            "l2": [
-                {"label": c.label, "norm": c.norm, "finite": c.finite}
-                for c in self.l2_checks
-            ],
-        }
-
-
-def _json_real(x) -> float | str:
-    x = float(x)
-    return "inf" if math.isinf(x) else x
+        """The report as JSON data; an infinite value becomes the string "inf"."""
+        return asdict(self, dict_factory=lambda items: {
+            key: "inf" if value == math.inf else value for key, value in items
+        })
 
 
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
@@ -252,51 +239,42 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     a message naming the violating coefficient.
     """
     model = spec.model
-    checks: list[CoefficientCheck] = []
-    messages: list[str] = []
-    failed = False
+    coefficients = [
+        CoefficientCheck(label, n, float(bound), bound != math.inf)
+        for label, n, bound in sup_norms(spec)
+    ]
+    messages = [f"{c.series}_{c.n} not essentially bounded"
+                for c in coefficients if not c.bounded]
+    radius_a, radius_b = (
+        _radius_estimate(proc, [(c.n, c.sup_bound) for c in coefficients if c.series == label])
+        for label, proc in (("A", spec.a), ("B", spec.b))
+    )
 
-    radius_est = {}
-    for label, proc in (("A", spec.a), ("B", spec.b)):
-        norms = coefficient_sup_norms(proc, model)
-        for n in sorted(norms):
-            bounded = norms[n] != math.inf
-            checks.append(CoefficientCheck(label, n, float(norms[n]), bounded))
-            if not bounded:
-                failed = True
-                messages.append(f"{label}_{n} not essentially bounded")
-        radius_est[label] = _radius_estimate(proc, norms)
-
-    l2_checks: list[L2Check] = []
-    for label, p in (("Y0", spec.y0), ("Y1", spec.y1)):
+    l2: list[L2Check] = []
+    l2_inputs = [("Y0", spec.y0), ("Y1", spec.y1)] + [(f"C_{n}", p) for n, p in spec.c.items()]
+    for label, p in l2_inputs:
         norm = model.poly_l2_norm(p)
-        l2_checks.append(L2Check(label, norm, math.isfinite(norm)))
-    for n, norm in sorted(coefficient_l2_norms(spec.c, model).items()):
-        l2_checks.append(L2Check(f"C_{n}", norm, math.isfinite(norm)))
-    for check in l2_checks:
-        if not check.finite:
-            failed = True
-            messages.append(f"{check.label} has no finite mean-square norm")
+        l2.append(L2Check(label, norm, math.isfinite(norm)))
+    messages += [f"{c.label} has no finite mean-square norm" for c in l2 if not c.finite]
+    failed = bool(messages)
 
-    estimate = min(radius_est["A"], radius_est["B"])
+    estimate = min(radius_a, radius_b)
     declared = float(spec.radius)
-    warned = False
-    if declared > estimate * (1 + 1e-12):
-        warned = True
+    warned = declared > estimate * (1 + 1e-12)
+    if warned:
         messages.append(
             f"declared radius {declared:g} exceeds root-test estimate {estimate:g}"
         )
 
-    status = "fail" if failed else ("warn" if warned else "pass")
     return HypothesisReport(
-        coefficient_checks=checks,
-        l2_checks=l2_checks,
-        radius_estimate_a=radius_est["A"],
-        radius_estimate_b=radius_est["B"],
+        status="fail" if failed else ("warn" if warned else "pass"),
+        messages=messages,
+        radius_estimate_a=radius_a,
+        radius_estimate_b=radius_b,
         radius_estimate=estimate,
         declared_radius=declared,
-        status=status,
-        messages=messages,
+        coefficients=coefficients,
+        l2=l2,
     )
 
 

@@ -52,8 +52,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.rk4_step <= 0:
-            raise ValueError("rk4_step must be positive")
+        if not 0 < self.rk4_step < math.inf:
+            raise ValueError(f"rk4_step must be positive and finite, got {self.rk4_step}")
 
 
 def _worker_count() -> int:
@@ -118,24 +118,28 @@ class _EvalPlan:
 
 def _run_chunks(
     samples: int,
-    worker: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+    worker: Callable[[int, int], np.ndarray],
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Apply `worker(start, count)` over fixed-size chunks, in order.
 
-    The chunk layout depends only on the sample count, so any worker count
-    produces the same partials in the same order.
+    Each chunk's (grid, count) paths reduce to per-row sums and sums of
+    squares.  The chunk layout depends only on the sample count, so any
+    worker count produces the same partials in the same order.
     """
+    def run_chunk(job):
+        paths = worker(*job)
+        with np.errstate(over="ignore"):  # `_aggregate` rejects a non-finite total
+            return paths.sum(axis=1), (paths * paths).sum(axis=1)
+
     starts = list(range(0, samples, CHUNK))
     jobs = [(s, min(CHUNK, samples - s)) for s in starts]
     n_workers = min(_worker_count(), len(jobs))
     if n_workers <= 1:
-        results = [worker(s, c) for s, c in jobs]
+        results = [run_chunk(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda job: worker(*job), jobs))
-    sums = [r[0] for r in results]
-    sumsqs = [r[1] for r in results]
-    return sums, sumsqs
+            results = list(pool.map(run_chunk, jobs))
+    return [total for total, _ in results], [squares for _, squares in results]
 
 
 def _aggregate(
@@ -151,6 +155,8 @@ def _aggregate(
     for g in range(len(grid)):
         total = math.fsum(chunk[g] for chunk in sums)
         total_sq = math.fsum(chunk[g] for chunk in sumsqs)
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise OverflowError(f"Monte Carlo sums at t={grid[g]:g} are not finite")
         mean = total / samples
         if samples > 1:
             var = (total_sq - samples * mean * mean) / (samples - 1)
@@ -182,9 +188,7 @@ def mc_series(
     plan = _EvalPlan(sol.X)
 
     def worker(start: int, count: int):
-        coeff_rows = plan(_sample_matrix(model, cfg.seed, start, count))
-        paths = powers @ coeff_rows  # (grid, count)
-        return paths.sum(axis=1), (paths * paths).sum(axis=1)
+        return powers @ plan(_sample_matrix(model, cfg.seed, start, count))  # (grid, count)
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
@@ -260,7 +264,7 @@ def mc_rk4(
             return series_at(c_mat, tau) - series_at(b_mat, tau) * x - series_at(a_mat, tau) * v
 
         x, v = rows[-2], rows[-1]
-        sums = np.empty((len(ts), count))
+        paths = np.empty((len(ts), count))
         for g, (t_start, n_steps, h) in enumerate(legs):
             for i in range(n_steps):
                 t_a = t_start + i * h
@@ -283,8 +287,8 @@ def mc_rk4(
                 k4v = accel(tau_b, x4, v4)
                 x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
                 v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            sums[g, :] = x
-        return sums.sum(axis=1), (sums * sums).sum(axis=1)
+            paths[g, :] = x
+        return paths
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-rk4[{cfg.samples}]")

@@ -38,8 +38,8 @@ class Distribution:
     arity = 1
 
     def raw_moment(self, k: int) -> Fraction:
-        """Exact E[Z^k] for scalar kinds; vector kinds reject the query."""
-        raise DistributionError(f"raw_moment unsupported for kind {self.kind!r}")
+        """Exact E[Z^k] for scalar kinds, checked as `joint_moment((k,))`."""
+        return self.joint_moment((k,))
 
     def joint_moment(self, exponents: Sequence[int]) -> Fraction:
         """Exact E[prod Z_i^{e_i}], one nonnegative exponent per component."""
@@ -53,7 +53,7 @@ class Distribution:
 
     def _moment(self, exponents: Sequence[int]) -> Fraction:
         """`joint_moment` after its checks; a scalar kind has one exponent."""
-        return self.raw_moment(exponents[0])
+        return self._raw_moment(exponents[0])
 
     def linfty(self) -> NormValue:
         """Essential supremum of |Z| (math.inf when the support is unbounded)."""
@@ -108,7 +108,7 @@ class PointMass(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "value", to_fraction(self.value))
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         return Fraction(1) if k == 0 else self.value**k
 
     def linfty(self) -> Fraction:
@@ -128,7 +128,7 @@ class Bernoulli(Distribution):
         object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
         object.__setattr__(self, "_p_float", float(self.p))
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         # 0/1 support: Z^k = Z for k >= 1.
         return Fraction(1) if k == 0 else self.p
 
@@ -150,7 +150,7 @@ class Binomial(Distribution):
         object.__setattr__(self, "n", _check_count(self.n, "binomial n"))
         object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         if k == 0:
             return Fraction(1)
         q = 1 - self.p
@@ -177,7 +177,7 @@ class Beta(Distribution):
         object.__setattr__(self, "alpha", _check_positive(to_fraction(self.alpha), "alpha"))
         object.__setattr__(self, "beta", _check_positive(to_fraction(self.beta), "beta"))
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         # E[Z^k] = prod_{j<k} (alpha+j)/(alpha+beta+j)
         total = Fraction(1)
         for j in range(k):
@@ -202,7 +202,7 @@ class Gamma(Distribution):
         object.__setattr__(self, "shape", _check_positive(to_fraction(self.shape), "shape"))
         object.__setattr__(self, "rate", _check_positive(to_fraction(self.rate), "rate"))
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         # E[Z^k] = prod_{j<k} (shape+j)/rate
         total = Fraction(1)
         for j in range(k):
@@ -229,7 +229,7 @@ class Uniform(Distribution):
         if not self.a < self.b:
             raise DistributionError(f"uniform needs a < b, got [{self.a}, {self.b}]")
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
 
     def linfty(self) -> Fraction:
@@ -257,7 +257,7 @@ class FiniteDiscrete(Distribution):
         object.__setattr__(self, "_cum_floats", np.array([float(c) for c in accumulate(probs)]))
         object.__setattr__(self, "_support_floats", np.array([float(x) for x in support]))
 
-    def raw_moment(self, k: int) -> Fraction:
+    def _raw_moment(self, k: int) -> Fraction:
         return sum((p * x**k for x, p in zip(self.support, self.probs)), Fraction(0))
 
     def linfty(self) -> Fraction:

@@ -48,13 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .errors import UnboundedCoefficientError
-from .frobenius import (
-    ProblemSpec,
-    SeriesSolution,
-    coefficient_l2_norms,
-    coefficient_sup_norms,
-)
+from .frobenius import ProblemSpec, SeriesSolution, bounded_sup_norms
 from .poly import Poly, to_fraction
 from .randmodel import RandomModel
 
@@ -240,17 +234,11 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
         raise ValueError("majorant order must be >= 2")
 
     model = spec.model
+    norms = [(n, float(bound)) for _, n, bound in bounded_sup_norms(spec)]
+    norms += [(n, model.poly_l2_norm(p)) for n, p in spec.c.items()]
     d_s = 0.0
     max_index = -1
-    for label, proc in (("A", spec.a), ("B", spec.b)):
-        for n, norm in coefficient_sup_norms(proc, model).items():
-            if norm == math.inf:
-                raise UnboundedCoefficientError(
-                    f"{label}_{n} not essentially bounded; no majorant exists"
-                )
-            d_s = max(d_s, float(norm) * s_f**n)
-            max_index = max(max_index, n)
-    for n, norm in coefficient_l2_norms(spec.c, model).items():
+    for n, norm in norms:
         d_s = max(d_s, norm * s_f**n)
         max_index = max(max_index, n)
 
@@ -318,9 +306,6 @@ def lipschitz_k(spec: ProblemSpec, t) -> float:
     if tau >= float(spec.radius):
         raise ValueError(f"t={float(t):g} lies outside the declared radius")
     total = 0.0
-    for label, proc in (("A", spec.a), ("B", spec.b)):
-        for n, norm in coefficient_sup_norms(proc, spec.model).items():
-            if norm == math.inf:
-                raise UnboundedCoefficientError(f"{label}_{n} not essentially bounded")
-            total += float(norm) * tau**n
+    for _, n, bound in bounded_sup_norms(spec):
+        total += float(bound) * tau**n
     return max(1.0, total)

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from conftest import BUNDLED, UNBOUNDED_DOC, WARN_DOC
 
 import randfrob as rf
 from randfrob.cli import MAX_GRID_POINTS, parse_grid, read_curve, run_command
@@ -102,14 +103,31 @@ class TestCommands:
         assert payload["status"] == "pass"
         assert payload["radius_estimate"] == "inf"
 
+    @pytest.mark.parametrize("problem", BUNDLED + ("unbounded", "warn"))
+    def test_check_json_schema(self, capsys, tmp_path, problem):
+        docs = {"unbounded": UNBOUNDED_DOC, "warn": WARN_DOC}
+        if problem in docs:
+            path = tmp_path / f"{problem}.spec"
+            path.write_text(json.dumps(docs[problem]))
+            problem = str(path)
+        _, out, _ = run(capsys, "check", problem, "--json")
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert list(payload) == [
+            "status", "messages", "radius_estimate_a", "radius_estimate_b",
+            "radius_estimate", "declared_radius", "coefficients", "l2",
+        ]
+        for entry in payload["coefficients"]:
+            assert list(entry) == ["series", "n", "sup_bound", "bounded"]
+        for entry in payload["l2"]:
+            assert list(entry) == ["label", "norm", "finite"]
+
     def test_check_failure_exit_code(self, capsys, tmp_path):
-        doc = {
-            "symbols": [{"name": "G", "dist": "gamma", "params": {"shape": 2, "rate": 2}}],
-            "series": {"A": [{"n": 0, "value": "G"}]},
-            "initial": {"Y0": 1, "Y1": 0},
-        }
         path = tmp_path / "unbounded.spec"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(UNBOUNDED_DOC))
         code, out, _ = run(capsys, "check", str(path))
         assert code == 1
         assert "not essentially bounded" in out
@@ -301,17 +319,22 @@ class TestCommands:
         assert got == code
         assert err.startswith(message) and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ("check",),
-        ("stats", "--grid", "0:1:0.5"),
-        ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5"),
-        ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05"),
-        ("majorant", "--s", "0.5"),
-    ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant"])
-    def test_value_out_of_float_range(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("y0, argv", [
+        ("1e400*A", ("check",)),
+        ("1e400*A", ("stats", "--grid", "0:1:0.5")),
+        ("1e400*A", ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
+        ("1e400*A", ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05")),
+        ("1e400*A", ("majorant", "--s", "0.5")),
+        # every draw is a float, but its square is not
+        ("1e200*A", ("mc", "--method", "series", "--samples", "100", "--grid", "0:0.1:0.05")),
+        ("1e200*A", ("mc", "--method", "rk4", "--samples", "100", "--grid", "0:0.1:0.05")),
+    ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant",
+            "mc-series-square", "mc-rk4-square"])
+    @pytest.mark.filterwarnings("error")
+    def test_value_out_of_float_range(self, capsys, tmp_path, y0, argv):
         doc = {
             "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
-            "initial": {"Y0": "1e400*A", "Y1": 0},
+            "initial": {"Y0": y0, "Y1": 0},
         }
         path = tmp_path / "huge.spec"
         path.write_text(canonical_json(doc))
@@ -320,7 +343,21 @@ class TestCommands:
         code, _, err = run(capsys, argv[0], str(path), *argv[1:], *out_flag)
         assert code == 1
         assert err.startswith("error: a value is out of float range") and "Traceback" not in err
+        assert err.count("\n") == 1  # no warning beside the error line
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--order", "4"),
+        ("stats", "--order", "4", "--grid", "0:0.1:0.05"),
+        ("mc", "--method", "series", "--samples", "10", "--grid", "0:0.1:0.05"),
+        ("majorant", "--s", "0.9", "--order", "4"),
+    ], ids=["solve", "stats", "mc", "majorant"])
+    def test_out_cannot_be_opened(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, argv[0], "hermite_forced", *argv[1:], "--out", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {out_path}: No such file or directory\n"
 
     def test_order_beyond_generator_inputs(self, capsys, tmp_path):
         doc = load_document(resolve_problem("beta_series"))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import randfrob as rf
 from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_coefficients
 from randfrob.specfile import parse_document
-from conftest import eval_poly_exact, scalar_series_coeffs
+from conftest import UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, scalar_series_coeffs
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 _sparse_series = st.dictionaries(st.integers(0, 4), _rationals, max_size=3)
@@ -311,8 +311,8 @@ class TestHypotheses:
         report = rf.validate_hypotheses(hermite_forced)
         assert report.status == "pass"
         assert report.radius_estimate == math.inf
-        assert all(c.bounded for c in report.coefficient_checks)
-        assert all(c.finite for c in report.l2_checks)
+        assert all(c.bounded for c in report.coefficients)
+        assert all(c.finite for c in report.l2)
 
     def test_beta_series_radius_one(self, bundled_specs):
         report = rf.validate_hypotheses(bundled_specs["beta_series"])
@@ -321,24 +321,12 @@ class TestHypotheses:
         assert report.radius_estimate_a == pytest.approx(1.0)
 
     def test_unbounded_coefficient_fails(self):
-        doc = {
-            "symbols": [{"name": "G", "dist": "gamma", "params": {"shape": 2, "rate": 2}}],
-            "series": {"A": [{"n": 0, "value": "G"}]},
-            "initial": {"Y0": 1, "Y1": 0},
-        }
-        report = rf.validate_hypotheses(build_problem(doc))
+        report = rf.validate_hypotheses(build_problem(UNBOUNDED_DOC))
         assert report.status == "fail"
         assert any("A_0 not essentially bounded" in m for m in report.messages)
 
     def test_declared_radius_beyond_estimate_warns(self):
-        doc = {
-            "problem": {"radius": 2, "order": 6},
-            "symbols": [{"name": "Y0", "dist": "pointmass", "params": {"value": 1}}],
-            "generators": {"A": {"family": "iid", "dist": "beta",
-                                 "params": {"alpha": 11, "beta": 15}}},
-            "initial": {"Y0": "Y0", "Y1": 0},
-        }
-        report = rf.validate_hypotheses(build_problem(doc))
+        report = rf.validate_hypotheses(build_problem(WARN_DOC))
         assert report.status == "warn"
         assert any("exceeds" in m for m in report.messages)
 

@@ -6,7 +6,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from conftest import BUNDLED, OraclePoly, decode_key
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from conftest import BUNDLED, OraclePoly, decode_key, finite_support_docs
 
 import randfrob as rf
 from randfrob import (
@@ -37,8 +39,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0, seed=1)
-        with pytest.raises(ValueError):
-            McConfig(samples=10, seed=1, rk4_step=0)
+        for step in (0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rk4_step"):
+                McConfig(samples=10, seed=1, rk4_step=step)
 
 
 class TestReproducibility:
@@ -68,6 +71,21 @@ class TestReproducibility:
         for curve in curves[1:]:
             assert curve.mean == curves[0].mean
             assert curve.variance == curves[0].variance
+
+    @given(finite_support_docs(), st.integers(1, CHUNK - 1), st.integers(0, 2**32))
+    @settings(max_examples=8, deadline=None)
+    def test_thread_count_invariance_random_specs(self, doc, r, seed):
+        spec = build_problem(doc)
+        sol = compute_coeffs(spec, 4)
+        cfg = McConfig(samples=2 * CHUNK + r, seed=seed, rk4_step=0.25)
+        curves = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for threads in ("1", "3"):
+                mp.setenv("RANDFROB_THREADS", threads)
+                curves[threads] = [mc_series(sol, spec.model, [0.0, 0.5], cfg),
+                                   quiet_rk4(spec, [0.0, 0.5], cfg)]
+        for one, three in zip(curves["1"], curves["3"]):
+            assert (one.mean, one.variance) == (three.mean, three.variance)
 
     def test_first_chunk_rows_independent_of_sample_count(self, hermite_forced, hf_solution,
                                                          monkeypatch):

@@ -77,8 +77,16 @@ class TestRawMoments:
     def test_vector_kind_rejected(self):
         with pytest.raises(DistributionError):
             MultinomialVector(3, (Fraction(1, 5), Fraction(4, 5))).raw_moment(2)
+
+    @pytest.mark.parametrize("dist", [
+        PointMass(2), Bernoulli(Fraction(1, 2)), Binomial(2, Fraction(1, 3)), Beta(11, 15),
+        Gamma(2, 2), Uniform(0, 1), FiniteDiscrete((1, 2), (Fraction(1, 3), Fraction(2, 3))),
+    ], ids=lambda dist: dist.kind)
+    def test_negative_order_rejected(self, dist):
         with pytest.raises(DistributionError, match="nonnegative"):
-            Bernoulli(Fraction(1, 2)).joint_moment((-1,))
+            dist.raw_moment(-1)
+        with pytest.raises(DistributionError, match="nonnegative"):
+            dist.joint_moment((-1,))
 
 
 MULTI = MultinomialVector(3, (Fraction(1, 5), Fraction(4, 5)))

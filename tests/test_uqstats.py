@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, build_problem, compute_coeffs
-from conftest import OraclePoly, eval_poly_exact
+from conftest import OraclePoly, eval_poly_exact, finite_support_docs
 
 
 class TestMomentMatrix:
@@ -262,44 +262,6 @@ def enumerate_stats(spec, order, t):
         mean += weight * x
         second += weight * x * x
     return mean, second - mean * mean
-
-
-_small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-_prob = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(4, 5), max_denominator=5)
-_finite_scalars = st.one_of(
-    _small.map(lambda v: ("pointmass", {"value": str(v)})),
-    _prob.map(lambda p: ("bernoulli", {"p": str(p)})),
-    st.tuples(st.integers(0, 2), _prob).map(
-        lambda np_: ("binomial", {"n": np_[0], "p": str(np_[1])})),
-    st.tuples(_small, _small, _prob).map(
-        lambda x: ("finite_discrete", {"support": [str(x[0]), str(x[1])],
-                                       "probs": [str(x[2]), str(1 - x[2])]})),
-)
-
-
-@st.composite
-def finite_support_docs(draw):
-    """Small random problems whose symbols all have finite support."""
-    kinds = draw(st.lists(_finite_scalars, min_size=1, max_size=3))
-    names = [f"S{i}" for i in range(len(kinds))]
-    doc = {"symbols": [{"name": n, "dist": k, "params": p} for n, (k, p) in zip(names, kinds)]}
-    if draw(st.booleans()):
-        p = draw(_prob)
-        doc["blocks"] = [{"names": ["M0", "M1"], "dist": "multinomial",
-                          "params": {"trials": draw(st.integers(0, 2)),
-                                     "probs": [str(p), str(1 - p)]}}]
-        names += ["M0", "M1"]
-    monomials = st.lists(st.integers(0, 2), min_size=len(names), max_size=len(names)).map(
-        lambda exps: tuple((sid, e) for sid, e in enumerate(exps) if e))
-    polys = st.dictionaries(monomials, _small, min_size=1, max_size=2).map(
-        lambda terms: OraclePoly(terms).format(names))
-    doc["series"] = {
-        label: [{"n": n, "value": v} for n, v in draw(st.dictionaries(
-            st.integers(0, 2), polys, max_size=2)).items()]
-        for label in ("A", "B", "C")
-    }
-    doc["initial"] = {"Y0": draw(polys), "Y1": draw(polys)}
-    return doc
 
 
 class TestEnumerationEquivalence:
