@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError
-from .frobenius import ProblemSpec, SeriesProcess, SeriesSolution
+from .frobenius import ProblemSpec, SeriesSolution
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
 from .uqstats import StatCurve
@@ -52,6 +52,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.input_truncation is not None and self.input_truncation < 0:
+            raise ValueError(f"input_truncation must be >= 0, got {self.input_truncation}")
         if not 0 < self.rk4_step < math.inf:
             raise ValueError(f"rk4_step must be positive and finite, got {self.rk4_step}")
 
@@ -127,8 +129,8 @@ def _run_chunks(
     worker count produces the same partials in the same order.
     """
     def run_chunk(job):
-        paths = worker(*job)
-        with np.errstate(over="ignore"):  # `_aggregate` rejects a non-finite total
+        with np.errstate(over="ignore", invalid="ignore"):  # `_aggregate` rejects a non-finite total
+            paths = worker(*job)
             return paths.sum(axis=1), (paths * paths).sum(axis=1)
 
     starts = list(range(0, samples, CHUNK))
@@ -194,12 +196,6 @@ def mc_series(
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
 
 
-def _dense_series(proc: SeriesProcess, cap: int | None) -> list[Poly]:
-    """Coefficients 0 .. highest index kept, zero where the series has none."""
-    terms = {n: p for n, p in proc.items() if cap is None or n <= cap}
-    return [terms.get(n, Poly.zero()) for n in range(max(terms, default=-1) + 1)]
-
-
 def _steps_for(delta: float, h: float) -> int:
     exact = delta / h
     n = max(1, round(exact))
@@ -243,32 +239,27 @@ def mc_rk4(
             legs.append((t_prev, n, delta / n))
         t_prev = t
 
-    # One plan over a, b, c's coefficients and the initial values, in that order.
-    inputs = [_dense_series(proc, cfg.input_truncation) for proc in (spec.a, spec.b, spec.c)]
-    plan = _EvalPlan([p for series in inputs for p in series] + [spec.y0, spec.y1])
-    bounds = np.cumsum([0] + [len(series) for series in inputs])
-
-    def series_at(mat: np.ndarray, tau: float):
-        if not len(mat):
-            return 0.0
-        acc = mat[-1]
-        for row in mat[-2::-1]:
-            acc = acc * tau + row
-        return acc
+    # Plan rows: each stored A_n, B_n, C_n with n <= cap, then Y0 and Y1.
+    # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
+    cap = math.inf if cfg.input_truncation is None else cfg.input_truncation
+    terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
+             for n, p in proc.items() if n <= cap]
+    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+    series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
+    exps = np.array([n for _, n, _ in terms])
 
     def worker(start: int, count: int):
         rows = plan(_sample_matrix(model, cfg.seed, start, count))
-        a_mat, b_mat, c_mat = (rows[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        coeffs, (x, v) = rows[:-2], rows[-2:]
 
         def accel(tau: float, x, v):
-            return series_at(c_mat, tau) - series_at(b_mat, tau) * x - series_at(a_mat, tau) * v
+            a, b, c = (series * tau**exps) @ coeffs
+            return c - b * x - a * v
 
-        x, v = rows[-2], rows[-1]
         paths = np.empty((len(ts), count))
         for g, (t_start, n_steps, h) in enumerate(legs):
             for i in range(n_steps):
-                t_a = t_start + i * h
-                tau_a = t_a - t0
+                tau_a = t_start + i * h - t0
                 tau_m = tau_a + h / 2
                 tau_b = tau_a + h
                 k1x = v

@@ -213,7 +213,7 @@ class Gamma(Distribution):
         return math.inf
 
     def sample(self, stream, size: int) -> np.ndarray:
-        return stream.gamma(float(self.shape), 1.0 / float(self.rate), size)
+        return stream.gamma(float(self.shape), float(1 / self.rate), size)
 
 
 @dataclass(frozen=True)

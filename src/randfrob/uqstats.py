@@ -22,7 +22,9 @@ denominator D_n, keyed by packed monomial keys k_u (see `poly`):
    denominator D;
 2. with w_m[u] = sum_{v in X_m} e[k_u + k_v] a_{m,v}, the entry is
    E[X_n X_m] = (sum_{u in X_n} a_{n,u} w_m[u]) / (D_n D_m D),
-   so the inner loops are pure integer arithmetic.
+   so the inner loops are pure integer arithmetic.  The Gram row
+   e[k_u + k_v] over all v is formed once per u and fills w_m[u] for every
+   m, so only one row is held at a time.
 
 `_pairwise_expect` multiplies term pairs one by one; it is the reference the
 kernel is tested against, selected per pair by `moment_matrix`'s
@@ -44,8 +46,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from .frobenius import ProblemSpec, SeriesSolution, bounded_sup_norms
@@ -122,20 +126,24 @@ def _second_moments(coeffs: list[Poly], model: RandomModel) -> list[list[Fractio
     moments = {k: model.expect_monomial(k) for k in products}
     den = math.lcm(*(f.denominator for f in moments.values()))
     scaled = {k: f.numerator * (den // f.denominator) for k, f in moments.items()}
-    gram = [[scaled[ku + kv] for kv in keys] for ku in keys]
 
     index = {key: i for i, key in enumerate(keys)}
     cols = [[index[key] for key in x.terms] for x in coeffs]
     nums = [x.terms.values() for x in coeffs]
 
     n_tot = len(coeffs)
+    # the monomials of X_0..X_m are keys[:live[m]]
+    live = list(accumulate((max(c, default=-1) + 1 for c in cols), max))
+    w = [[] for _ in range(n_tot)]  # w[m] = w_m of the module docstring
+    for u, ku in enumerate(keys):
+        row = [scaled[ku + kv] for kv in keys]
+        for m in range(bisect_right(live, u), n_tot):
+            w[m].append(sum(map(mul, map(row.__getitem__, cols[m]), nums[m])))
+
     second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
-    live = 0  # the monomials of X_0..X_m are keys[:live]
     for m in range(n_tot):
-        live = max(live, max(cols[m], default=-1) + 1)
-        w = [sum(map(mul, map(row.__getitem__, cols[m]), nums[m])) for row in gram[:live]]
         for n in range(m + 1):
-            total = sum(map(mul, map(w.__getitem__, cols[n]), nums[n]))
+            total = sum(map(mul, map(w[m].__getitem__, cols[n]), nums[n]))
             second[n][m] = second[m][n] = Fraction(total, coeffs[n].den * coeffs[m].den * den)
     return second
 

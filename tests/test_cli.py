@@ -319,22 +319,29 @@ class TestCommands:
         assert got == code
         assert err.startswith(message) and "Traceback" not in err
 
-    @pytest.mark.parametrize("y0, argv", [
-        ("1e400*A", ("check",)),
-        ("1e400*A", ("stats", "--grid", "0:1:0.5")),
-        ("1e400*A", ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
-        ("1e400*A", ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05")),
-        ("1e400*A", ("majorant", "--s", "0.5")),
+    @pytest.mark.parametrize("y0, fields, argv", [
+        ("1e400*A", {}, ("check",)),
+        ("1e400*A", {}, ("stats", "--grid", "0:1:0.5")),
+        ("1e400*A", {}, ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
+        ("1e400*A", {}, ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05")),
+        ("1e400*A", {}, ("majorant", "--s", "0.5")),
         # every draw is a float, but its square is not
-        ("1e200*A", ("mc", "--method", "series", "--samples", "100", "--grid", "0:0.1:0.05")),
-        ("1e200*A", ("mc", "--method", "rk4", "--samples", "100", "--grid", "0:0.1:0.05")),
+        ("1e200*A", {}, ("mc", "--method", "series", "--samples", "100", "--grid", "0:0.1:0.05")),
+        ("1e200*A", {}, ("mc", "--method", "rk4", "--samples", "100", "--grid", "0:0.1:0.05")),
+        # every input is a float, but the integrated path is not
+        (1, {"series": {"B": [{"n": 0, "value": "-1e300*A"}]}},
+         ("mc", "--method", "rk4", "--samples", "100", "--grid", "0:0.1:0.05", "--step", "0.05")),
+        # the gamma scale 1/rate is not a float
+        ("A", {"symbols": [{"name": "A", "dist": "gamma", "params": {"shape": 2, "rate": "1e-400"}}]},
+         ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
     ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant",
-            "mc-series-square", "mc-rk4-square"])
+            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-gamma-scale"])
     @pytest.mark.filterwarnings("error")
-    def test_value_out_of_float_range(self, capsys, tmp_path, y0, argv):
+    def test_value_out_of_float_range(self, capsys, tmp_path, y0, fields, argv):
         doc = {
             "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
             "initial": {"Y0": y0, "Y1": 0},
+            **fields,
         }
         path = tmp_path / "huge.spec"
         path.write_text(canonical_json(doc))

@@ -39,6 +39,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             McConfig(samples=0, seed=1)
+        with pytest.raises(ValueError, match="input_truncation"):
+            McConfig(samples=10, seed=1, input_truncation=-1)
         for step in (0, -1e-3, math.inf, math.nan):
             with pytest.raises(ValueError, match="rk4_step"):
                 McConfig(samples=10, seed=1, rk4_step=step)
@@ -183,6 +185,30 @@ class TestRk4Method:
         curve = quiet_rk4(spec, [0.0, 0.5, 1.0], cfg)
         assert curve.mean == [0.0, 0.0, 0.0]
         assert curve.variance == [0.0, 0.0, 0.0]
+
+    def test_gapped_forced_inputs_match_series(self):
+        # a, b and c each skip indices, and c forces the equation: every plan
+        # row must land in its own series at its own power of tau
+        doc = {
+            "symbols": [
+                {"name": "a2", "dist": "pointmass", "params": {"value": "3/4"}},
+                {"name": "b0", "dist": "pointmass", "params": {"value": 2}},
+                {"name": "b3", "dist": "pointmass", "params": {"value": "-1/3"}},
+                {"name": "c1", "dist": "pointmass", "params": {"value": "5/2"}},
+            ],
+            "series": {
+                "A": [{"n": 2, "value": "a2"}],
+                "B": [{"n": 0, "value": "b0"}, {"n": 3, "value": "b3"}],
+                "C": [{"n": 1, "value": "c1"}],
+            },
+            "initial": {"Y0": 1, "Y1": "-1/2"},
+        }
+        spec = build_problem(doc)
+        grid = [Fraction(k, 10) for k in range(6)]
+        means = [spec.model.expect_poly(x) for x in compute_coeffs(spec, 30).X]
+        exact = [float(sum(m * t**n for n, m in enumerate(means))) for t in grid]
+        curve = quiet_rk4(spec, [float(t) for t in grid], McConfig(samples=1, seed=0, rk4_step=1e-4))
+        assert max(abs(a - b) for a, b in zip(exact, curve.mean)) < 1e-8
 
     def test_grid_validation(self, hermite_forced):
         cfg = McConfig(samples=2, seed=0)
