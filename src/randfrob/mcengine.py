@@ -35,6 +35,9 @@ from .randmodel import RandomModel
 from .uqstats import StatCurve
 
 CHUNK = 8192
+# Every RK4 step costs four stage evaluations per draw; the benchmark takes
+# 1 500 steps and the tests at most 10 000, so 10^7 only stops runaways.
+MAX_RK4_STEPS = 10**7
 CI_MULTIPLIER = 1.96  # normal-approximation 95% interval; not configurable
 
 THREADS_ENV = "RANDFROB_THREADS"
@@ -52,6 +55,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.input_truncation is not None and self.input_truncation < 0:
             raise ValueError(f"input_truncation must be >= 0, got {self.input_truncation}")
         if not 0 < self.rk4_step < math.inf:
@@ -73,7 +78,7 @@ def _sample_matrix(model: RandomModel, seed: int, start: int, count: int) -> np.
     `start` opens chunk start // CHUNK, which draws from its own Philox
     stream keyed by (seed, chunk index).
     """
-    key = np.array([seed & ((1 << 64) - 1), start // CHUNK], dtype=np.uint64)
+    key = np.array([seed, start // CHUNK], dtype=np.uint64)
     stream = np.random.Generator(np.random.Philox(key=key))
     return model.draw(stream, count)
 
@@ -238,6 +243,11 @@ def mc_rk4(
             n = _steps_for(delta, cfg.rk4_step)
             legs.append((t_prev, n, delta / n))
         t_prev = t
+    steps = sum(n for _, n, _ in legs)
+    if steps > MAX_RK4_STEPS:
+        raise ValueError(
+            f"rk4_step {cfg.rk4_step:g} needs {steps:.3g} steps, over the limit {MAX_RK4_STEPS}"
+        )
 
     # Plan rows: each stored A_n, B_n, C_n with n <= cap, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].

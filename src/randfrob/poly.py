@@ -87,10 +87,18 @@ def _new(nums: dict[int, int], den: int, top: int) -> Poly:
     return p
 
 
+# The text syntax of `parse_poly`.  A term is blanks, its run of signs
+# (required after the first term), factors joined by '*', then blanks.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
+_FACTOR = rf"(?:{_NAME}(?:\s*\^\s*{_NUMBER})?|{_NUMBER})"
+_TERM_RE = re.compile(rf"\s*(?P<signs>(?:[+-]\s*)*)(?P<body>{_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*")
+
+
 class SymbolTable:
     """Interns symbol names, assigning dense integer ids in declaration order."""
 
-    _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    _NAME_RE = re.compile(rf"{_NAME}\Z")
 
     def __init__(self):
         self._names: list[str] = []
@@ -286,87 +294,38 @@ def format_poly(p: Poly, table: SymbolTable | None = None) -> str:
     return " ".join(pieces)
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[*^+-]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SpecError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
-        pos = m.end()
-        for kind in ("number", "name", "op"):
-            tok = m.group(kind)
-            if tok is not None:
-                tokens.append((kind, tok))
-                break
-    return tokens
-
-
 def parse_poly(text: str, table: SymbolTable) -> Poly:
     """Parse the textual form produced by `format_poly`.
 
-    Grammar: terms joined by + or -, each term a '*'-separated product of a
-    rational coefficient and symbols with optional ^integer exponents.
-    Unknown symbol names raise MissingSymbolError; an exponent of EXP_LIMIT
-    or more raises SpecError.
+    Grammar: terms joined by + or -, each term a '*'-product of rational
+    literals and symbols with optional ^integer exponents; blanks may sit
+    between tokens and at both ends.  The whole text is checked against it
+    before any symbol is looked up.  Unknown symbol names raise
+    MissingSymbolError; an exponent of EXP_LIMIT or more raises SpecError.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise SpecError("empty polynomial expression")
+    terms = []
+    pos = 0
+    while pos < len(text) or not terms:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (terms and not m["signs"]):
+            raise SpecError(f"cannot parse polynomial near {text[pos:pos + 12]!r} in {text!r}")
+        terms.append(m)
+        pos = m.end()
 
     result = Poly.zero()
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise SpecError(f"dangling sign in polynomial {text!r}")
-
-        coeff = Fraction(sign)
+    for m in terms:
+        coeff = Fraction(-1 if m["signs"].count("-") % 2 else 1)
         mono: dict[int, int] = {}
-        expect_factor = True
-        while i < n:
-            kind, tok = tokens[i]
-            if kind == "op" and tok in "+-":
-                break
-            if kind == "op" and tok == "*":
-                i += 1
-                expect_factor = True
+        for factor in m["body"].split("*"):
+            base, _, exp = (part.strip() for part in factor.partition("^"))
+            if base[0].isdigit() or base[0] == ".":
+                coeff *= to_fraction(base)
                 continue
-            if not expect_factor:
-                raise SpecError(f"missing '*' before {tok!r} in polynomial {text!r}")
-            if kind == "number":
-                coeff *= Fraction(tok)
-                i += 1
-            elif kind == "name":
-                sid = table.id_of(tok)
-                exp = 1
-                if i + 1 < n and tokens[i + 1] == ("op", "^"):
-                    if i + 2 >= n or tokens[i + 2][0] != "number":
-                        raise SpecError(f"missing exponent after '^' in {text!r}")
-                    exp_frac = Fraction(tokens[i + 2][1])
-                    if exp_frac.denominator != 1 or exp_frac < 1:
-                        raise SpecError(f"exponents must be positive integers: {text!r}")
-                    exp = int(exp_frac)
-                    i += 2
-                mono[sid] = mono.get(sid, 0) + exp
-                i += 1
-            else:
-                raise SpecError(f"unexpected {tok!r} in polynomial {text!r}")
-            expect_factor = False
-        if expect_factor:
-            raise SpecError(f"dangling '*' in polynomial {text!r}")
+            sid = table.id_of(base)
+            e = to_fraction(exp) if exp else 1
+            if e.denominator != 1 or e < 1:
+                raise SpecError(f"exponents must be positive integers: {text!r}")
+            mono[sid] = mono.get(sid, 0) + int(e)
         if max(mono.values(), default=0) >= EXP_LIMIT:
             raise SpecError(f"exponents must stay below {EXP_LIMIT}: {text!r}")
         key = sum(e << (FIELD_BITS * sid) for sid, e in mono.items())

@@ -231,7 +231,8 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
     The bound constant D_s is the max of ||A_n||_sup s^n, ||B_n||_sup s^n and
     ||C_n||_ms s^n over the explicitly available input terms, so the
     domination is exact for the (truncated-input) problem actually solved;
-    `input_max_index` records how far the inputs reached.
+    `input_max_index` records how far the inputs reached.  A D_s or H_n
+    that is not a finite float raises OverflowError.
     """
     s_f = float(s)
     if not 0 < s_f < float(spec.radius):
@@ -257,6 +258,8 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
             d_s / ((n + 2) * (n + 1))
         ) * h[n]
         h.append(nxt)
+    if not all(map(math.isfinite, [d_s, *h])):
+        raise OverflowError(f"the majorant at s={s_f:g} is not finite")
     return MajorantSeq(s=s_f, d_s=d_s, h=h, input_max_index=max_index)
 
 

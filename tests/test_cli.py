@@ -334,8 +334,11 @@ class TestCommands:
         # the gamma scale 1/rate is not a float
         ("A", {"symbols": [{"name": "A", "dist": "gamma", "params": {"shape": 2, "rate": "1e-400"}}]},
          ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
+        # every input is a float, but H_n grows like 1/s^n
+        ("A", {}, ("majorant", "--s", "1e-320")),
     ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant",
-            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-gamma-scale"])
+            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-gamma-scale",
+            "majorant-tiny-s"])
     @pytest.mark.filterwarnings("error")
     def test_value_out_of_float_range(self, capsys, tmp_path, y0, fields, argv):
         doc = {
@@ -351,6 +354,19 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: a value is out of float range") and "Traceback" not in err
         assert err.count("\n") == 1  # no warning beside the error line
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--method", "series", "--seed", "-1"), "seed must lie in [0, 2^64), got -1"),
+        (("--method", "series", "--seed", str(1 << 64)), f"got {1 << 64}"),
+        (("--method", "rk4", "--step", "1e-300"), "needs 1e+300 steps, over the limit"),
+    ], ids=["seed-negative", "seed-2^64", "rk4-tiny-step"])
+    def test_mc_run_out_of_range(self, capsys, tmp_path, flags, message):
+        out_path = tmp_path / "mc.csv"
+        code, _, err = run(capsys, "mc", "hermite_forced", "--samples", "10",
+                           "--grid", "0:1:0.5", *flags, "--out", str(out_path))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
         assert not out_path.exists()
 
     @pytest.mark.parametrize("argv", [

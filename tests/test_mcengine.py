@@ -41,6 +41,9 @@ class TestConfig:
             McConfig(samples=0, seed=1)
         with pytest.raises(ValueError, match="input_truncation"):
             McConfig(samples=10, seed=1, input_truncation=-1)
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=f"seed must lie in .*got {seed}"):
+                McConfig(samples=10, seed=seed)
         for step in (0, -1e-3, math.inf, math.nan):
             with pytest.raises(ValueError, match="rk4_step"):
                 McConfig(samples=10, seed=1, rk4_step=step)

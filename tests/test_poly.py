@@ -182,6 +182,17 @@ class TestTextForm:
         with pytest.raises(MissingSymbolError):
             parse_poly("Q + 1", table)
 
+    @pytest.mark.parametrize("text", ["A**2", "2**3", "*A", "A* *Y0", "Y1+*2"])
+    def test_star_without_factor_is_rejected(self, table, text):
+        with pytest.raises(SpecError, match="cannot parse polynomial near"):
+            parse_poly(text, table)
+
+    @pytest.mark.parametrize("text,canonical", [
+        ("A ", "A"), (" A^2 * Y0 ", "A^2*Y0"), ("A ^ 2", "A^2"), ("- A", "-A"),
+    ])
+    def test_blanks_between_tokens_and_at_ends(self, table, text, canonical):
+        assert parse_poly(text, table) == parse_poly(canonical, table)
+
     def test_grlex_order(self, table):
         # higher degree first; ties broken by earlier symbol ids
         a, y0 = sym(table, "A"), sym(table, "Y0")

@@ -4,6 +4,7 @@ Arithmetic must give the same coefficients in the same term insertion
 order, because Monte Carlo sums and the coefficient dump follow that order.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,8 @@ class TestAgainstOracle:
         assert text == p.format(NAMES)
         assert parse_poly(text, t) == p.packed()
         assert format_poly(parse_poly(text, t), t) == text
+        spaced = " " + re.sub(r"([*^+-])", r" \1 ", text) + " "
+        assert parse_poly(spaced, t) == p.packed()
 
 
 def oracle_coeffs(spec, order: int) -> list[OraclePoly]:
