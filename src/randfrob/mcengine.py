@@ -15,6 +15,9 @@ in chunk order; the reduction tree never depends on scheduling.
 Both routes evaluate their random polynomials through one `_EvalPlan`,
 built once per call: each distinct monomial is formed once per chunk and
 added, scaled, into every polynomial that uses it.
+
+The RK4 route uses that the equation is linear: draws that repeat their A/B
+values integrate one basis of paths and combine it per draw (see `mc_rk4`).
 """
 
 from __future__ import annotations
@@ -66,10 +69,12 @@ class McConfig:
 def _worker_count() -> int:
     raw = os.environ.get(THREADS_ENV, "")
     try:
-        n = int(raw)
+        n = int(raw) if raw else 1
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return n
 
 
 def _sample_matrix(model: RandomModel, seed: int, start: int, count: int) -> np.ndarray:
@@ -225,6 +230,19 @@ def mc_rk4(
     integrates x'' = c - b x - a x' from t0 through the grid, recording x at
     grid points (aligned to whole steps; non-dividing spacings are warned
     about and quantized).
+
+    The equation is linear, so draws that share their a and b share one
+    basis: x = Y0 phi0 + Y1 phi1 + sum_j c_j psi_j over the stored C terms.
+    A chunk's draws are grouped by their A/B plan rows.  A group with more
+    draws than the n_basis = (C terms + 2) basis columns is integrated as
+    those columns and combined per draw; every other draw is its own column,
+    so a chunk where no group forms is integrated bit for bit as per draw.
+
+    A state matrix of basis columns only is memoized on its bytes for this
+    call, so chunks that meet the same A/B values integrate once.  The memo
+    is never keyed on one group: a column's bits depend on the width of the
+    matrix it is integrated in, and only a whole-matrix key keeps the output
+    independent of which chunk, or thread, gets there first.
     """
     t0 = float(spec.t0)
     ts = [float(t) for t in grid]
@@ -233,6 +251,16 @@ def mc_rk4(
     if ts and ts[0] < t0 - 1e-12:
         raise ValueError(f"grid must start at or after t0={t0:g}")
 
+    def check_steps(steps: float) -> None:
+        if steps > MAX_RK4_STEPS:
+            raise ValueError(
+                f"rk4_step {cfg.rk4_step:g} needs {steps:.3g} steps, over the limit {MAX_RK4_STEPS}"
+            )
+
+    # The float span first, before `_steps_for` rounds a quotient that a
+    # subnormal step makes infinite; then the rounded count, which gives
+    # every nonempty leg at least one step.
+    check_steps((ts[-1] - t0) / cfg.rk4_step if ts else 0.0)
     legs = []  # (t_start, n_steps, h_actual)
     t_prev = t0
     for t in ts:
@@ -243,30 +271,30 @@ def mc_rk4(
             n = _steps_for(delta, cfg.rk4_step)
             legs.append((t_prev, n, delta / n))
         t_prev = t
-    steps = sum(n for _, n, _ in legs)
-    if steps > MAX_RK4_STEPS:
-        raise ValueError(
-            f"rk4_step {cfg.rk4_step:g} needs {steps:.3g} steps, over the limit {MAX_RK4_STEPS}"
-        )
+    check_steps(sum(n for _, n, _ in legs))
 
     # Plan rows: each stored A_n, B_n, C_n with n <= cap, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
+    # The a and b rows come first: rows[:n_ab] fix a draw's basis, and the
+    # path is linear in the n_basis rows after them.
     cap = math.inf if cfg.input_truncation is None else cfg.input_truncation
     terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
              for n, p in proc.items() if n <= cap]
     plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
     exps = np.array([n for _, n, _ in terms])
+    n_ab = sum(s < 2 for s, _, _ in terms)
+    n_basis = plan.rows - n_ab
 
-    def worker(start: int, count: int):
-        rows = plan(_sample_matrix(model, cfg.seed, start, count))
+    def integrate(rows: np.ndarray) -> np.ndarray:
+        """The (grid, columns) paths of a C-contiguous plan-row matrix."""
         coeffs, (x, v) = rows[:-2], rows[-2:]
 
         def accel(tau: float, x, v):
             a, b, c = (series * tau**exps) @ coeffs
             return c - b * x - a * v
 
-        paths = np.empty((len(ts), count))
+        paths = np.empty((len(ts), rows.shape[1]))
         for g, (t_start, n_steps, h) in enumerate(legs):
             for i in range(n_steps):
                 tau_a = t_start + i * h - t0
@@ -289,6 +317,44 @@ def mc_rk4(
                 x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
                 v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
             paths[g, :] = x
+        return paths
+
+    memo: dict[bytes, np.ndarray] = {}  # whole state matrices only; see the docstring
+
+    def worker(start: int, count: int):
+        rows = plan(_sample_matrix(model, cfg.seed, start, count))
+        # One key per draw: its A/B rows' bytes, or a shared 0 without A/B terms.
+        keys = (np.ascontiguousarray(rows[:n_ab].T).view(f"V{8 * n_ab}").ravel() if n_ab
+                else np.zeros(count))
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        order = np.argsort(inverse, kind="stable")
+        groups = [order[bounds[g]:bounds[g + 1]] for g in np.flatnonzero(counts > n_basis)]
+        singles = np.flatnonzero(counts[inverse] <= n_basis)
+        width = len(groups) * n_basis
+
+        state = np.empty((plan.rows, width + len(singles)))
+        for j, members in enumerate(groups):
+            block = state[:, j * n_basis:(j + 1) * n_basis]
+            block[:n_ab] = rows[:n_ab, members[:1]]
+            block[n_ab:] = np.eye(n_basis)  # C rows, then Y0, then Y1
+        state[:, width:] = rows[:, singles]
+        if len(singles):
+            out = integrate(state)
+        else:
+            key = state.tobytes()
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = integrate(state)
+
+        paths = np.empty((len(ts), count))
+        paths[:, singles] = out[:, width:]
+        for j, members in enumerate(groups):
+            basis = out[:, j * n_basis:(j + 1) * n_basis]
+            if np.isfinite(basis).all():
+                paths[:, members] = basis @ rows[n_ab:, members]
+            else:  # inf * 0 would make nan of a draw whose data are zero
+                paths[:, members] = integrate(np.ascontiguousarray(rows[:, members]))
         return paths
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)

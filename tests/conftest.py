@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 import randfrob as rf
+from randfrob import mcengine
 from randfrob.poly import FIELD_BITS
 
 BUNDLED = ("airy", "hermite", "polynomial_data", "beta_series", "hermite_forced")
@@ -245,4 +246,102 @@ def finite_support_docs(draw):
         for label in ("A", "B", "C")
     }
     doc["initial"] = {"Y0": draw(polys), "Y1": draw(polys)}
+    return doc
+
+
+def per_draw_rk4(spec, grid, cfg) -> rf.StatCurve:
+    """Reference for `mc_rk4`: each chunk's draws integrated as its own columns.
+
+    One RK4 pass over the chunk's whole plan-row matrix, with no grouping of
+    draws by their A/B values and no superposition.  It shares the engine's
+    sampling, plan, step rule and reduction, so a draw that `mc_rk4`
+    integrates in a matrix of the same width gets the same bits.
+    """
+    t0 = float(spec.t0)
+    ts = [float(t) for t in grid]
+    legs = []
+    t_prev = t0
+    for t in ts:
+        delta = t - t_prev
+        if delta <= 1e-14:
+            legs.append((t_prev, 0, cfg.rk4_step))
+        else:
+            n = mcengine._steps_for(delta, cfg.rk4_step)
+            legs.append((t_prev, n, delta / n))
+        t_prev = t
+    cap = math.inf if cfg.input_truncation is None else cfg.input_truncation
+    terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
+             for n, p in proc.items() if n <= cap]
+    plan = mcengine._EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+    series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
+    exps = np.array([n for _, n, _ in terms])
+
+    def worker(start, count):
+        rows = plan(mcengine._sample_matrix(spec.model, cfg.seed, start, count))
+        coeffs, (x, v) = rows[:-2], rows[-2:]
+
+        def accel(tau, x, v):
+            a, b, c = (series * tau**exps) @ coeffs
+            return c - b * x - a * v
+
+        paths = np.empty((len(ts), count))
+        for g, (t_start, n_steps, h) in enumerate(legs):
+            for i in range(n_steps):
+                tau_a = t_start + i * h - t0
+                tau_m = tau_a + h / 2
+                tau_b = tau_a + h
+                k1x = v
+                k1v = accel(tau_a, x, v)
+                x2 = x + (h / 2) * k1x
+                v2 = v + (h / 2) * k1v
+                k2x = v2
+                k2v = accel(tau_m, x2, v2)
+                x3 = x + (h / 2) * k2x
+                v3 = v + (h / 2) * k2v
+                k3x = v3
+                k3v = accel(tau_m, x3, v3)
+                x4 = x + h * k3x
+                v4 = v + h * k3v
+                k4x = v4
+                k4v = accel(tau_b, x4, v4)
+                x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
+                v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            paths[g, :] = x
+        return paths
+
+    sums, sumsqs = mcengine._run_chunks(cfg.samples, worker)
+    return mcengine._aggregate(grid, cfg.samples, sums, sumsqs, label="per-draw-rk4")
+
+
+# A/B terms for RK4 specs.  F has finite support with one rare point, so its
+# draws form groups of every size; S*U is 0 for a share of the draws (one
+# group) and continuous for the rest; U alone makes every A/B key distinct.
+RK4_SYMBOLS = ("F", "S", "U")
+RK4_AB_VALUES = ("F", "F*S - 1/2", "S*U", "U", "3/4")
+RK4_OTHER_VALUES = ("F", "U", "S", "1", "0", "U - F")
+
+
+@st.composite
+def rk4_docs(draw):
+    """Small RK4 problems mixing finite-support and continuous A/B inputs."""
+    rare = draw(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1, 4),
+                             max_denominator=100))
+    doc = {
+        "symbols": [
+            {"name": "F", "dist": "finite_discrete",
+             "params": {"support": ["-1", "0", "1/2", "2"],
+                        "probs": [str(rare)] + [str((1 - rare) / 3)] * 3}},
+            {"name": "S", "dist": "bernoulli", "params": {"p": str(draw(_prob))}},
+            {"name": "U", "dist": "uniform", "params": {"a": -1, "b": 1}},
+        ],
+    }
+    ab = st.dictionaries(st.integers(0, 2), st.sampled_from(RK4_AB_VALUES), max_size=2)
+    other = st.sampled_from(RK4_OTHER_VALUES)
+    doc["series"] = {
+        "A": [{"n": n, "value": v} for n, v in draw(ab).items()],
+        "B": [{"n": n, "value": v} for n, v in draw(ab).items()],
+        "C": [{"n": n, "value": v}
+              for n, v in draw(st.dictionaries(st.integers(0, 2), other, max_size=3)).items()],
+    }
+    doc["initial"] = {"Y0": draw(other), "Y1": draw(other)}
     return doc

@@ -360,7 +360,8 @@ class TestCommands:
         (("--method", "series", "--seed", "-1"), "seed must lie in [0, 2^64), got -1"),
         (("--method", "series", "--seed", str(1 << 64)), f"got {1 << 64}"),
         (("--method", "rk4", "--step", "1e-300"), "needs 1e+300 steps, over the limit"),
-    ], ids=["seed-negative", "seed-2^64", "rk4-tiny-step"])
+        (("--method", "rk4", "--step", "5e-324"), "needs inf steps, over the limit"),
+    ], ids=["seed-negative", "seed-2^64", "rk4-tiny-step", "rk4-subnormal-step"])
     def test_mc_run_out_of_range(self, capsys, tmp_path, flags, message):
         out_path = tmp_path / "mc.csv"
         code, _, err = run(capsys, "mc", "hermite_forced", "--samples", "10",
@@ -368,6 +369,19 @@ class TestCommands:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("threads,code", [
+        ("", 0), ("2", 0), ("abc", 1), ("0", 1), ("-3", 1), ("1.5", 1),
+    ])
+    def test_mc_threads_setting(self, capsys, tmp_path, monkeypatch, threads, code):
+        monkeypatch.setenv("RANDFROB_THREADS", threads)
+        out_path = tmp_path / "mc.csv"
+        got, _, err = run(capsys, "mc", "hermite_forced", "--method", "series", "--samples", "10",
+                          "--grid", "0:1:0.5", "--out", str(out_path))
+        assert got == code
+        assert out_path.exists() == (code == 0)
+        if code:
+            assert err == f"error: RANDFROB_THREADS must be an integer >= 1, got {threads!r}\n"
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--order", "4"),

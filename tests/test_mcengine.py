@@ -6,9 +6,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import BUNDLED, OraclePoly, decode_key, finite_support_docs
+from conftest import BUNDLED, OraclePoly, decode_key, finite_support_docs, per_draw_rk4, rk4_docs
 
 import randfrob as rf
 from randfrob import (
@@ -91,6 +91,47 @@ class TestReproducibility:
                                    quiet_rk4(spec, [0.0, 0.5], cfg)]
         for one, three in zip(curves["1"], curves["3"]):
             assert (one.mean, one.variance) == (three.mean, three.variance)
+
+    def test_rk4_thread_count_invariance_shared_groups(self, monkeypatch):
+        # The draws with S = 0 form one A/B group in every chunk; S*U makes
+        # the rest single columns.  Chunk 0 holds two of them and chunks 1
+        # and 4 none, so the group's basis is integrated in state matrices of
+        # 5, 4 and 3 columns.  With 17 A/B/C rows the bits of a column of
+        # `accel`'s matmul depend on that width, so a cache keyed on the group
+        # alone would depend on which chunk reached it first.
+        doc = {
+            "symbols": [
+                {"name": "S", "dist": "bernoulli", "params": {"p": "1/10000"}},
+                {"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}},
+            ],
+            "series": {"A": [{"n": n, "value": "1 + S*U"} for n in range(8)],
+                       "B": [{"n": n, "value": "1/2 - S*U"} for n in range(8)],
+                       "C": [{"n": 0, "value": "U"}]},
+            "initial": {"Y0": "U", "Y1": 1},
+        }
+        spec = build_problem(doc)
+        cfg = McConfig(samples=4 * CHUNK + 123, seed=9, rk4_step=0.05)
+        s_column = spec.model.table.id_of("S")
+        singles = [_sample_matrix(spec.model, cfg.seed, start, min(CHUNK, cfg.samples - start))
+                   [:, s_column].sum() for start in range(0, cfg.samples, CHUNK)]
+        assert singles == [2, 0, 1, 1, 0]
+        curves = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("RANDFROB_THREADS", threads)
+            curves.append(quiet_rk4(spec, [0.0, 0.5, 1.0], cfg))
+        # and with the chunks run last to first
+        run_chunks = mcengine._run_chunks
+
+        def last_chunk_first(samples, worker):
+            paths = {s: worker(s, min(CHUNK, samples - s))
+                     for s in reversed(range(0, samples, CHUNK))}
+            return run_chunks(samples, lambda start, count: paths[start])
+
+        monkeypatch.setattr(mcengine, "_run_chunks", last_chunk_first)
+        curves.append(quiet_rk4(spec, [0.0, 0.5, 1.0], cfg))
+        for curve in curves[1:]:
+            assert curve.mean == curves[0].mean
+            assert curve.variance == curves[0].variance
 
     def test_first_chunk_rows_independent_of_sample_count(self, hermite_forced, hf_solution,
                                                          monkeypatch):
@@ -213,12 +254,74 @@ class TestRk4Method:
         curve = quiet_rk4(spec, [float(t) for t in grid], McConfig(samples=1, seed=0, rk4_step=1e-4))
         assert max(abs(a - b) for a, b in zip(exact, curve.mean)) < 1e-8
 
+    @given(rk4_docs(), st.integers(0, 2), st.integers(1, CHUNK - 1), st.integers(0, 2**32))
+    @example({"symbols": [{"name": "F", "dist": "binomial", "params": {"n": 3, "p": "1/3"}}],
+              "series": {"A": [{"n": 0, "value": "F"}], "B": [{"n": 1, "value": "1 - F"}],
+                         "C": [{"n": 0, "value": "F"}]},
+              "initial": {"Y0": 1, "Y1": "F"}}, 1, 500, 3).via("finite-support A/B")
+    @example({"symbols": [{"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+              "series": {"C": [{"n": 1, "value": "U"}]},
+              "initial": {"Y0": "U", "Y1": 0}}, 0, 700, 4).via("no A/B terms")
+    @example({"symbols": [{"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+              "series": {"A": [{"n": 0, "value": 1}], "B": [{"n": 0, "value": "U"}]},
+              "initial": {"Y0": 1, "Y1": "U"}}, 1, 300, 5).via("all single draws")
+    @example({"symbols": [{"name": "S", "dist": "bernoulli", "params": {"p": "1/2"}},
+                          {"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+              "series": {"B": [{"n": 0, "value": "S*U"}], "C": [{"n": 0, "value": "S"}]},
+              "initial": {"Y0": "U", "Y1": 1}}, 0, 900, 6).via("groups and single draws")
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_draw_oracle(self, doc, chunks, rest, seed):
+        # superposed groups only reorder rounding; without a group the
+        # chunk is integrated as it is and must give the same bits.  The
+        # variance comes from sums of squares of size E[x^2] = var + mean^2,
+        # so a last-bit change in the paths moves it by that much: both
+        # statistics are compared relative to that second moment
+        spec = build_problem(doc)
+        cfg = McConfig(samples=chunks * CHUNK + rest, seed=seed, rk4_step=0.125)
+        grid = [0.0, 0.25, 0.5]
+        got = quiet_rk4(spec, grid, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = per_draw_rk4(spec, grid, cfg)
+        ab_terms = [t["value"] for label in ("A", "B") for t in doc["series"].get(label, [])]
+        if "U" in ab_terms:  # a continuous A/B term: every draw is its own group
+            assert (got.mean, got.variance) == (want.mean, want.variance)
+        for m1, v1, m2, v2 in zip(got.mean, got.variance, want.mean, want.variance):
+            second = max(v1 + m1 * m1, v2 + m2 * m2)
+            assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)
+            assert abs(v1 - v2) <= 1e-12 * second
+
+    def test_overflowing_group_keeps_zero_draws(self):
+        # b = -1e300 overflows the group's basis paths; draws with zero data
+        # still have the zero path, as when each draw is integrated alone
+        doc = {
+            "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+            "series": {"B": [{"n": 0, "value": "-1e300*A"}]},
+            "initial": {"Y0": 0, "Y1": 0},
+        }
+        spec = build_problem(doc)
+        curve = quiet_rk4(spec, [0.0, 0.05, 0.1], McConfig(samples=100, seed=0, rk4_step=0.05))
+        assert curve.mean == [0.0, 0.0, 0.0]
+        assert curve.variance == [0.0, 0.0, 0.0]
+
     def test_grid_validation(self, hermite_forced):
         cfg = McConfig(samples=2, seed=0)
         with pytest.raises(ValueError, match="ascending"):
             mc_rk4(hermite_forced, hermite_forced.model, [1.0, 0.5], cfg)
         with pytest.raises(ValueError, match="t0"):
             mc_rk4(hermite_forced, hermite_forced.model, [-1.0], cfg)
+
+    def test_step_limit_counts_rounded_legs(self, monkeypatch):
+        # 150 legs of 1e-3 at step 1: a float span of 0.15 steps, but every
+        # leg takes one whole step
+        spec = oscillator_spec(b=1)
+        grid = [k * 1e-3 for k in range(1, 151)]
+        cfg = McConfig(samples=1, seed=0, rk4_step=1.0)
+        monkeypatch.setattr(mcengine, "MAX_RK4_STEPS", 149)
+        with pytest.raises(ValueError, match="needs 150 steps, over the limit 149"):
+            quiet_rk4(spec, grid, cfg)
+        monkeypatch.setattr(mcengine, "MAX_RK4_STEPS", 150)
+        assert len(quiet_rk4(spec, grid, cfg).mean) == 150
 
     def test_input_truncation_cuts_input_series(self, bundled_specs):
         # equal to a run on the same spec with A, B, C cut at index K by hand
