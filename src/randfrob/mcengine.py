@@ -12,9 +12,10 @@ keyed by (seed, k), so results are bit-identical across runs and worker
 counts.  The chunks' partial sums are combined with compensated summation
 in chunk order; the reduction tree never depends on scheduling.
 
-Both routes evaluate their random polynomials through one `_EvalPlan`,
-built once per call: each distinct monomial is formed once per chunk and
-added, scaled, into every polynomial that uses it.
+Both routes evaluate only the stored input polynomials (A_n, B_n, C_n, Y0,
+Y1) at the draws, through one `_EvalPlan` built once per call; the series
+route then runs the coefficient recursion on them in float64 (see
+`mc_series`).
 
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw (see `mc_rk4`).
@@ -186,21 +187,79 @@ def _aggregate(
     )
 
 
+def _input_terms(
+    spec: ProblemSpec, cap: float,
+) -> tuple[list[tuple[int, int, Poly]], _EvalPlan]:
+    """The stored (s, n, A_n | B_n | C_n) with n <= cap, and a plan of their rows.
+
+    s = 0, 1, 2 for A, B, C, in that order and each by index.  The plan's
+    rows are the terms' polynomials, then Y0 and Y1.
+    """
+    terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
+             for n, p in proc.items() if n <= cap]
+    return terms, _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+
+
+def _coeff_rows(spec: ProblemSpec, order: int) -> Callable[[np.ndarray], np.ndarray]:
+    """X_0 .. X_order at every draw of a sample matrix, as an (order+1, count) array.
+
+    Evaluating at a draw commutes with the ring operations, so X_n at a draw
+    is what `compute_coeffs`'s recursion gives when fed the draw's inputs:
+    X_{n+2} = (C_n - sum_k ((n-k+1) A_k X_{n-k+1} + B_k X_{n-k})) / ((n+2)(n+1))
+    over the same stored terms, with k <= n <= order - 2.  Only the input
+    rows go through the plan; the recursion runs in float64.
+    """
+    terms, plan = _input_terms(spec, order - 2)
+    a_rows = [(k, j) for j, (s, k, _) in enumerate(terms) if s == 0]
+    b_rows = [(k, j) for j, (s, k, _) in enumerate(terms) if s == 1]
+    c_rows = {k: j for j, (s, k, _) in enumerate(terms) if s == 2}
+
+    def coeffs(values: np.ndarray) -> np.ndarray:
+        rows = plan(values)
+        X = np.empty((order + 1, values.shape[0]))
+        X[0], X[1] = rows[-2], rows[-1]
+        for n in range(order - 1):
+            acc = np.zeros(values.shape[0])
+            for k, j in a_rows:
+                if k > n:
+                    break
+                acc += (n - k + 1) * rows[j] * X[n - k + 1]
+            for k, j in b_rows:
+                if k > n:
+                    break
+                acc += rows[j] * X[n - k]
+            rhs = rows[c_rows[n]] - acc if n in c_rows else -acc
+            X[n + 2] = rhs / ((n + 2) * (n + 1))
+        return X
+
+    return coeffs
+
+
 def mc_series(
     sol: SeriesSolution,
     model: RandomModel,
     grid: Sequence[float],
     cfg: McConfig,
 ) -> StatCurve:
-    """Sample the random symbols and evaluate the truncated series per draw."""
-    t0 = float(sol.spec.t0)
-    taus = np.array([float(t) - t0 for t in grid])
-    # Power matrix (grid, order+1): partial sum is one matmul per chunk.
-    powers = taus[:, None] ** np.arange(sol.order + 1)[None, :]
-    plan = _EvalPlan(sol.X)
+    """Sample the random symbols and evaluate the order-N truncated series per draw.
+
+    The paper's random differential transform method: each chunk's X_0 ..
+    X_N come from the recursion run on its draws' sampled inputs
+    (`_coeff_rows`), so only `sol.spec` and `sol.order` are read, not the
+    exact `sol.X`, and output matches evaluating `sol.X` up to rounding.
+    Horner's rule in tau = t - t0 forms the partial sums: tau^N alone may
+    leave the float range where the sum does not.
+    """
+    taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
+    coeffs = _coeff_rows(sol.spec, sol.order)
 
     def worker(start: int, count: int):
-        return powers @ plan(_sample_matrix(model, cfg.seed, start, count))  # (grid, count)
+        X = coeffs(_sample_matrix(model, cfg.seed, start, count))
+        paths = np.zeros((len(taus), count))
+        for row in X[::-1]:
+            paths *= taus
+            paths += row
+        return paths  # (grid, count)
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
@@ -273,14 +332,12 @@ def mc_rk4(
         t_prev = t
     check_steps(sum(n for _, n, _ in legs))
 
-    # Plan rows: each stored A_n, B_n, C_n with n <= cap, then Y0 and Y1.
+    # Plan rows: each stored A_n, B_n, C_n with n <= input_truncation, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
     # The a and b rows come first: rows[:n_ab] fix a draw's basis, and the
     # path is linear in the n_basis rows after them.
-    cap = math.inf if cfg.input_truncation is None else cfg.input_truncation
-    terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
-             for n, p in proc.items() if n <= cap]
-    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+    terms, plan = _input_terms(spec, math.inf if cfg.input_truncation is None
+                               else cfg.input_truncation)
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
     exps = np.array([n for _, n, _ in terms])
     n_ab = sum(s < 2 for s, _, _ in terms)

@@ -270,9 +270,7 @@ def per_draw_rk4(spec, grid, cfg) -> rf.StatCurve:
             legs.append((t_prev, n, delta / n))
         t_prev = t
     cap = math.inf if cfg.input_truncation is None else cfg.input_truncation
-    terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
-             for n, p in proc.items() if n <= cap]
-    plan = mcengine._EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+    terms, plan = mcengine._input_terms(spec, cap)
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
     exps = np.array([n for _, n, _ in terms])
 

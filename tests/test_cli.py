@@ -1,7 +1,11 @@
 """Command-line interface and problem-file handling, end to end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import BUNDLED, UNBOUNDED_DOC, WARN_DOC
@@ -195,6 +199,21 @@ class TestCommands:
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 4
 
+    @pytest.mark.filterwarnings("error")
+    def test_mc_series_high_order(self, capsys, tmp_path):
+        # tau^400 at t = 10 is not a float, but each Horner step of the
+        # order-400 partial sum is
+        stats_path, mc_path = tmp_path / "stats.csv", tmp_path / "mc.csv"
+        assert run(capsys, "stats", "airy", "--order", "400", "--grid", "0:10:10",
+                   "--full-precision", "--out", str(stats_path))[0] == 0
+        code, _, err = run(capsys, "mc", "airy", "--method", "series", "--order", "400",
+                           "--samples", "2000", "--grid", "0:10:10", "--full-precision",
+                           "--out", str(mc_path))
+        assert (code, err) == (0, "")
+        exact, mc = read_curve(stats_path), read_curve(mc_path)
+        assert exact.mean[1] > 2e7
+        assert abs(mc.mean[1] - exact.mean[1]) <= 5 * mc.ci_halfwidth[1] / 1.96
+
     def test_majorant_csv(self, capsys, tmp_path):
         out_path = tmp_path / "h.csv"
         code, out, _ = run(capsys, "majorant", "hermite_forced", "--s", "1.6",
@@ -331,13 +350,16 @@ class TestCommands:
         # every input is a float, but the integrated path is not
         (1, {"series": {"B": [{"n": 0, "value": "-1e300*A"}]}},
          ("mc", "--method", "rk4", "--samples", "100", "--grid", "0:0.1:0.05", "--step", "0.05")),
+        # every coefficient is a float, but the partial sum X_0 + X_2 tau^2 is not
+        (1, {"series": {"B": [{"n": 0, "value": "-1"}]}},
+         ("mc", "--method", "series", "--samples", "10", "--grid", "0:1e308:1e307")),
         # the gamma scale 1/rate is not a float
         ("A", {"symbols": [{"name": "A", "dist": "gamma", "params": {"shape": 2, "rate": "1e-400"}}]},
          ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
         # every input is a float, but H_n grows like 1/s^n
         ("A", {}, ("majorant", "--s", "1e-320")),
     ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant",
-            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-gamma-scale",
+            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-series-path", "mc-gamma-scale",
             "majorant-tiny-s"])
     @pytest.mark.filterwarnings("error")
     def test_value_out_of_float_range(self, capsys, tmp_path, y0, fields, argv):
@@ -413,6 +435,15 @@ class TestCommands:
         code, _, err = run(capsys, "check", "nowhere.spec")
         assert code == 1
         assert "no such problem file" in err
+
+    def test_python_m_entry_point(self, capsys):
+        # the package run as a module, from the source tree it was imported from
+        env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "randfrob", "check", "hermite_forced"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, out, _ = run(capsys, "check", "hermite_forced")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+        assert code == 0 and out.startswith("status: pass")
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from randfrob import (
     McConfig, Poly, SeriesProcess, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series,
 )
 from randfrob import mcengine
-from randfrob.mcengine import CHUNK, _EvalPlan, _sample_matrix
+from randfrob.mcengine import CHUNK, _coeff_rows, _EvalPlan, _input_terms, _sample_matrix
 
 GRID7 = [0.25 * k for k in range(7)]
 
@@ -192,6 +193,49 @@ class TestSeriesMethod:
         curve = mc_series(hf_solution, hermite_forced.model, GRID7,
                           McConfig(samples=777, seed=13))
         assert all(v >= 0 for v in curve.variance)
+
+
+class TestSeriesRecursion:
+    """The float recursion on sampled inputs against the exact route: the
+    expanded X_n of `compute_coeffs` evaluated at the same draws.
+
+    Each row may differ by 1e-12 of its largest magnitude, taken as X_n with
+    every coefficient and draw made nonnegative: that bounds the exact
+    route's own rounding, also where the terms of X_n cancel to about zero
+    (A_0 = S^2 - 1 at S = 1)."""
+
+    @staticmethod
+    def check(spec, order, seed=0, count=64):
+        values = _sample_matrix(spec.model, seed, 0, count)
+        got = _coeff_rows(spec, order)(values)
+        X = compute_coeffs(spec, order).X
+        want = _EvalPlan(X)(values)
+        scale = _EvalPlan([Poly({k: abs(c) for k, c in x.terms.items()}, x.den)
+                           for x in X])(np.abs(values))
+        assert got.shape == want.shape == (order + 1, count)
+        for n, (g, w, m) in enumerate(zip(got, want, scale)):
+            assert np.abs(g - w).max() <= 1e-12 * m.max(), n
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_order_20(self, bundled_specs, name):
+        # beta_series stores A_n and B_n up to its generator M = 40, past
+        # the cap N - 2 = 18
+        self.check(bundled_specs[name], 20)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_hermite_forced_low_orders(self, hermite_forced, order):
+        # C_2 is stored but lies past the cap N - 2 at both orders
+        terms, _ = _input_terms(hermite_forced, order - 2)
+        assert (2, 2) not in [(s, n) for s, n, _ in terms]
+        self.check(hermite_forced, order)
+
+    @given(st.one_of(finite_support_docs(), rk4_docs()), st.integers(2, 7), st.integers(0, 2**32))
+    @example({"symbols": [{"name": "S", "dist": "pointmass", "params": {"value": 1}}],
+              "series": {"A": [{"n": 0, "value": "S^2 - 1"}]},
+              "initial": {"Y0": 0, "Y1": "S + 1/3"}}, 2, 0).via("X_2 cancels to zero")
+    @settings(max_examples=40, deadline=None)
+    def test_random_specs(self, doc, order, seed):
+        self.check(build_problem(doc), order, seed)
 
 
 class TestRk4Method:
