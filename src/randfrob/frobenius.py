@@ -12,10 +12,10 @@ Matching coefficients of the series expansion of the equation gives
     X_{n+2} = [ C_n - sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) ]
               / ((n+2)(n+1)),   n >= 0,
 
-which `compute_coeffs` evaluates with exact rational arithmetic.  The
-homogeneous equation is the C = 0 special case: C is then an empty series.
-Missing series entries are zero polynomials; sparse problem files simply
-omit them.
+which `coeff_recursion` runs in any ring: `compute_coeffs` on the exact
+`Poly` inputs, `mcengine.mc_series` on float64 rows of sampled inputs.  The
+C = 0 special case is the homogeneous equation, and sparse problem files
+omit the zero entries of a series.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ class SeriesProcess:
 
     coeffs: dict[int, Poly]
     generator: GeneratorRule | None = None
-
-    def coeff(self, n: int) -> Poly | None:
-        return self.coeffs.get(n)
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -91,9 +88,8 @@ class SeriesSolution:
         assert len(self.X) == self.order + 1
 
 
-def _convolution(a_items, b_items, X: Sequence[Poly], n: int) -> Poly:
-    """sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the stored terms."""
-    acc = Poly.zero()
+def _convolution(a_items, b_items, X: Sequence, n: int, acc):
+    """acc + sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the stored terms."""
     for k, ak in a_items:  # k = n - m, so m = n - k
         if k > n:
             break
@@ -104,6 +100,22 @@ def _convolution(a_items, b_items, X: Sequence[Poly], n: int) -> Poly:
             break
         acc = acc + bk * X[n - k]
     return acc
+
+
+def coeff_recursion(a_items, b_items, c: Mapping, y0, y1, order: int, zero) -> list:
+    """X_0 .. X_order of the module docstring's recursion in any ring of values.
+
+    A and B come as stored (k, term) pairs by index, C as a map from k.  The
+    sums start from the ring's `zero`, so every X_n is a ring value.
+    """
+    X = [y0, y1]
+    for n in range(order - 1):
+        rhs = -_convolution(a_items, b_items, X, n, zero)
+        cn = c.get(n)
+        if cn is not None:
+            rhs = rhs + cn
+        X.append(rhs / ((n + 2) * (n + 1)))
+    return X
 
 
 def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
@@ -123,15 +135,8 @@ def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
                 f" up to index {proc.generator.order}, but order {order} needs"
                 f" index {order - 2}; raise M to at least {order - 2}"
             )
-    a_items = spec.a.items()
-    b_items = spec.b.items()
-    X = [spec.y0, spec.y1]
-    for n in range(order - 1):
-        rhs = -_convolution(a_items, b_items, X, n)
-        cn = spec.c.coeff(n)
-        if cn is not None:
-            rhs = rhs + cn
-        X.append(Fraction(1, (n + 2) * (n + 1)) * rhs)
+    X = coeff_recursion(spec.a.items(), spec.b.items(), spec.c.coeffs, spec.y0, spec.y1,
+                        order, Poly.zero())
     return SeriesSolution(X=X, order=order, spec=spec)
 
 
@@ -146,16 +151,9 @@ def residual_coefficients(sol: SeriesSolution) -> list[Poly]:
     each of which must be the zero polynomial for a correct solution.
     """
     spec = sol.spec
-    a_items = spec.a.items()
-    b_items = spec.b.items()
-    residuals = []
-    for n in range(sol.order - 1):
-        acc = ((n + 2) * (n + 1)) * sol.X[n + 2] + _convolution(a_items, b_items, sol.X, n)
-        cn = spec.c.coeff(n)
-        if cn is not None:
-            acc = acc - cn
-        residuals.append(acc)
-    return residuals
+    a_items, b_items = spec.a.items(), spec.b.items()
+    return [_convolution(a_items, b_items, sol.X, n, ((n + 2) * (n + 1)) * sol.X[n + 2])
+            - spec.c.coeffs.get(n, 0) for n in range(sol.order - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ in chunk order; the reduction tree never depends on scheduling.
 
 Both routes evaluate only the stored input polynomials (A_n, B_n, C_n, Y0,
 Y1) at the draws, through one `_EvalPlan` built once per call; the series
-route then runs the coefficient recursion on them in float64 (see
-`mc_series`).
+route feeds those rows to `coeff_recursion`, the recursion `solve` runs on
+`Poly`s, and warns outside the declared radius as `stats` does.
 
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw (see `mc_rk4`).
@@ -33,10 +33,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError
-from .frobenius import ProblemSpec, SeriesSolution
+from .frobenius import ProblemSpec, SeriesSolution, coeff_recursion
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
-from .uqstats import StatCurve
+from .uqstats import StatCurve, _horner, _warn_outside_radius
 
 CHUNK = 8192
 # Every RK4 step costs four stage evaluations per draw; the benchmark takes
@@ -200,37 +200,20 @@ def _input_terms(
     return terms, _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
 
 
-def _coeff_rows(spec: ProblemSpec, order: int) -> Callable[[np.ndarray], np.ndarray]:
-    """X_0 .. X_order at every draw of a sample matrix, as an (order+1, count) array.
+def _coeff_rows(spec: ProblemSpec, order: int) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """X_0 .. X_order at every draw of a sample matrix, one float64 row each.
 
     Evaluating at a draw commutes with the ring operations, so X_n at a draw
-    is what `compute_coeffs`'s recursion gives when fed the draw's inputs:
-    X_{n+2} = (C_n - sum_k ((n-k+1) A_k X_{n-k+1} + B_k X_{n-k})) / ((n+2)(n+1))
-    over the same stored terms, with k <= n <= order - 2.  Only the input
-    rows go through the plan; the recursion runs in float64.
+    is `coeff_recursion` fed the draw's inputs of index <= order - 2.
     """
     terms, plan = _input_terms(spec, order - 2)
-    a_rows = [(k, j) for j, (s, k, _) in enumerate(terms) if s == 0]
-    b_rows = [(k, j) for j, (s, k, _) in enumerate(terms) if s == 1]
-    c_rows = {k: j for j, (s, k, _) in enumerate(terms) if s == 2}
 
-    def coeffs(values: np.ndarray) -> np.ndarray:
+    def coeffs(values: np.ndarray) -> list[np.ndarray]:
         rows = plan(values)
-        X = np.empty((order + 1, values.shape[0]))
-        X[0], X[1] = rows[-2], rows[-1]
-        for n in range(order - 1):
-            acc = np.zeros(values.shape[0])
-            for k, j in a_rows:
-                if k > n:
-                    break
-                acc += (n - k + 1) * rows[j] * X[n - k + 1]
-            for k, j in b_rows:
-                if k > n:
-                    break
-                acc += rows[j] * X[n - k]
-            rhs = rows[c_rows[n]] - acc if n in c_rows else -acc
-            X[n + 2] = rhs / ((n + 2) * (n + 1))
-        return X
+        series = [[(k, rows[j]) for j, (s, k, _) in enumerate(terms) if s == label]
+                  for label in range(3)]
+        return coeff_recursion(series[0], series[1], dict(series[2]), rows[-2], rows[-1],
+                               order, np.zeros(values.shape[0]))
 
     return coeffs
 
@@ -250,16 +233,12 @@ def mc_series(
     Horner's rule in tau = t - t0 forms the partial sums: tau^N alone may
     leave the float range where the sum does not.
     """
+    _warn_outside_radius(grid, sol.spec.t0, sol.spec.radius)
     taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
     coeffs = _coeff_rows(sol.spec, sol.order)
 
     def worker(start: int, count: int):
-        X = coeffs(_sample_matrix(model, cfg.seed, start, count))
-        paths = np.zeros((len(taus), count))
-        for row in X[::-1]:
-            paths *= taus
-            paths += row
-        return paths  # (grid, count)
+        return _horner(coeffs(_sample_matrix(model, cfg.seed, start, count)), taus)
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")

@@ -236,6 +236,14 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, d: int) -> Poly:
+        """Division by a positive int: the same terms over den * d, reduced."""
+        if type(d) is not int:
+            return NotImplemented
+        if d < 1:
+            raise ValueError(f"a Poly divides only by a positive int, got {d}")
+        return _new(dict(self.terms), self.den * d, self.top)
+
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")

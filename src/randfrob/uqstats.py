@@ -184,16 +184,12 @@ def stat_curves(
     Evaluation is exact rational arithmetic in tau = t - t0 (grid values are
     taken at their exact binary/decimal value), emitted as doubles.
     """
+    _warn_outside_radius(grid, t0, radius)
     t0 = to_fraction(t0)
     second = _by_power(mm)
     ts, means, variances = [], [], []
     for t in grid:
         tau = to_fraction(t) - t0
-        if abs(tau) >= radius:
-            warnings.warn(
-                f"grid point t={float(t):g} lies outside the declared radius",
-                stacklevel=2,
-            )
         mean = _horner(mm.means, tau)
         var = _horner(second, tau) - mean * mean
         ts.append(float(t))
@@ -211,8 +207,18 @@ def _by_power(mm: MomentMatrix) -> list[Fraction]:
     return out
 
 
-def _horner(coeffs, tau: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _warn_outside_radius(grid, t0, radius) -> None:
+    """Warn, at the caller of `stat_curves`/`mc_series`, of each |t - t0| >= radius."""
+    t0 = to_fraction(t0)
+    for t in grid:
+        if abs(to_fraction(t) - t0) >= radius:
+            warnings.warn(f"grid point t={float(t):g} lies outside the declared radius",
+                          stacklevel=3)
+
+
+def _horner(coeffs, tau):
+    """sum_n coeffs[n] tau^n in the ring of the coefficients and tau."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * tau + c
     return acc

@@ -445,5 +445,18 @@ class TestCommands:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
         assert code == 0 and out.startswith("status: pass")
 
+    def test_mc_series_warns_outside_radius(self, tmp_path):
+        # on stderr, as a user sees it; the run still writes every row
+        out_path = tmp_path / "mc.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "randfrob", "mc", "beta_series", "--method", "series",
+             "--samples", "100", "--order", "20", "--grid", "0:2:1", "--out", str(out_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert "UserWarning: grid point t=2 lies outside the declared radius" in proc.stderr
+        assert "t=0 " not in proc.stderr
+        assert len(out_path.read_text().splitlines()) == 4
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_coefficients
+from randfrob.frobenius import coeff_recursion
 from randfrob.specfile import parse_document
-from conftest import UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, scalar_series_coeffs
+from conftest import (
+    UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, finite_support_docs, rk4_docs, scalar_series_coeffs,
+)
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 _sparse_series = st.dictionaries(st.integers(0, 4), _rationals, max_size=3)
@@ -57,7 +60,7 @@ class TestBuildProblem:
         spec = build_problem(doc)
         # 1/n^2 for n = 1..40; index 0 is the zero polynomial (not stored)
         assert sorted(spec.b.coeffs) == list(range(1, 41))
-        assert spec.b.coeff(0) is None
+        assert spec.b.coeffs.get(0) is None
         assert spec.b.coeffs[2] == Poly.const(Fraction(1, 4))
 
     def test_iid_generator_expansion(self, bundled_specs):
@@ -193,14 +196,33 @@ class TestRecursion:
         for n in range(11):
             acc = Poly.zero()
             for m in range(n + 1):
-                am = spec.a.coeff(n - m)
+                am = spec.a.coeffs.get(n - m)
                 if am is not None:
                     acc = acc + (m + 1) * (am * X[m + 1])
-                bm = spec.b.coeff(n - m)
+                bm = spec.b.coeffs.get(n - m)
                 if bm is not None:
                     acc = acc + bm * X[m]
             X.append(Fraction(-1, (n + 2) * (n + 1)) * acc)
         assert X == sol.X
+
+    @given(st.one_of(finite_support_docs(), rk4_docs()), st.integers(2, 7),
+           st.lists(_rationals, min_size=5, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_recursion_commutes_with_exact_evaluation(self, doc, order, draw):
+        # the ring of Fractions: the recursion fed the inputs evaluated at a
+        # rational draw gives each X_n evaluated there, with no rounding
+        spec = build_problem(doc)
+        values = dict(enumerate(draw[:len(spec.table)]))
+
+        def at(items):
+            return [(k, eval_poly_exact(p, values)) for k, p in items]
+
+        X = coeff_recursion(at(spec.a.items()), at(spec.b.items()), dict(at(spec.c.items())),
+                            eval_poly_exact(spec.y0, values), eval_poly_exact(spec.y1, values),
+                            order, Fraction(0))
+        want = [eval_poly_exact(x, values) for x in compute_coeffs(spec, order).X]
+        assert all(type(x) is Fraction for x in X)
+        assert X == want
 
     def test_superposition(self):
         # linearity in the initial data for source-free problems, as exact

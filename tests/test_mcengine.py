@@ -189,6 +189,19 @@ class TestSeriesMethod:
                               McConfig(samples=1, seed=9))
         assert curve.variance == [0.0]
 
+    def test_radius_warning(self, bundled_specs):
+        # as in `stat_curves`, a grid point at or past the radius 1 warns;
+        # RK4 integrates truncated polynomial inputs and stays silent
+        spec = bundled_specs["beta_series"]
+        cfg = McConfig(samples=16, seed=3, rk4_step=0.05, input_truncation=2)
+        with pytest.warns(UserWarning, match="outside the declared radius") as record:
+            mc_series(compute_coeffs(spec, 4), spec.model, [0.0, 0.5, 1.0, 2.0], cfg)
+        assert [str(w.message) for w in record] == [
+            f"grid point t={t} lies outside the declared radius" for t in (1, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc_rk4(spec, spec.model, [0.0, 2.0], cfg)
+
     def test_variance_nonnegative(self, hermite_forced, hf_solution):
         curve = mc_series(hf_solution, hermite_forced.model, GRID7,
                           McConfig(samples=777, seed=13))
@@ -207,7 +220,7 @@ class TestSeriesRecursion:
     @staticmethod
     def check(spec, order, seed=0, count=64):
         values = _sample_matrix(spec.model, seed, 0, count)
-        got = _coeff_rows(spec, order)(values)
+        got = np.array(_coeff_rows(spec, order)(values))
         X = compute_coeffs(spec, order).X
         want = _EvalPlan(X)(values)
         scale = _EvalPlan([Poly({k: abs(c) for k, c in x.terms.items()}, x.den)

@@ -62,6 +62,25 @@ class TestAgainstOracle:
         assert_same(pp + c, p + c)
         assert_same(c - pp, OraclePoly({(): c}) - p)
 
+    @given(_oracles, st.integers(1, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_division_by_positive_int(self, p, d):
+        pp = p.packed()
+        q, want = pp / d, Fraction(1, d) * pp
+        assert_same(q, p * Fraction(1, d))
+        assert list(q.terms.items()) == list(want.terms.items())
+        assert (q.den, q.top) == (want.den, want.top)
+
+    @pytest.mark.parametrize("d,error", [
+        (0, ValueError), (-3, ValueError), (True, TypeError), (2.0, TypeError),
+        (Fraction(1, 2), TypeError), ("2", TypeError),
+    ])
+    def test_division_rejects_other_divisors(self, d, error):
+        p = Poly.const(3)
+        with pytest.raises(error):
+            p / d
+        assert p == Poly.const(3)
+
     @given(_oracles, st.lists(_coeffs, min_size=len(NAMES), max_size=len(NAMES)))
     @settings(max_examples=100, deadline=None)
     def test_eval(self, p, point):
