@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,6 @@ from .poly import format_poly, to_fraction
 from .specfile import load_document, resolve_problem
 from .uqstats import StatCurve, majorant_sequence, moment_matrix, stat_curves
 
-GRID_SLACK = Fraction(1, 10**12)
 # Largest grid parse_grid builds; every point costs an exact evaluation.
 MAX_GRID_POINTS = 100_000
 
@@ -51,7 +51,7 @@ def parse_grid(text: str) -> list[Fraction]:
         raise SpecError(f"grid step must be positive, got {step}")
     if end < start:
         raise SpecError(f"grid end {end} precedes start {start}")
-    count = (end + GRID_SLACK - start) // step + 1
+    count = (end - start) // step + 1
     if count > MAX_GRID_POINTS:
         raise SpecError(
             f"grid {text!r} has {count} points, more than the {MAX_GRID_POINTS} allowed"
@@ -87,26 +87,24 @@ def _write_curve(path: str, curve: StatCurve, full: bool) -> None:
 
 
 def read_curve(path: str) -> StatCurve:
-    """Read a stats/mc CSV back into a curve."""
+    """Read a stats/mc CSV back into a curve; every value must be finite."""
     try:
         with open(path, newline="") as fp:
             reader = csv.DictReader(fp)
             fields = reader.fieldnames or []
             if not {"t", "mean", "variance"}.issubset(fields):
                 raise SpecError(f"{path}: expected columns t, mean, variance")
-            has_ci = "ci_halfwidth" in fields
-            grid, mean, var, hw = [], [], [], []
+            columns = {c: [] for c in ("t", "mean", "variance", "ci_halfwidth") if c in fields}
             for row in reader:
-                grid.append(float(row["t"]))
-                mean.append(float(row["mean"]))
-                var.append(float(row["variance"]))
-                if has_ci:
-                    hw.append(float(row["ci_halfwidth"]))
+                for name, values in columns.items():
+                    values.append(float(row[name]))
+                    if not math.isfinite(values[-1]):
+                        raise SpecError(f"{path}: non-finite {name} on line {reader.line_num}")
     except OSError as exc:
         raise SpecError(f"cannot read curve file {path}: {exc}") from exc
     return StatCurve(
-        grid=grid, mean=mean, variance=var,
-        ci_halfwidth=hw if has_ci else None, label=Path(path).name,
+        grid=columns["t"], mean=columns["mean"], variance=columns["variance"],
+        ci_halfwidth=columns.get("ci_halfwidth"), label=Path(path).name,
     )
 
 
@@ -146,7 +144,7 @@ def _cmd_stats(args) -> int:
     grid = parse_grid(args.grid)
     sol = compute_coeffs(spec, order)
     mm = moment_matrix(sol, spec.model)
-    curve = stat_curves(mm, grid, spec.t0, radius=float(spec.radius), label=f"series[N={order}]")
+    curve = stat_curves(mm, grid, spec.t0, radius=spec.radius, label=f"series[N={order}]")
     _write_curve(args.out, curve, args.full_precision)
     print(f"wrote {len(curve.grid)} rows to {args.out}")
     return 0
@@ -160,7 +158,7 @@ def _cmd_mc(args) -> int:
             return 2
     spec = _load_spec(args.spec)
     order = spec.default_order if args.order is None else args.order
-    grid = [float(t) for t in parse_grid(args.grid)]
+    grid = parse_grid(args.grid)
     cfg = McConfig(
         samples=args.samples,
         seed=args.seed,

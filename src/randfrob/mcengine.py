@@ -169,7 +169,7 @@ def _aggregate(
         total = math.fsum(chunk[g] for chunk in sums)
         total_sq = math.fsum(chunk[g] for chunk in sumsqs)
         if not (math.isfinite(total) and math.isfinite(total_sq)):
-            raise OverflowError(f"Monte Carlo sums at t={grid[g]:g} are not finite")
+            raise OverflowError(f"Monte Carlo sums at t={float(grid[g]):g} are not finite")
         mean = total / samples
         if samples > 1:
             var = (total_sq - samples * mean * mean) / (samples - 1)

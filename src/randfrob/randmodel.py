@@ -10,6 +10,21 @@ distribution parameters are coerced to rationals on construction, so the
 expectation of any polynomial in the symbols is an exact rational.
 `RandomModel.expect_monomial` caches those block moments and multiplies them.
 
+`RandomModel.second_moments` is the one exact E[P_n P_m] kernel, behind
+the moment matrix of `stats` and the mean-square norms (`poly_l2_norm`) of
+`check` and `majorant`.  It works over the *distinct* monomials u, v of all
+P_n, far fewer than their term pairs, reading each P_n as `Poly` stores it:
+integer numerators a_{n,u} over one denominator D_n, keyed by packed
+monomial keys k_u (see `poly`):
+
+1. `expect_monomial` runs once per distinct product key k_u + k_v, and
+   those moments become integers e over one common denominator D;
+2. with w_m[u] = sum_{v in P_m} e[k_u + k_v] a_{m,v}, the entry is
+   E[P_n P_m] = (sum_{u in P_n} a_{n,u} w_m[u]) / (D_n D_m D),
+   so the inner loops are pure integer arithmetic.  The Gram row
+   e[k_u + k_v] over all v is formed once per u and fills w_m[u] for every
+   m, so only one row is held at a time.
+
 Sampling draws a whole batch of realizations from a caller-supplied
 `numpy.random.Generator`: one vectorized call per block, in declaration
 order, so a fixed seed and batch size reproduce the exact draws.
@@ -18,9 +33,11 @@ order, so a fixed seed and batch size reproduce the exact draws.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -469,11 +486,40 @@ class RandomModel:
             total += factor
         return total / p.den
 
+    def second_moments(self, polys: Sequence[Poly]) -> list[list[Fraction]]:
+        """Exact E[P_n P_m] for all n, m by the packed-key kernel (module docstring)."""
+        # Distinct monomial keys in order of first appearance, so those of
+        # P_0..P_m are a prefix of `keys`.
+        keys = list(dict.fromkeys(key for x in polys for key in x.terms))
+
+        products = dict.fromkeys(ku + kv for i, ku in enumerate(keys) for kv in keys[i:])
+        moments = {k: self.expect_monomial(k) for k in products}
+        den = math.lcm(*(f.denominator for f in moments.values()))
+        scaled = {k: f.numerator * (den // f.denominator) for k, f in moments.items()}
+
+        index = {key: i for i, key in enumerate(keys)}
+        cols = [[index[key] for key in x.terms] for x in polys]
+        nums = [x.terms.values() for x in polys]
+
+        n_tot = len(polys)
+        # the monomials of P_0..P_m are keys[:live[m]]
+        live = list(accumulate((max(c, default=-1) + 1 for c in cols), max))
+        w = [[] for _ in range(n_tot)]  # w[m] = w_m of the module docstring
+        for u, ku in enumerate(keys):
+            row = [scaled[ku + kv] for kv in keys]
+            for m in range(bisect_right(live, u), n_tot):
+                w[m].append(sum(map(mul, map(row.__getitem__, cols[m]), nums[m])))
+
+        second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
+        for m in range(n_tot):
+            for n in range(m + 1):
+                total = sum(map(mul, map(w[m].__getitem__, cols[n]), nums[n]))
+                second[n][m] = second[m][n] = Fraction(total, polys[n].den * polys[m].den * den)
+        return second
+
     def poly_l2_norm(self, p: Poly) -> float:
-        """sqrt(E[P^2]) through the moment oracle, from key sums without forming P^2."""
-        terms = p.terms.items()
-        second = sum(a * b * self.expect_monomial(j + k) for j, a in terms for k, b in terms)
-        return math.sqrt(float(second / p.den**2))
+        """sqrt(E[P^2]) through `second_moments`, without forming P^2."""
+        return math.sqrt(float(self.second_moments([p])[0][0]))
 
     def draw(self, stream, count: int) -> np.ndarray:
         """`count` joint draws of every block as a (count, n_symbols) matrix.

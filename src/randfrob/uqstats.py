@@ -8,23 +8,12 @@ coefficients:
     E[(X^N)^2] = sum_{n,m} E[X_n X_m] tau^{n+m},      tau = t - t0.
 
 `moment_matrix` computes those moments once per solve (they are exact
-rationals).  `stat_curves` (a grid, emitted as floats) and `exact_stats`
-(one time, exact) then evaluate both sums by Horner in tau, the second
-after grouping E[X_n X_m] by the power n + m.
-
-The second moments come from one exact kernel over the *distinct* monomials
-u, v of all X_n, which are far fewer than the term pairs of all (X_n, X_m).
-It reads each X_n as `Poly` stores it, integer numerators a_{n,u} over one
-denominator D_n, keyed by packed monomial keys k_u (see `poly`):
-
-1. `RandomModel.expect_monomial` runs once per distinct product key
-   k_u + k_v, and those moments become integers e over one common
-   denominator D;
-2. with w_m[u] = sum_{v in X_m} e[k_u + k_v] a_{m,v}, the entry is
-   E[X_n X_m] = (sum_{u in X_n} a_{n,u} w_m[u]) / (D_n D_m D),
-   so the inner loops are pure integer arithmetic.  The Gram row
-   e[k_u + k_v] over all v is formed once per u and fills w_m[u] for every
-   m, so only one row is held at a time.
+rationals): the means by `RandomModel.expect_poly`, the second moments by
+`RandomModel.second_moments`, the one exact kernel that `check` and
+`majorant` also use for their mean-square norms.  Each `MomentMatrix`
+groups E[X_n X_m] by the power n + m once (`power_sums`); `exact_stats`
+then evaluates both sums by Horner in tau at one time, and `stat_curves`
+is `exact_stats` at each grid point, emitted as floats.
 
 `_pairwise_expect` multiplies term pairs one by one; it is the reference the
 kernel is tested against, selected per pair by `moment_matrix`'s
@@ -46,13 +35,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from functools import cached_property
 
-from .frobenius import ProblemSpec, SeriesSolution, bounded_sup_norms
+from .frobenius import ProblemSpec, Radius, SeriesSolution, bounded_sup_norms
 from .poly import Poly, to_fraction
 from .randmodel import RandomModel
 
@@ -66,6 +53,15 @@ class MomentMatrix:
     means: list[Fraction]
     second: list[list[Fraction]]  # symmetric (N+1) x (N+1)
     order: int
+
+    @cached_property
+    def power_sums(self) -> list[Fraction]:
+        """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k."""
+        out = [Fraction(0)] * (2 * self.order + 1)
+        for n, row in enumerate(self.second):
+            for m, entry in enumerate(row):
+                out[n + m] += entry
+        return out
 
 
 @dataclass
@@ -116,38 +112,6 @@ def _pairwise_expect(model: RandomModel, p: Poly, q: Poly) -> Fraction:
     return total
 
 
-def _second_moments(coeffs: list[Poly], model: RandomModel) -> list[list[Fraction]]:
-    """Exact E[X_n X_m] for all n, m by the packed-key kernel (module docstring)."""
-    # Distinct monomial keys in order of first appearance, so those of
-    # X_0..X_m are a prefix of `keys`.
-    keys = list(dict.fromkeys(key for x in coeffs for key in x.terms))
-
-    products = dict.fromkeys(ku + kv for i, ku in enumerate(keys) for kv in keys[i:])
-    moments = {k: model.expect_monomial(k) for k in products}
-    den = math.lcm(*(f.denominator for f in moments.values()))
-    scaled = {k: f.numerator * (den // f.denominator) for k, f in moments.items()}
-
-    index = {key: i for i, key in enumerate(keys)}
-    cols = [[index[key] for key in x.terms] for x in coeffs]
-    nums = [x.terms.values() for x in coeffs]
-
-    n_tot = len(coeffs)
-    # the monomials of X_0..X_m are keys[:live[m]]
-    live = list(accumulate((max(c, default=-1) + 1 for c in cols), max))
-    w = [[] for _ in range(n_tot)]  # w[m] = w_m of the module docstring
-    for u, ku in enumerate(keys):
-        row = [scaled[ku + kv] for kv in keys]
-        for m in range(bisect_right(live, u), n_tot):
-            w[m].append(sum(map(mul, map(row.__getitem__, cols[m]), nums[m])))
-
-    second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
-    for m in range(n_tot):
-        for n in range(m + 1):
-            total = sum(map(mul, map(w[m].__getitem__, cols[n]), nums[n]))
-            second[n][m] = second[m][n] = Fraction(total, coeffs[n].den * coeffs[m].den * den)
-    return second
-
-
 def moment_matrix(
     sol: SeriesSolution,
     model: RandomModel,
@@ -162,7 +126,7 @@ def moment_matrix(
     """
     coeffs = sol.X
     means = [model.expect_poly(x) for x in coeffs]
-    second = _second_moments(coeffs, model)
+    second = model.second_moments(coeffs)
     if pair_threshold is not None:
         for n, p in enumerate(coeffs):
             for m in range(n, len(coeffs)):
@@ -176,35 +140,22 @@ def stat_curves(
     mm: MomentMatrix,
     grid,
     t0,
-    radius: float = math.inf,
+    radius: Radius = math.inf,
     label: str = "series",
 ) -> StatCurve:
-    """Evaluate mean and variance of the truncated solution on a grid.
+    """Mean and variance of the truncated solution on a grid, as doubles.
 
-    Evaluation is exact rational arithmetic in tau = t - t0 (grid values are
-    taken at their exact binary/decimal value), emitted as doubles.
+    Each point is `exact_stats` at the grid value's exact binary/decimal
+    value; points with |t - t0| >= radius (compared exactly) warn.
     """
     _warn_outside_radius(grid, t0, radius)
-    t0 = to_fraction(t0)
-    second = _by_power(mm)
-    ts, means, variances = [], [], []
-    for t in grid:
-        tau = to_fraction(t) - t0
-        mean = _horner(mm.means, tau)
-        var = _horner(second, tau) - mean * mean
-        ts.append(float(t))
-        means.append(float(mean))
-        variances.append(float(var))
-    return StatCurve(grid=ts, mean=means, variance=variances, label=label)
-
-
-def _by_power(mm: MomentMatrix) -> list[Fraction]:
-    """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k."""
-    out = [Fraction(0)] * (2 * mm.order + 1)
-    for n, row in enumerate(mm.second):
-        for m, entry in enumerate(row):
-            out[n + m] += entry
-    return out
+    stats = [exact_stats(mm, t, t0) for t in grid]
+    return StatCurve(
+        grid=[float(t) for t in grid],
+        mean=[float(mean) for mean, _ in stats],
+        variance=[float(var) for _, var in stats],
+        label=label,
+    )
 
 
 def _warn_outside_radius(grid, t0, radius) -> None:
@@ -228,7 +179,7 @@ def exact_stats(mm: MomentMatrix, t, t0) -> tuple[Fraction, Fraction]:
     """Mean and variance at a single time, as exact rationals."""
     tau = to_fraction(t) - to_fraction(t0)
     mean = _horner(mm.means, tau)
-    return mean, _horner(_by_power(mm), tau) - mean * mean
+    return mean, _horner(mm.power_sums, tau) - mean * mean
 
 
 def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:

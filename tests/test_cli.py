@@ -27,6 +27,10 @@ class TestGridParsing:
         # three steps of 0.1 land on 0.3 exactly in rational arithmetic
         assert len(parse_grid("0:0.3:0.1")) == 4
 
+    def test_no_point_past_end(self):
+        # the last step would overshoot 0.8999999999999 by 1e-13
+        assert parse_grid("0:0.8999999999999:0.3") == [0, Fraction(3, 10), Fraction(3, 5)]
+
     def test_errors(self):
         for bad in ("0:1", "0:1:0", "1:0:0.5", "a:b:c"):
             with pytest.raises(rf.SpecError):
@@ -223,6 +227,17 @@ class TestCommands:
         assert lines[0] == "n,H_n,H_n_s_n"
         assert len(lines) == 8
         assert "D_s=" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_compare_rejects_non_finite(self, capsys, tmp_path, value):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        run(capsys, "stats", "hermite_forced", "--grid", "0:1:0.5", "--out", str(good))
+        lines = good.read_text().splitlines()
+        lines[2] = f"0.5,{value},0.1"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "compare", str(good), str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: non-finite mean on line 3\n"
 
     def test_compare_grid_mismatch(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -457,6 +472,27 @@ class TestCommands:
         assert "UserWarning: grid point t=2 lies outside the declared radius" in proc.stderr
         assert "t=0 " not in proc.stderr
         assert len(out_path.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("radius,grid", [("1/10", "0:0.1:0.1"), ("3/10", "0:0.3:0.3")])
+    def test_radius_warning_at_boundary(self, capsys, tmp_path, radius, grid):
+        # |t - t0| >= radius holds exactly at the last point, which is not
+        # the case for float(t) and float(radius) in both examples
+        doc = {
+            "problem": {"t0": 0, "radius": radius, "order": 4},
+            "symbols": [{"name": "b", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+            "series": {"B": [{"n": 0, "value": "b"}]},
+            "initial": {"Y0": 1, "Y1": 0},
+        }
+        path = tmp_path / "radius.spec"
+        path.write_text(json.dumps(doc))
+        boundary = float(Fraction(radius))
+        for argv in (("stats",), ("mc", "--method", "series", "--samples", "10")):
+            with pytest.warns(UserWarning) as record:
+                code, _, _ = run(capsys, argv[0], str(path), *argv[1:], "--grid", grid,
+                                 "--out", str(tmp_path / "out.csv"))
+            assert code == 0
+            assert [str(w.message) for w in record] == [
+                f"grid point t={boundary:g} lies outside the declared radius"]
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0

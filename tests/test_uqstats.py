@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, build_problem, compute_coeffs
-from conftest import OraclePoly, eval_poly_exact, finite_support_docs
+from conftest import BUNDLED, OraclePoly, eval_poly_exact, finite_support_docs
+from randfrob.uqstats import _pairwise_expect
 
 
 class TestMomentMatrix:
@@ -116,6 +117,17 @@ class TestMomentKernel:
         spec = bundled_specs[name]
         assert_kernel_matches_reference(compute_coeffs(spec, order).X, spec.model)
 
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_inputs_match_reference(self, bundled_specs, name):
+        # the single-polynomial kernel behind the norms of `check` and `majorant`
+        spec = bundled_specs[name]
+        model = spec.model
+        inputs = [p for proc in (spec.a, spec.b, spec.c) for _, p in proc.items()]
+        for p in inputs + [spec.y0, spec.y1]:
+            reference = _pairwise_expect(model, p, p)
+            assert model.second_moments([p]) == [[reference]]
+            assert model.poly_l2_norm(p) == math.sqrt(float(reference))
+
     @given(st.lists(_polys, min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_random_coefficients_match_reference(self, coeffs):
@@ -157,7 +169,7 @@ class TestStatCurves:
         spec = bundled_specs["beta_series"]
         mm = rf.moment_matrix(compute_coeffs(spec, 4), spec.model)
         with pytest.warns(UserWarning, match="outside the declared radius"):
-            rf.stat_curves(mm, [1.5], spec.t0, radius=float(spec.radius))
+            rf.stat_curves(mm, [1.5], spec.t0, radius=spec.radius)
 
     def test_variance_clamp(self):
         with pytest.warns(UserWarning, match="clamped"):
