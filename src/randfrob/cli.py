@@ -87,7 +87,7 @@ def _write_curve(path: str, curve: StatCurve, full: bool) -> None:
 
 
 def read_curve(path: str) -> StatCurve:
-    """Read a stats/mc CSV back into a curve; every value must be finite."""
+    """Read a stats/mc CSV back into a curve of at least one row of finite values."""
     try:
         with open(path, newline="") as fp:
             reader = csv.DictReader(fp)
@@ -96,12 +96,24 @@ def read_curve(path: str) -> StatCurve:
                 raise SpecError(f"{path}: expected columns t, mean, variance")
             columns = {c: [] for c in ("t", "mean", "variance", "ci_halfwidth") if c in fields}
             for row in reader:
+                if None in row:  # DictReader's key for cells past the header
+                    raise SpecError(f"{path}: more cells than columns on line {reader.line_num}")
                 for name, values in columns.items():
-                    values.append(float(row[name]))
+                    cell = row[name]  # None when the row is short
+                    if cell is None:
+                        raise SpecError(f"{path}: no {name} value on line {reader.line_num}")
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise SpecError(
+                            f"{path}: cannot read {name} {cell!r} on line {reader.line_num}"
+                        ) from None
                     if not math.isfinite(values[-1]):
                         raise SpecError(f"{path}: non-finite {name} on line {reader.line_num}")
     except OSError as exc:
         raise SpecError(f"cannot read curve file {path}: {exc}") from exc
+    if not columns["t"]:
+        raise SpecError(f"{path}: no data rows")
     return StatCurve(
         grid=columns["t"], mean=columns["mean"], variance=columns["variance"],
         ci_halfwidth=columns.get("ci_halfwidth"), label=Path(path).name,

@@ -13,9 +13,12 @@ Matching coefficients of the series expansion of the equation gives
               / ((n+2)(n+1)),   n >= 0,
 
 which `coeff_recursion` runs in any ring: `compute_coeffs` on the exact
-`Poly` inputs, `mcengine.mc_series` on float64 rows of sampled inputs.  The
-C = 0 special case is the homogeneous equation, and sparse problem files
-omit the zero entries of a series.
+`Poly` inputs, `mcengine.mc_series` on float64 rows of sampled inputs.  On
+`Poly`s each convolution is one n-ary sum, `Poly.add_products`, over the
+(m+1, A_{n-m}, X_{m+1}) and (1, B_{n-m}, X_m) triples; other rings add the
+same products one at a time in the same order.  The C = 0 special case is
+the homogeneous equation, and sparse problem files omit the zero entries of
+a series.
 """
 
 from __future__ import annotations
@@ -89,16 +92,19 @@ class SeriesSolution:
 
 
 def _convolution(a_items, b_items, X: Sequence, n: int, acc):
-    """acc + sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the stored terms."""
-    for k, ak in a_items:  # k = n - m, so m = n - k
-        if k > n:
-            break
-        m = n - k
-        acc = acc + (m + 1) * (ak * X[m + 1])
-    for k, bk in b_items:
-        if k > n:
-            break
-        acc = acc + bk * X[n - k]
+    """acc + sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the stored terms.
+
+    A `Poly` acc takes the (weight, factor, X) triples in one n-ary sum;
+    other rings fold them in the same order, one `acc + w * (f * x)` each.
+    """
+    # k = n - m, so an A term's weight is m + 1 = n - k + 1
+    triples = [(n - k + 1, ak, X[n - k + 1]) for k, ak in a_items if k <= n]
+    triples += [(1, bk, X[n - k]) for k, bk in b_items if k <= n]
+    if isinstance(acc, Poly):
+        return acc.add_products(triples)
+    for w, f, x in triples:
+        p = f * x
+        acc = acc + (p if w == 1 else w * p)
     return acc
 
 

@@ -9,6 +9,13 @@ gcd(den, *numerators) == 1.  Arithmetic is integer dict work plus one gcd
 reduction per result, so it never rounds; `Fraction` appears only at the
 edges, and float evaluation lives in `mcengine._EvalPlan`.
 
+`Poly.add_products` is the n-ary sum `acc + w1*(f1*x1) + w2*(f2*x2) + ...`
+that the coefficient recursion needs for each X_n: every product goes into
+one dict over the lcm of the denominators, so the growing sum is never
+copied and the gcd reduction runs once.  A key whose sum reaches zero is
+deleted, as in `+`, so the terms come out in the order the pairwise fold
+would give.
+
 Exponents stay below EXP_LIMIT, so the top bit of each field is a guard
 and a sum of two keys never carries into the next field.  Each Poly keeps
 `top`, an upper bound on its exponents; a product whose bound reaches the
@@ -191,6 +198,32 @@ class Poly:
         return _new(out, self.den * f_self, max(self.top, other.top))
 
     __radd__ = __add__
+
+    def add_products(self, triples) -> Poly:
+        """self + sum(w * (f * x)) over a list of (int w, Poly f, Poly x), as one sum.
+
+        Equal to folding `acc = acc + w * (f * x)`, term order included, but
+        with one dict over the lcm of self.den and each f.den * x.den and one
+        gcd reduction at the end.  Each product is formed by `f * x` first,
+        so terms that cancel inside it never touch the sum.
+        """
+        den = math.lcm(self.den, *(f.den * x.den for _, f, x in triples))
+        scale = den // self.den
+        out = dict(self.terms) if scale == 1 else {k: n * scale for k, n in self.terms.items()}
+        top, get = self.top, out.get
+        for w, f, x in triples:
+            p = f * x
+            top = max(top, p.top)
+            scale = w * (den // p.den)
+            if not scale:
+                continue
+            for k, n in p.terms.items():
+                acc = get(k, 0) + n * scale
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+        return _new(out, den, top)
 
     def __neg__(self) -> Poly:
         return _new({k: -n for k, n in self.terms.items()}, self.den, self.top)

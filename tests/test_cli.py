@@ -239,6 +239,29 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: {bad}: non-finite mean on line 3\n"
 
+    @pytest.mark.parametrize("row,message", [
+        ("0,1", "no variance value on line 2"),
+        ("0", "no mean value on line 2"),
+        ("0,abc,1", "cannot read mean 'abc' on line 2"),
+        ("0,1,", "cannot read variance '' on line 2"),
+        ("0,1,0,5", "more cells than columns on line 2"),
+    ])
+    def test_compare_rejects_bad_rows(self, capsys, tmp_path, row, message):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,mean,variance\n0,1,0\n")
+        bad.write_text(f"t,mean,variance\n{row}\n")
+        for files in ((good, bad), (bad, good)):
+            code, out, err = run(capsys, "compare", *map(str, files))
+            assert (code, out) == (1, "")
+            assert err == f"error: {bad}: {message}\n"
+
+    def test_compare_rejects_header_only(self, capsys, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("t,mean,variance\n")
+        code, out, err = run(capsys, "compare", str(empty), str(empty))
+        assert (code, out) == (1, "")
+        assert err == f"error: {empty}: no data rows\n"
+
     def test_compare_grid_mismatch(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "stats", "hermite_forced", "--grid", "0:1:0.5", "--out", str(a))

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randfrob import Poly, SymbolTable, compute_coeffs, format_poly, parse_poly
+from randfrob import Poly, SymbolTable, build_problem, compute_coeffs, format_poly, parse_poly
 from randfrob.mcengine import _EvalPlan
-from conftest import BUNDLED, OraclePoly
+from conftest import BUNDLED, OraclePoly, finite_support_docs
 
 NAMES = ("A", "Y0", "Y1", "C")
 
@@ -52,6 +52,38 @@ class TestAgainstOracle:
     @settings(max_examples=60, deadline=None)
     def test_power(self, p, e):
         assert OraclePoly.of(p.packed() ** e) == p**e
+
+    @staticmethod
+    def assert_add_products_is_the_fold(acc: Poly, triples) -> None:
+        fold = acc
+        for w, f, x in triples:
+            fold = fold + w * (f * x)
+        got = acc.add_products(triples)
+        assert list(got.terms.items()) == list(fold.terms.items())
+        assert (got.den, got.top) == (fold.den, fold.top)
+
+    @given(_oracles, st.lists(st.tuples(st.integers(-3, 4), _oracles, _oracles), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_add_products_is_the_fold(self, acc, triples):
+        packed = [(w, f.packed(), x.packed()) for w, f, x in triples]
+        self.assert_add_products_is_the_fold(acc.packed(), packed)
+        want = acc
+        for w, f, x in triples:
+            want = want + w * (f * x)
+        assert_same(acc.packed().add_products(packed), want)
+
+    def test_add_products_of_nothing(self):
+        acc, zero = Poly({1: 3, 0: -1}, 4), Poly.zero()
+        for triples in ([], [(0, acc, acc)], [(2, zero, acc)], [(1, acc, zero), (0, acc, acc)]):
+            assert acc.add_products(triples) == acc
+            self.assert_add_products_is_the_fold(acc, triples)
+
+    def test_add_products_moves_a_cancelled_key_to_the_end(self):
+        # the sum drops key 1 at the first product and takes it back last
+        acc, one = Poly({1: 1, 0: 1}), Poly.const(1)
+        triples = [(-1, one, Poly({1: 1})), (1, one, Poly({2: 1, 1: 1}, 3))]
+        assert list(acc.add_products(triples).terms) == [0, 2, 1]
+        self.assert_add_products_is_the_fold(acc, triples)
 
     @given(_oracles, _scalars)
     @settings(max_examples=100, deadline=None)
@@ -129,3 +161,28 @@ def test_recursion_matches_oracle(bundled_specs, name):
     sol = compute_coeffs(spec, order)
     for x, oracle in zip(sol.X, oracle_coeffs(spec, order), strict=True):
         assert_same(x, oracle)
+
+
+@given(finite_support_docs(), st.integers(2, 8))
+@settings(max_examples=60, deadline=None)
+def test_recursion_matches_oracle_on_multi_term_inputs(doc, order):
+    spec = build_problem(doc)
+    sol = compute_coeffs(spec, order)
+    for x, oracle in zip(sol.X, oracle_coeffs(spec, order), strict=True):
+        assert_same(x, oracle)
+
+
+def test_recursion_keeps_a_key_that_cancels_inside_a_product():
+    # X_2 = -(A_0 X_1 + B_0 X_0) / 2.  A_0 X_1 = S*T puts S*T into the sum
+    # first; B_0 X_0 = (S + T)(S - T) has -S*T then +S*T among its partial
+    # products, which cancel inside it, so S*T keeps its place in X_2.
+    doc = {
+        "symbols": [{"name": name, "dist": "bernoulli", "params": {"p": "1/2"}}
+                    for name in ("S", "T")],
+        "series": {"A": [{"n": 0, "value": "S"}], "B": [{"n": 0, "value": "S + T"}]},
+        "initial": {"Y0": "S - T", "Y1": "T"},
+    }
+    spec = build_problem(doc)
+    x2 = compute_coeffs(spec, 2).X[2]
+    assert_same(x2, oracle_coeffs(spec, 2)[2])
+    assert [format_poly(Poly({k: 1}), spec.table) for k in x2.terms] == ["S*T", "S^2", "T^2"]
