@@ -32,6 +32,8 @@ from .uqstats import StatCurve, majorant_sequence, moment_matrix, stat_curves
 
 # Largest grid parse_grid builds; every point costs an exact evaluation.
 MAX_GRID_POINTS = 100_000
+# argparse takes a separate "-0.5:..." for an option, so a negative start needs "=".
+GRID_HELP = "start:end:step, inclusive; join a negative start with '=', as --grid=-0.5:0.5:0.5"
 
 
 def _fmt(x: float, full: bool) -> str:
@@ -233,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="exact mean/variance on a grid")
     add_spec(p)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--grid", required=True, help="start:end:step, inclusive")
+    p.add_argument("--grid", required=True, help=GRID_HELP)
     p.add_argument("--out", default="stats.csv")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=_cmd_stats)
@@ -246,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None, help="RK4 step size (default 1e-3)")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--input-truncation", type=int, default=None)
-    p.add_argument("--grid", required=True)
+    p.add_argument("--grid", required=True, help=GRID_HELP)
     p.add_argument("--out", default="mc.csv")
     p.add_argument("--full-precision", action="store_true")
     p.set_defaults(func=_cmd_mc)

@@ -12,18 +12,27 @@ expectation of any polynomial in the symbols is an exact rational.
 
 `RandomModel.second_moments` is the one exact E[P_n P_m] kernel, behind
 the moment matrix of `stats` and the mean-square norms (`poly_l2_norm`) of
-`check` and `majorant`.  It works over the *distinct* monomials u, v of all
-P_n, far fewer than their term pairs, reading each P_n as `Poly` stores it:
-integer numerators a_{n,u} over one denominator D_n, keyed by packed
-monomial keys k_u (see `poly`):
+`check` and `majorant`.  It works in exact polynomial chaos coordinates,
+reading each P_n as `Poly` stores it: integer numerators a_{n,u} over one
+denominator D_n, keyed by packed monomial keys u (see `poly`).
 
-1. `expect_monomial` runs once per distinct product key k_u + k_v, and
-   those moments become integers e over one common denominator D;
-2. with w_m[u] = sum_{v in P_m} e[k_u + k_v] a_{m,v}, the entry is
-   E[P_n P_m] = (sum_{u in P_n} a_{n,u} w_m[u]) / (D_n D_m D),
-   so the inner loops are pure integer arithmetic.  The Gram row
-   e[k_u + k_v] over all v is formed once per u and fills w_m[u] for every
-   m, so only one row is held at a time.
+1. Each distinct key splits into one local exponent pattern per block it
+   touches.  Per block, the patterns that occur, constant first and then
+   by total degree, give the Gram matrix G[p, q] = E[x^(p+q)] (block
+   moments memoized in `_moment_cache`), and its exact G = L D L^T gives
+   orthogonal polynomials phi_j with x^p_i = sum_j L[i, j] phi_j and
+   E[phi_j phi_k] = d_j [j = k].  A zero pivot d_j marks a pattern that is
+   a.s. a combination of earlier ones (A^2 = A for a Bernoulli A); phi_j
+   is then 0 a.s. and its column of L is set to zero.
+2. Blocks are independent, so a label alpha, one index j per block packed
+   into bit fields, names the product of the phi_j, with norm h_alpha the
+   product of their pivots.  A key expands into labels with integer
+   coefficients over the product of the blocks' L denominators, and P_n
+   sums those into integer coordinates c_n[alpha] over one denominator.
+3. E[P_n P_m] = sum_alpha c_n[alpha] c_m[alpha] h_alpha, an integer inner
+   loop per pair over one common denominator.  No moment is computed per
+   product monomial; `expect_monomial` is left to `expect_poly` and to the
+   pair-by-pair reference in `uqstats`.
 
 Sampling draws a whole batch of realizations from a caller-supplied
 `numpy.random.Generator`: one vectorized call per block, in declaration
@@ -33,11 +42,10 @@ order, so a fixed seed and batch size reproduce the exact draws.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -347,6 +355,41 @@ class MultinomialVector(Distribution):
         return counts
 
 
+def _ldl(gram: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact G = L D L^T from the lower rows of a Gram matrix; L is unit lower triangular.
+
+    Row i of L^-1 holds the coefficients of phi_i, the i-th orthogonal
+    polynomial, kept as integers over one denominator, so each of
+    L[i][j] d_j = E[x^p_i phi_j] and d_i = E[x^p_i phi_i] is one integer dot
+    product with row i of G.  A zero pivot marks a pattern that is a.s. a
+    combination of the earlier ones; its column of L, 0/0 in exact terms,
+    is set to zero.
+    """
+    lower: list[list[Fraction]] = []
+    pivots: list[Fraction] = []
+    phis: list[tuple[list[int], int]] = []  # (numerators over x^p_0..x^p_j, denominator)
+    cols: list[list[int]] = []  # cols[k][j - k]: numerator of x^p_k in phi_j
+    for g in gram:
+        g_den = math.lcm(*(f.denominator for f in g))
+        g_num = [f.numerator * (g_den // f.denominator) for f in g]
+        row = [Fraction(sum(map(mul, num, g_num)), den * g_den) / d if d else Fraction(0)
+               for (num, den), d in zip(phis, pivots)]
+        # phi_i = x^p_i - sum_j L[i][j] phi_j
+        scale = [f / den for f, (_, den) in zip(row, phis)]
+        den = math.lcm(*(f.denominator for f in scale))
+        weights = [f.numerator * (den // f.denominator) for f in scale]
+        num = [-sum(map(mul, weights[k:], col)) for k, col in enumerate(cols)] + [den]
+        common = math.gcd(*num)
+        num = [c // common for c in num]
+        phis.append((num, den // common))
+        cols.append([])
+        for col, c in zip(cols, num):
+            col.append(c)
+        pivots.append(Fraction(sum(map(mul, num, g_num)), phis[-1][1] * g_den))
+        lower.append(row + [Fraction(1)])
+    return lower, pivots
+
+
 def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 1:
         yield (n,)
@@ -440,6 +483,14 @@ class RandomModel:
         cached = self._monomial_cache.get(key)
         if cached is not None:
             return cached
+        total = Fraction(1)
+        for bidx, exps in self._block_exponents(key).items():
+            total *= self._block_moment(bidx, exps)
+        self._monomial_cache[key] = total
+        return total
+
+    def _block_exponents(self, key: int) -> dict[int, tuple[int, ...]]:
+        """A monomial key's exponent pattern in each block it touches, by block index."""
         per_block: dict[int, list[int]] = {}
         for sid, e in key_factors(key):
             info = self._owner.get(sid)
@@ -448,17 +499,15 @@ class RandomModel:
                     f"symbol id {sid} does not belong to this model"
                 )
             bidx, pos = info
-            exps = per_block.setdefault(bidx, [0] * len(self.blocks[bidx].symbols))
-            exps[pos] = e
-        total = Fraction(1)
-        for bidx, exps in per_block.items():
-            block_key = (bidx, tuple(exps))
-            moment = self._moment_cache.get(block_key)
-            if moment is None:
-                moment = self._moment_cache[block_key] = self.blocks[bidx].dist.joint_moment(exps)
-            total *= moment
-        self._monomial_cache[key] = total
-        return total
+            per_block.setdefault(bidx, [0] * len(self.blocks[bidx].symbols))[pos] = e
+        return {bidx: tuple(exps) for bidx, exps in per_block.items()}
+
+    def _block_moment(self, bidx: int, exps: tuple[int, ...]) -> Fraction:
+        """E[prod x^e] within one block, memoized per (block, exponent pattern)."""
+        moment = self._moment_cache.get((bidx, exps))
+        if moment is None:
+            moment = self._moment_cache[bidx, exps] = self.blocks[bidx].dist.joint_moment(exps)
+        return moment
 
     def expect_poly(self, p: Poly) -> Fraction:
         """Exact E[P] by linearity over terms."""
@@ -487,34 +536,88 @@ class RandomModel:
         return total / p.den
 
     def second_moments(self, polys: Sequence[Poly]) -> list[list[Fraction]]:
-        """Exact E[P_n P_m] for all n, m by the packed-key kernel (module docstring)."""
-        # Distinct monomial keys in order of first appearance, so those of
-        # P_0..P_m are a prefix of `keys`.
-        keys = list(dict.fromkeys(key for x in polys for key in x.terms))
+        """Exact E[P_n P_m] for all n, m, as Fractions, from chaos coordinates.
 
-        products = dict.fromkeys(ku + kv for i, ku in enumerate(keys) for kv in keys[i:])
-        moments = {k: self.expect_monomial(k) for k in products}
-        den = math.lcm(*(f.denominator for f in moments.values()))
-        scaled = {k: f.numerator * (den // f.denominator) for k, f in moments.items()}
+        The steps are those of the module docstring.  The result equals the
+        pair-by-pair sum of a_{n,u} a_{m,v} E[u v] exactly.  A symbol id the
+        model does not own raises MissingSymbolError.
+        """
+        keys = dict.fromkeys(key for x in polys for key in x.terms)
+        split = {key: self._block_exponents(key) for key in keys}
+        found: dict[int, set[tuple[int, ...]]] = {}  # non-constant patterns per block
+        for parts in split.values():
+            for bidx, exps in parts.items():
+                found.setdefault(bidx, set()).add(exps)
 
-        index = {key: i for i, key in enumerate(keys)}
-        cols = [[index[key] for key in x.terms] for x in polys]
-        nums = [x.terms.values() for x in polys]
+        # A label packs one orthogonal index j per block into a field of `width` bits.
+        width = max((len(pats).bit_length() for pats in found.values()), default=1)
+        l_dens = {}  # bidx -> lcm of the denominators of the block's L
+        rows = {}  # bidx -> {pattern: [(label field j << shift, numerator of L[i][j])]}
+        pivots = []  # per field: (lcm of the block's pivot denominators, pivot numerators)
+        for rank, (bidx, pats) in enumerate(found.items()):
+            zero = (0,) * len(self.blocks[bidx].symbols)
+            pats = [zero, *sorted(pats, key=lambda p: (sum(p), p))]
+            lower, d = _ldl([[self._block_moment(bidx, tuple(map(add, p, q)))
+                              for q in pats[:i + 1]] for i, p in enumerate(pats)])
+            den = l_dens[bidx] = math.lcm(*(f.denominator for row in lower for f in row))
+            rows[bidx] = {
+                p: [(j << rank * width, f.numerator * (den // f.denominator))
+                    for j, f in enumerate(row) if f]
+                for p, row in zip(pats[1:], lower[1:])
+            }
+            den = math.lcm(*(f.denominator for f in d))
+            pivots.append((den, [f.numerator * (den // f.denominator) for f in d]))
+        l_den = math.prod(l_dens.values())
+        h_den = math.prod(den for den, _ in pivots)
+
+        expansion = {}  # key -> [(label, coefficient over l_den)]
+        for key, parts in split.items():
+            scale = l_den
+            for bidx in parts:
+                scale //= l_dens[bidx]
+            terms = [(0, scale)]
+            for bidx, exps in parts.items():
+                terms = [(label + field, c * n)
+                         for label, c in terms for field, n in rows[bidx][exps]]
+            expansion[key] = terms
+
+        index: dict[int, int] = {}  # label -> position in `norms`
+        cols, nums, dens = [], [], []  # c_n[label] = nums[n][k] / dens[n]
+        for x in polys:
+            coords: dict[int, int] = {}
+            for key, a in x.terms.items():
+                for label, c in expansion[key]:
+                    coords[label] = coords.get(label, 0) + a * c
+            cols.append([index.setdefault(label, len(index)) for label in coords])
+            g = math.gcd(x.den * l_den, *coords.values())
+            nums.append([c // g for c in coords.values()])
+            dens.append(x.den * l_den // g)
+
+        mask = (1 << width) - 1
+        norms = []  # h_label over h_den
+        for label in index:
+            h = h_den
+            for den, block_pivots in pivots:
+                if not label:
+                    break
+                if label & mask:
+                    h = h // den * block_pivots[label & mask]
+                label >>= width
+            norms.append(h)
+        g = math.gcd(h_den, *norms)
+        norms = [h // g for h in norms]
+        h_den //= g
 
         n_tot = len(polys)
-        # the monomials of P_0..P_m are keys[:live[m]]
-        live = list(accumulate((max(c, default=-1) + 1 for c in cols), max))
-        w = [[] for _ in range(n_tot)]  # w[m] = w_m of the module docstring
-        for u, ku in enumerate(keys):
-            row = [scaled[ku + kv] for kv in keys]
-            for m in range(bisect_right(live, u), n_tot):
-                w[m].append(sum(map(mul, map(row.__getitem__, cols[m]), nums[m])))
-
         second = [[Fraction(0)] * n_tot for _ in range(n_tot)]
         for m in range(n_tot):
+            w = [0] * len(norms)  # c_m[label] h_label
+            for i, c in zip(cols[m], nums[m]):
+                w[i] = c * norms[i]
             for n in range(m + 1):
-                total = sum(map(mul, map(w[m].__getitem__, cols[n]), nums[n]))
-                second[n][m] = second[m][n] = Fraction(total, polys[n].den * polys[m].den * den)
+                total = sum(map(mul, map(w.__getitem__, cols[n]), nums[n]))
+                if total:  # many pairs share no label, e.g. by parity
+                    second[n][m] = second[m][n] = Fraction(total, dens[n] * dens[m] * h_den)
         return second
 
     def poly_l2_norm(self, p: Poly) -> float:

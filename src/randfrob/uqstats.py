@@ -10,7 +10,10 @@ coefficients:
 `moment_matrix` computes those moments once per solve (they are exact
 rationals): the means by `RandomModel.expect_poly`, the second moments by
 `RandomModel.second_moments`, the one exact kernel that `check` and
-`majorant` also use for their mean-square norms.  Each `MomentMatrix`
+`majorant` also use for their mean-square norms.  That kernel expands the
+X_n in exact polynomial chaos coordinates per dependence block, so each
+E[X_n X_m] is a diagonal sum over orthogonal labels, with no moment
+computed per product monomial (see `randmodel`).  Each `MomentMatrix`
 groups E[X_n X_m] by the power n + m once (`power_sums`); `exact_stats`
 then evaluates both sums by Horner in tau at one time, and `stat_curves`
 is `exact_stats` at each grid point, emitted as floats.
@@ -119,7 +122,8 @@ def moment_matrix(
 ) -> MomentMatrix:
     """Exact E[X_n] and E[X_n X_m] for all coefficient pairs.
 
-    Every entry comes from the packed-key kernel, except that with a
+    Every entry comes from the chaos-coordinate kernel
+    `RandomModel.second_moments`, except that with a
     `pair_threshold` the pairs (X_n, X_m) of more than that many term pairs
     are recomputed by the pair-by-pair reference `_pairwise_expect`;
     `pair_threshold=0` sends every nonzero pair through the reference.

@@ -1,6 +1,7 @@
 """Command-line interface and problem-file handling, end to end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -159,6 +160,32 @@ class TestCommands:
         assert len(lines) == 8
         assert lines[1] == "0,1,0.5"
         assert lines[7].startswith("1.5,4.34784,6.941")
+
+    def test_stats_beta_series_declared_order(self, capsys, tmp_path):
+        # the declared order 20: 3 299 distinct monomials in X_0..X_20
+        out_path = tmp_path / "stats.csv"
+        code, _, _ = run(capsys, "stats", "beta_series", "--grid", "0:0.9:0.3",
+                         "--full-precision", "--out", str(out_path))
+        assert code == 0
+        curve = read_curve(out_path)
+        spec = rf.load_problem("beta_series")
+        means = [spec.model.expect_poly(x) for x in rf.compute_coeffs(spec, 20).X]
+        assert curve.grid == [0.0, 0.3, 0.6, 0.9]
+        assert curve.mean == [
+            float(sum(m * t**n for n, m in enumerate(means))) for t in parse_grid("0:0.9:0.3")
+        ]
+        assert all(math.isfinite(v) and v >= 0 for v in curve.variance)
+
+    @pytest.mark.parametrize("command", [
+        ("stats", "hermite_forced"),
+        ("mc", "hermite_forced", "--method", "series", "--samples", "100"),
+    ])
+    def test_negative_grid_start(self, capsys, tmp_path, command):
+        # "--grid -0.5:..." reads as an option to argparse; the "=" form does not
+        out_path = tmp_path / "curve.csv"
+        code, _, _ = run(capsys, *command, "--grid=-0.5:0.5:0.5", "--out", str(out_path))
+        assert code == 0
+        assert read_curve(out_path).grid == [-0.5, 0.0, 0.5]
 
     def test_stats_byte_identical_reruns(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

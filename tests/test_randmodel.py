@@ -198,6 +198,18 @@ class TestExpectPoly:
         with pytest.raises(rf.MissingSymbolError):
             model.expect_poly(Poly.symbol(9))
 
+    def test_unknown_symbol_in_second_moments(self):
+        # a foreign id fails loudly in the chaos kernel too, not as a KeyError
+        model = example_model()
+        foreign = Poly.symbol(0) * Poly.symbol(9) + 1
+        with pytest.raises(rf.MissingSymbolError, match="symbol id 9"):
+            model.second_moments([Poly.symbol(1), foreign])
+        with pytest.raises(rf.MissingSymbolError, match="symbol id 9"):
+            model.poly_l2_norm(foreign)
+
+    def test_second_moments_of_nothing(self):
+        assert example_model().second_moments([]) == []
+
     def test_memoization_bit_identical(self):
         # a second, cached query vs a fresh model's first
         model = example_model()

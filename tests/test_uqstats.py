@@ -52,7 +52,7 @@ class TestMomentMatrix:
 
 
 def assert_kernel_matches_reference(coeffs, model):
-    """The packed-key kernel equals the pair-by-pair reference exactly."""
+    """The chaos-coordinate kernel equals the pair-by-pair reference exactly."""
     sol = rf.SeriesSolution(X=list(coeffs), order=len(coeffs) - 1, spec=None)
     kernel = rf.moment_matrix(sol, model)
     reference = rf.moment_matrix(sol, model, pair_threshold=0)
@@ -78,6 +78,37 @@ _monomials = st.lists(st.integers(0, 4), min_size=5, max_size=5).map(
 _polys = st.dictionaries(
     _monomials, st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=4
 ).map(lambda terms: OraclePoly(terms).packed())
+
+
+_third = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_block_dists = st.one_of(
+    _third.map(rf.PointMass),
+    st.fractions(min_value=0, max_value=1, max_denominator=4).map(rf.Bernoulli),
+    st.tuples(_third, st.integers(1, 3)).map(lambda ab: rf.Uniform(ab[0], ab[0] + ab[1])),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda sr: rf.Gamma(*sr)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda ab: rf.Beta(*ab)),
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=2, max_size=3)
+              .filter(any)).map(
+        lambda tw: rf.MultinomialVector(tw[0], [Fraction(w, sum(tw[1])) for w in tw[1]])),
+    # exponents up to 4 pass a support of at most 3 points
+    st.lists(_third, min_size=1, max_size=3, unique=True).map(
+        lambda xs: rf.FiniteDiscrete(xs, [Fraction(1, len(xs))] * len(xs))),
+)
+
+
+@st.composite
+def block_models_and_coeffs(draw):
+    """A model of 1-4 random independent blocks and a few polynomials in its symbols."""
+    table, blocks = rf.SymbolTable(), []
+    for b, dist in enumerate(draw(st.lists(_block_dists, min_size=1, max_size=4))):
+        symbols = tuple(table.add(f"Z{b}_{i}") for i in range(dist.arity))
+        blocks.append(rf.DependenceBlock(symbols, dist))
+    monomials = st.dictionaries(st.integers(0, len(table) - 1), st.integers(1, 4),
+                                max_size=3).map(lambda m: tuple(sorted(m.items())))
+    polys = st.dictionaries(
+        monomials, st.fractions(min_value=-10, max_value=10, max_denominator=12), max_size=4
+    ).map(lambda terms: OraclePoly(terms).packed())
+    return rf.RandomModel(table, blocks), draw(st.lists(polys, min_size=1, max_size=4))
 
 
 def edge_model():
@@ -139,6 +170,13 @@ class TestMomentKernel:
     )
     def test_edge_cases_match_reference(self, case):
         assert_kernel_matches_reference(edge_coeffs(case), edge_model()[0])
+
+    @given(block_models_and_coeffs())
+    @settings(max_examples=60, deadline=None)
+    def test_random_block_models_match_reference(self, case):
+        # zero pivots: point masses, degenerate Bernoullis, powers past a finite support
+        model, coeffs = case
+        assert_kernel_matches_reference(coeffs, model)
 
     def test_constants_are_products(self):
         coeffs = edge_coeffs("constants")
