@@ -478,6 +478,10 @@ def _explicit_series(label: str, entries, table: SymbolTable) -> SeriesProcess:
 
 
 _GENERATOR_FAMILIES = ("iid", "inverse_square")
+# Largest M a generator expands to.  Each index adds a term, and an iid index
+# a symbol, whose packed monomial key grows with the symbol count: about
+# 2*M^2 bytes in all, so building beta_series at M = 4096 adds about 38 MB.
+MAX_GENERATOR_M = 4096
 
 
 def _expand_generator(
@@ -496,7 +500,8 @@ def _expand_generator(
 
     M defaults to twice the problem's default truncation order: input terms
     beyond the output order cannot influence the computed coefficients, so
-    2N is a safe and cheap cover for any solve at order <= N.
+    2N is a safe and cheap cover for any solve at order <= N.  An M, given
+    or default, over MAX_GENERATOR_M raises SpecError before any term is built.
     """
     if not isinstance(gen, Mapping):
         raise SpecError(f"generator for series {label} must be an object")
@@ -507,6 +512,10 @@ def _expand_generator(
         )
     m_value = gen.get("M")
     order = 2 * default_order if m_value is None else _read_int(m_value, f"generator {label}: M", 0)
+    if order > MAX_GENERATOR_M:
+        given = f"M = {m_value!r}" if m_value is not None else (
+            f"M (by default 2 x order {default_order}) = {order}")
+        raise SpecError(f"generator {label}: {given} is over the limit {MAX_GENERATOR_M}")
 
     if family == "inverse_square":
         unknown = set(gen) - {"family", "M"}

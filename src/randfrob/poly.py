@@ -43,6 +43,11 @@ from .errors import ExponentOverflowError, MissingSymbolError, SpecError
 
 FIELD_BITS = 32  # bits per symbol in a monomial key, a whole number of bytes
 EXP_LIMIT = 1 << (FIELD_BITS - 1)
+# Largest decimal exponent `to_fraction` reads, as in "1e4300": the digit
+# limit Python puts on decimal integer text.  Fraction("1e10000000") would
+# build a ten-million-digit power of ten, which takes seconds.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT_RE = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
 def to_fraction(value) -> Fraction:
@@ -50,11 +55,20 @@ def to_fraction(value) -> Fraction:
 
     Floats convert via their exact binary value; decimal strings convert with
     decimal semantics, so prefer strings (or ints) wherever exactness matters.
+    A decimal exponent beyond +-MAX_DECIMAL_EXPONENT raises SpecError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
+    if isinstance(value, str):
+        exponent = _EXPONENT_RE.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise SpecError(
+                f"cannot read {value[:40]!r} as a rational number: its decimal exponent"
+                f" is beyond +-{MAX_DECIMAL_EXPONENT}"
+            )
     if isinstance(value, (int, float, str)):
         try:
             return Fraction(value)

@@ -4,10 +4,13 @@ All probabilistic structure lives here.  A `RandomModel` partitions the
 symbols of a `SymbolTable` into mutually independent dependence blocks;
 within a block the joint distribution may couple its symbols (the
 multinomial vector being the canonical example).  `Distribution.joint_moment`
-checks its exponents and computes a block's moment in closed form or by
-exhaustive enumeration of a finite support, always as an exact `Fraction`:
-distribution parameters are coerced to rationals on construction, so the
-expectation of any polynomial in the symbols is an exact rational.
+checks its exponents and computes a block's moment in closed form, always
+as an exact `Fraction`: distribution parameters are coerced to rationals on
+construction, so the expectation of any polynomial in the symbols is an
+exact rational.  The counting kinds (Bernoulli, binomial, multinomial)
+share one rule through their factorial moments, at a cost set by the
+exponents and not by the number of trials; `finite_discrete` sums over its
+listed points.
 `RandomModel.expect_monomial` caches those block moments and multiplies them.
 
 `RandomModel.second_moments` is the one exact E[P_n P_m] kernel, behind
@@ -46,7 +49,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -143,29 +146,60 @@ class PointMass(Distribution):
         return np.full(size, float(self.value))
 
 
+def _stirling2(e: int, j: int) -> int:
+    """S(e, j), the number of ways to split e labelled items into j nonempty sets."""
+    total = sum((-1) ** (j - i) * math.comb(j, i) * i**e for i in range(j + 1))
+    return total // math.factorial(j)
+
+
+class _Counting(Distribution):
+    """Category counts of `trials` independent draws with category probabilities `probs`.
+
+    A kind supplies `trials` and `probs`; the probabilities may sum to less
+    than 1, the rest going to an uncounted category.  Moments come from the
+    factorial moments E[prod (Z_i)_{j_i}] = (n)_{|j|} prod p_i^{j_i} and
+    z^e = sum_j S(e, j) (z)_j, so their cost grows with the exponents, not
+    with `trials`.
+    """
+
+    def _moment(self, exponents: Sequence[int]) -> Fraction:
+        n = self.trials
+        weights = {0: Fraction(1)}  # |j| so far -> sum of prod S(e_i, j_i) p_i^{j_i}
+        for e, p in zip(exponents, self.probs):
+            terms = [(j, _stirling2(e, j) * p**j) for j in range(min(e, n) + 1)]
+            step: dict[int, Fraction] = {}
+            for k, w in weights.items():
+                for j, s in terms:
+                    if s and k + j <= n:
+                        step[k + j] = step.get(k + j, 0) + w * s
+            weights = step
+        return sum((math.perm(n, k) * w for k, w in weights.items()), Fraction(0))
+
+    def component_linfty(self, index: int) -> Fraction:
+        return Fraction(self.trials) if self.probs[index] > 0 else Fraction(0)
+
+    def linfty(self) -> Fraction:
+        return max(map(self.component_linfty, range(self.arity)))
+
+
 @dataclass(frozen=True)
-class Bernoulli(Distribution):
+class Bernoulli(_Counting):
     p: Fraction
 
     kind = "bernoulli"
+    trials = 1
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
+        object.__setattr__(self, "probs", (self.p,))
         object.__setattr__(self, "_p_float", float(self.p))
-
-    def _raw_moment(self, k: int) -> Fraction:
-        # 0/1 support: Z^k = Z for k >= 1.
-        return Fraction(1) if k == 0 else self.p
-
-    def linfty(self) -> Fraction:
-        return Fraction(1) if self.p > 0 else Fraction(0)
 
     def sample(self, stream, size: int) -> np.ndarray:
         return (stream.random(size) < self._p_float).astype(float)
 
 
 @dataclass(frozen=True)
-class Binomial(Distribution):
+class Binomial(_Counting):
     n: int
     p: Fraction
 
@@ -174,18 +208,8 @@ class Binomial(Distribution):
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n, "binomial n"))
         object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
-
-    def _raw_moment(self, k: int) -> Fraction:
-        if k == 0:
-            return Fraction(1)
-        q = 1 - self.p
-        total = Fraction(0)
-        for i in range(self.n + 1):
-            total += math.comb(self.n, i) * self.p**i * q ** (self.n - i) * i**k
-        return total
-
-    def linfty(self) -> Fraction:
-        return Fraction(self.n) if self.p > 0 else Fraction(0)
+        object.__setattr__(self, "trials", self.n)
+        object.__setattr__(self, "probs", (self.p,))
 
     def sample(self, stream, size: int) -> np.ndarray:
         return stream.binomial(self.n, float(self.p), size).astype(float)
@@ -296,7 +320,7 @@ class FiniteDiscrete(Distribution):
 
 
 @dataclass(frozen=True)
-class MultinomialVector(Distribution):
+class MultinomialVector(_Counting):
     trials: int
     probs: tuple[Fraction, ...]
 
@@ -317,30 +341,6 @@ class MultinomialVector(Distribution):
     @property
     def arity(self) -> int:
         return len(self.probs)
-
-    def support(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """All count vectors summing to `trials`, with exact pmf weights."""
-        for counts in _compositions(self.trials, self.arity):
-            pmf = Fraction(math.factorial(self.trials))
-            for c, p in zip(counts, self.probs):
-                pmf = pmf / math.factorial(c) * p**c
-            yield counts, pmf
-
-    def _moment(self, exponents: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for counts, pmf in self.support():
-            value = Fraction(1)
-            for c, e in zip(counts, exponents):
-                if e:
-                    value *= c**e
-            total += pmf * value
-        return total
-
-    def linfty(self) -> Fraction:
-        return Fraction(self.trials)
-
-    def component_linfty(self, index: int) -> Fraction:
-        return Fraction(self.trials) if self.probs[index] > 0 else Fraction(0)
 
     def sample(self, stream, size: int) -> np.ndarray:
         # Sequential binomial decomposition: condition each category count on
@@ -388,15 +388,6 @@ def _ldl(gram: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fractio
         pivots.append(Fraction(sum(map(mul, num, g_num)), phis[-1][1] * g_den))
         lower.append(row + [Fraction(1)])
     return lower, pivots
-
-
-def _compositions(n: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
 
 
 _DISTRIBUTIONS = {

@@ -1,10 +1,11 @@
 """Problem-file loading, canonical serialization, and bundled problems.
 
 Problem files are JSON documents (conventionally *.spec).  Numeric literals
-are read with decimal semantics into exact rationals, so `0.35` means
-exactly 7/20; rationals may also be written as strings like "7/20".  The
-canonical serialization renders every rational as such a string with sorted
-keys, and round-trips: loading the canonical form yields the same problem.
+are read with decimal semantics into exact rationals by `poly.to_fraction`,
+so `0.35` means exactly 7/20; rationals may also be written as strings like
+"7/20".  The canonical serialization renders every rational as such a string
+with sorted keys, and round-trips: loading the canonical form yields the
+same problem.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import SpecError
+from .poly import to_fraction
 
 _PROBLEM_DIR = Path(__file__).resolve().parent / "problems"
 _SUFFIX = ".spec"
@@ -31,7 +33,7 @@ def load_document(path) -> dict:
 
 def parse_document(text: str, source: str = "<string>") -> dict:
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=to_fraction)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

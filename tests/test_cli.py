@@ -45,6 +45,12 @@ class TestGridParsing:
         with pytest.raises(rf.SpecError, match="more than"):
             parse_grid(f"0:1:1/{MAX_GRID_POINTS}")
 
+    def test_decimal_exponent_limit(self, capsys):
+        with pytest.raises(rf.SpecError, match="grid bounds must be rationals"):
+            parse_grid("0:1e10000000:1")
+        code, _, err = run(capsys, "stats", "hermite_forced", "--grid", "0:1e10000000:1")
+        assert code == 1 and err.count("error:") == 1
+
 
 class TestDocuments:
     def test_decimal_literals_exact(self):

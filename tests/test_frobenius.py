@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_coefficients
-from randfrob.frobenius import coeff_recursion
+from randfrob.frobenius import MAX_GENERATOR_M, coeff_recursion
 from randfrob.specfile import parse_document
 from conftest import (
     UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, finite_support_docs, rk4_docs, scalar_series_coeffs,
@@ -83,6 +83,29 @@ class TestBuildProblem:
         spec = build_problem(doc)
         assert sorted(spec.a.coeffs) == list(range(13))
 
+    @pytest.mark.parametrize("gen", [
+        {"family": "iid", "dist": "beta", "params": {"alpha": 11, "beta": 15}, "M": 10**9},
+        {"family": "inverse_square", "M": 10**9},
+    ], ids=["iid", "inverse_square"])
+    def test_generator_m_over_limit(self, gen):
+        # rejected before any of the 10^9 + 1 terms or symbols is built
+        doc = {"symbols": [{"name": "Y0", "dist": "pointmass", "params": {"value": 1}}],
+               "generators": {"A": gen}, "initial": {"Y0": "Y0", "Y1": 0}}
+        with pytest.raises(SpecError, match=re.escape(
+                f"generator A: M = {10**9} is over the limit {MAX_GENERATOR_M}")):
+            build_problem(doc)
+
+    def test_default_generator_m_over_limit(self):
+        doc = {"problem": {"order": 10**6},
+               "symbols": [{"name": "Y0", "dist": "pointmass", "params": {"value": 1}}],
+               "generators": {"B": {"family": "inverse_square"}},
+               "initial": {"Y0": "Y0", "Y1": 0}}
+        with pytest.raises(SpecError, match=re.escape(
+                f"generator B: M (by default 2 x order {10**6}) = {2 * 10**6} is over the limit")):
+            build_problem(doc)
+        doc["generators"]["B"]["M"] = MAX_GENERATOR_M  # an explicit M in the limit is read
+        assert sorted(build_problem(doc).b.coeffs) == list(range(1, MAX_GENERATOR_M + 1))
+
     @pytest.mark.parametrize("doc,message", [
         ('[1]', "top level must be a JSON object"),
         ([1], "problem document must be a JSON object"),
@@ -141,6 +164,11 @@ class TestBuildProblem:
         ({"series": {"B": [{"n": 0, "value": "A**2"}]}}, "cannot parse polynomial near '**2'"),
         ({"series": {"B": [{"n": 0, "value": "3/0*A"}]}}, "cannot read '3/0' as a rational number"),
         ({"series": {"B": [{"n": 0, "value": "A^2/0"}]}}, "cannot read '2/0' as a rational number"),
+        ('{"problem": {"t0": 1e10000000}}', "decimal exponent is beyond +-4300"),
+        ({"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1e-10000000"}}]},
+         "cannot read '1e-10000000' as a rational number: its decimal exponent is beyond"),
+        ({"series": {"B": [{"n": 0, "value": "1e10000000*A"}]}},
+         "cannot read '1e10000000' as a rational number: its decimal exponent is beyond"),
     ])
     def test_error_catalogue(self, doc, message):
         base = {

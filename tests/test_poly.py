@@ -9,7 +9,7 @@ import pytest
 from randfrob import MissingSymbolError, Poly, SpecError, SymbolTable, format_poly, parse_poly
 from randfrob.errors import ExponentOverflowError
 from randfrob.mcengine import _EvalPlan
-from randfrob.poly import EXP_LIMIT
+from randfrob.poly import EXP_LIMIT, MAX_DECIMAL_EXPONENT, to_fraction
 from conftest import OraclePoly, decode_key
 
 
@@ -235,6 +235,22 @@ class TestExponentLimit:
         assert OraclePoly.of(p).terms == {((a, half), (y0, half)): 1, ((y0, half),): 1}
         with pytest.raises(ExponentOverflowError):
             p * parse_poly(f"A^{half}", table)
+
+
+class TestDecimalExponentLimit:
+    def test_exponents_in_the_limit_are_read(self, table):
+        assert to_fraction("1e400") == 10**400
+        small = Fraction(25, 10 ** (MAX_DECIMAL_EXPONENT + 1))
+        assert to_fraction(f" 2.5E-{MAX_DECIMAL_EXPONENT} ") == small
+        assert parse_poly("-1e300*A", table) == -(10**300) * sym(table, "A")
+
+    @pytest.mark.parametrize("text", [
+        "1e10000000", f"1e{MAX_DECIMAL_EXPONENT + 1}", f"-2.5E-{MAX_DECIMAL_EXPONENT + 1}",
+        "1e1_0000", "1e" + "9" * 5000,
+    ], ids=["1e10000000", "just-over", "negative", "underscores", "5000-digit-exponent"])
+    def test_exponents_beyond_the_limit_fail(self, text):
+        with pytest.raises(SpecError, match="decimal exponent is beyond"):
+            to_fraction(text)
 
 
 class TestSymbolTable:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 import randfrob as rf
@@ -145,6 +147,92 @@ class TestJointMoments:
         prod = draws[:, 0] * draws[:, 1]
         se = prod.std(ddof=1) / math.sqrt(n)
         assert abs(prod.mean() - float(enumeration_moment((1, 1)))) < 5 * se
+
+
+def counting_support(trials, probs):
+    """(counts, pmf) of every outcome of `trials` draws over the categories of `probs`.
+
+    The reference for the counting kinds: the counts of the categories of
+    `probs`, plus an uncounted rest category of probability 1 - sum(probs),
+    enumerated composition by composition with exact multinomial weights.
+    """
+    cats = [Fraction(p) for p in probs] + [1 - sum(Fraction(p) for p in probs)]
+
+    def compositions(n, parts):
+        if parts == 1:
+            yield (n,)
+            return
+        for head in range(n + 1):
+            for tail in compositions(n - head, parts - 1):
+                yield (head,) + tail
+
+    for counts in compositions(trials, len(cats)):
+        pmf = Fraction(math.factorial(trials))
+        for c, p in zip(counts, cats):
+            pmf = pmf / math.factorial(c) * p**c
+        yield counts[:-1], pmf
+
+
+def enumerated_moment(trials, probs, exps):
+    return sum((pmf * math.prod(c**e for c, e in zip(counts, exps))
+                for counts, pmf in counting_support(trials, probs)), Fraction(0))
+
+
+_probability = st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=7)
+
+
+@st.composite
+def counting_kinds(draw):
+    """(dist, trials, probs): a Bernoulli, binomial or multinomial of 0-6 trials."""
+    arity = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["bernoulli", "binomial", "multinomial"] if arity == 1
+                                else ["multinomial"]))
+    if kind == "multinomial":
+        weights = draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity)
+                       .filter(any))
+        probs = tuple(Fraction(w, sum(weights)) for w in weights)
+        trials = draw(st.integers(0, 6))
+        return MultinomialVector(trials, probs), trials, probs
+    p = draw(_probability)
+    if kind == "bernoulli":
+        return Bernoulli(p), 1, (p,)
+    trials = draw(st.integers(0, 6))
+    return Binomial(trials, p), trials, (p,)
+
+
+class TestCountingKinds:
+    @given(counting_kinds(), st.lists(st.integers(0, 6), min_size=3, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_enumeration(self, case, exps):
+        dist, trials, probs = case
+        exps = exps[:dist.arity]
+        assert dist.joint_moment(exps) == enumerated_moment(trials, probs, exps)
+        support = list(counting_support(trials, probs))
+        for i in range(dist.arity):
+            top = max(counts[i] for counts, pmf in support if pmf > 0)
+            assert dist.component_linfty(i) == top
+
+    def test_bernoulli_power_at_exponent_limit(self):
+        # Z^e = Z on {0, 1}: one trial bounds the Stirling terms to j <= 1 at any e
+        assert Bernoulli(Fraction(7, 20)).raw_moment(EXP_LIMIT - 1) == Fraction(7, 20)
+
+    def test_large_binomial_fourth_moment(self):
+        # The fourth derivative at t = 0 of the generating function (1 - p + p e^t)^n.
+        def fourth(n, p):
+            return (n * p + (7 * n**2 - 7 * n) * p**2 + (6 * n**3 - 18 * n**2 + 12 * n) * p**3
+                    + (n**4 - 6 * n**3 + 11 * n**2 - 6 * n) * p**4)
+
+        p = Fraction(1, 3)
+        for n in range(6):
+            assert fourth(n, p) == enumerated_moment(n, (p,), (4,))
+        assert Binomial(10**6, p).raw_moment(4) == fourth(10**6, p)
+
+    def test_large_multinomial_cross_moment(self):
+        # (Y, n - Y) with Y ~ binomial(n, 1/5): integer weights comb(n, y) 4^(n - y) over 5^n
+        n = 2000
+        total = sum(math.comb(n, y) * 4 ** (n - y) * y**3 * (n - y) ** 3 for y in range(n + 1))
+        dist = MultinomialVector(n, (Fraction(1, 5), Fraction(4, 5)))
+        assert dist.joint_moment((3, 3)) == Fraction(total, 5**n)
 
 
 def example_model():
