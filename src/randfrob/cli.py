@@ -139,7 +139,12 @@ def _cmd_check(args) -> int:
             print(f"  {c.label}: mean-square norm {c.norm:.6g} [{tag}]")
         for msg in report.messages:
             print(f"note: {msg}")
-    return 0 if report.status != "fail" else 1
+    if report.status != "fail":
+        return 0
+    failed = ([f"{c.series}_{c.n}" for c in report.coefficients if not c.bounded]
+              + [c.label for c in report.l2 if not c.finite])
+    print(f"error: hypotheses fail for {', '.join(failed)}", file=sys.stderr)
+    return 1
 
 
 def _cmd_solve(args) -> int:

@@ -448,7 +448,7 @@ def _make_dist(entry: Mapping, context: str):
         raise SpecError(f"{context}: unknown key(s) {sorted(extra)}")
     try:
         return distribution_from_spec(kind, dict(params))
-    except DistributionError as exc:
+    except (DistributionError, SpecError) as exc:  # SpecError: a number `to_fraction` cannot read
         raise SpecError(f"{context}: {exc}") from exc
 
 

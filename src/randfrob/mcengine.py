@@ -28,6 +28,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +43,9 @@ CHUNK = 8192
 # Every RK4 step costs four stage evaluations per draw; the benchmark takes
 # 1 500 steps and the tests at most 10 000, so 10^7 only stops runaways.
 MAX_RK4_STEPS = 10**7
+# A group's RK4 step maps are built this many steps at a time, so their
+# memory does not grow with the step count.
+STEP_BLOCK = 1024
 CI_MULTIPLIER = 1.96  # normal-approximation 95% interval; not configurable
 
 THREADS_ENV = "RANDFROB_THREADS"
@@ -255,6 +259,18 @@ def _steps_for(delta: float, h: float) -> int:
     return n
 
 
+def _int_power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e elementwise by repeated squaring, so each value's bits depend only on x and e."""
+    result = np.ones_like(x)
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
 def mc_rk4(
     spec: ProblemSpec,
     model: RandomModel,
@@ -272,15 +288,20 @@ def mc_rk4(
     The equation is linear, so draws that share their a and b share one
     basis: x = Y0 phi0 + Y1 phi1 + sum_j c_j psi_j over the stored C terms.
     A chunk's draws are grouped by their A/B plan rows.  A group with more
-    draws than the n_basis = (C terms + 2) basis columns is integrated as
-    those columns and combined per draw; every other draw is its own column,
-    so a chunk where no group forms is integrated bit for bit as per draw.
+    draws than the n_basis = (C terms + 2) basis columns integrates those
+    columns and combines them per draw; every other draw is its own column
+    of one RK4 pass over the chunk's single draws, so a chunk where no group
+    forms is integrated bit for bit as per draw.
 
-    A state matrix of basis columns only is memoized on its bytes for this
-    call, so chunks that meet the same A/B values integrate once.  The memo
-    is never keyed on one group: a column's bits depend on the width of the
-    matrix it is integrated in, and only a whole-matrix key keeps the output
-    independent of which chunk, or thread, gets there first.
+    Within a group a(tau) and b(tau) are scalars, so an RK4 step is one
+    affine map S -> P_i S + Q_i of the group's (2, n_basis) state of x and
+    x': P_i (2 x 2) composes the stages' L = [[0, 1], [-b, -a]], and Q_i
+    carries each C term's forcing [0, tau^n_j].  The maps are built for
+    STEP_BLOCK steps at a time with whole-array operations, then applied in
+    order.  A group's basis paths depend only on its A/B values, so they are
+    memoized on those values' bytes for this call: chunks that meet the same
+    group integrate it once, and the output does not depend on which chunk,
+    or thread, gets there first.
     """
     t0 = float(spec.t0)
     ts = [float(t) for t in grid]
@@ -309,7 +330,9 @@ def mc_rk4(
             n = _steps_for(delta, cfg.rk4_step)
             legs.append((t_prev, n, delta / n))
         t_prev = t
-    check_steps(sum(n for _, n, _ in legs))
+    ends = list(accumulate(n for _, n, _ in legs))  # steps taken at each grid point
+    total = ends[-1] if ends else 0
+    check_steps(total)
 
     # Plan rows: each stored A_n, B_n, C_n with n <= input_truncation, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
@@ -355,7 +378,73 @@ def mc_rk4(
             paths[g, :] = x
         return paths
 
-    memo: dict[bytes, np.ndarray] = {}  # whole state matrices only; see the docstring
+    # Per leg: its start time and step size, and the steps taken before and after it.
+    leg_t = np.array([t_start for t_start, _, _ in legs])
+    leg_h = np.array([h for _, _, h in legs])
+    leg_end = np.array(ends, dtype=np.int64)
+    leg_first = leg_end - [n for _, n, _ in legs]
+    # at_power[e]: the plan rows of the A/B/C terms of index e
+    at_power: dict[int, list[int]] = {}
+    for j, (_, n, _) in enumerate(terms):
+        at_power.setdefault(n, []).append(j)
+
+    def field(ab: np.ndarray, tau: np.ndarray):
+        """a and b at each tau, as columns, and the (tau, n_basis) forcing of each basis column."""
+        a_b = np.zeros((2, len(tau)))
+        forcing = np.zeros((len(tau), n_basis))  # the Y0 and Y1 columns are unforced
+        for e, term_rows in at_power.items():
+            power = _int_power(tau, e)
+            for j in term_rows:
+                if j < n_ab:
+                    a_b[terms[j][0]] += ab[j] * power
+                else:
+                    forcing[:, j - n_ab] = power
+        return a_b[0][:, None], a_b[1][:, None], forcing
+
+    def slope(at, m: np.ndarray) -> np.ndarray:
+        """The slopes (v, c - b x - a v) at states (x, v) = K S + F, as maps [K | F] like `m`."""
+        a, b, forcing = at
+        out = np.empty(m.shape)
+        out[:, 0] = m[:, 1]
+        out[:, 1] = -b * m[:, 0] - a * m[:, 1]
+        out[:, 1, 2:] += forcing
+        return out
+
+    identity = np.eye(2, 2 + n_basis)  # the state S itself, as a map [I | 0]
+
+    def step_maps(ab: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """P_i and Q_i of steps lo .. hi - 1 for a group with A/B plan rows `ab`."""
+        step = np.arange(lo, hi)
+        leg = np.searchsorted(leg_end, step, side="right")
+        h = leg_h[leg]
+        tau_a = leg_t[leg] + (step - leg_first[leg]) * h - t0
+        start, mid, end = (field(ab, tau) for tau in (tau_a, tau_a + h / 2, tau_a + h))
+        h = h[:, None, None]
+        k1 = slope(start, np.broadcast_to(identity, (len(step),) + identity.shape))
+        k2 = slope(mid, identity + (h / 2) * k1)
+        k3 = slope(mid, identity + (h / 2) * k2)
+        k4 = slope(end, identity + h * k3)
+        maps = identity + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return np.ascontiguousarray(maps[:, :, :2]), np.ascontiguousarray(maps[:, :, 2:])
+
+    def group_paths(ab: np.ndarray) -> np.ndarray:
+        """The (grid, n_basis) basis paths of a group with A/B plan rows `ab`."""
+        state = np.eye(2, n_basis, n_basis - 2)  # the C columns start at rest; Y0, Y1 at I
+        paths = np.empty((len(ts), n_basis))
+        g = 0
+        for lo in range(0, total, STEP_BLOCK):
+            p, q = step_maps(ab, lo, min(lo + STEP_BLOCK, total))
+            for step, (p_i, q_i) in enumerate(zip(p, q), lo):
+                while ends[g] == step:
+                    paths[g] = state[0]
+                    g += 1
+                state = p_i @ state + q_i
+        paths[g:] = state[0]
+        return paths
+
+    # A group's basis paths, keyed on its A/B values; two threads that both
+    # miss build the same bits, so the race is harmless.
+    memo: dict[bytes, np.ndarray] = {}
 
     def worker(start: int, count: int):
         rows = plan(_sample_matrix(model, cfg.seed, start, count))
@@ -367,26 +456,16 @@ def mc_rk4(
         order = np.argsort(inverse, kind="stable")
         groups = [order[bounds[g]:bounds[g + 1]] for g in np.flatnonzero(counts > n_basis)]
         singles = np.flatnonzero(counts[inverse] <= n_basis)
-        width = len(groups) * n_basis
-
-        state = np.empty((plan.rows, width + len(singles)))
-        for j, members in enumerate(groups):
-            block = state[:, j * n_basis:(j + 1) * n_basis]
-            block[:n_ab] = rows[:n_ab, members[:1]]
-            block[n_ab:] = np.eye(n_basis)  # C rows, then Y0, then Y1
-        state[:, width:] = rows[:, singles]
-        if len(singles):
-            out = integrate(state)
-        else:
-            key = state.tobytes()
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = integrate(state)
 
         paths = np.empty((len(ts), count))
-        paths[:, singles] = out[:, width:]
-        for j, members in enumerate(groups):
-            basis = out[:, j * n_basis:(j + 1) * n_basis]
+        if len(singles):
+            paths[:, singles] = integrate(np.ascontiguousarray(rows[:, singles]))
+        for members in groups:
+            ab = rows[:n_ab, members[0]]
+            key = ab.tobytes()
+            basis = memo.get(key)
+            if basis is None:
+                basis = memo[key] = group_paths(ab)
             if np.isfinite(basis).all():
                 paths[:, members] = basis @ rows[n_ab:, members]
             else:  # inf * 0 would make nan of a draw whose data are zero

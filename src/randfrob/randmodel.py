@@ -112,6 +112,12 @@ def _check_count(value, what: str) -> int:
     count = to_fraction(value)
     if count.denominator != 1 or count < 0:
         raise DistributionError(f"{what} must be a nonnegative integer, got {value!r}")
+    try:  # every moment and sup bound of the counts is read as a float
+        float(count)
+    except OverflowError:
+        raise DistributionError(
+            f"{what} is out of float range, got a value of {len(str(count))} digits"
+        ) from None
     return int(count)
 
 

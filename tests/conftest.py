@@ -7,11 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import mcengine
 from randfrob.poly import FIELD_BITS
+
+# A failing property prints the @reproduce_failure line that replays it;
+# example counts, deadlines and seeding stay as each test sets them.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 BUNDLED = ("airy", "hermite", "polynomial_data", "beta_series", "hermite_forced")
 

@@ -143,9 +143,14 @@ class TestCommands:
     def test_check_failure_exit_code(self, capsys, tmp_path):
         path = tmp_path / "unbounded.spec"
         path.write_text(json.dumps(UNBOUNDED_DOC))
-        code, out, _ = run(capsys, "check", str(path))
+        code, out, err = run(capsys, "check", str(path))
         assert code == 1
         assert "not essentially bounded" in out
+        assert err == "error: hypotheses fail for A_0\n"
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == 1
+        assert json.loads(out)["status"] == "fail"
+        assert err == "error: hypotheses fail for A_0\n"
 
     def test_solve_airy(self, capsys, tmp_path):
         out_path = tmp_path / "coeffs.csv"
@@ -448,6 +453,27 @@ class TestCommands:
         assert err.startswith("error: a value is out of float range") and "Traceback" not in err
         assert err.count("\n") == 1  # no warning beside the error line
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", [("check",), ("stats", "--grid", "0:1:0.5"),
+                                         ("majorant", "--s", "0.5")])
+    @pytest.mark.parametrize("dist,message", [
+        ({"symbols": [{"name": "F", "dist": "binomial", "params": {"n": "1e400", "p": "1/2"}}]},
+         "error: symbol 'F': binomial n is out of float range"),
+        ({"blocks": [{"names": ["F", "G"], "dist": "multinomial",
+                      "params": {"trials": "1e400", "probs": ["1/2", "1/2"]}}]},
+         "error: block ['F', 'G']: multinomial trials is out of float range"),
+    ], ids=["binomial-n", "multinomial-trials"])
+    def test_count_out_of_float_range(self, capsys, tmp_path, command, dist, message):
+        # every moment and sup bound of F is past float range: the error names the input
+        doc = {**dist, "series": {"B": [{"n": 0, "value": "F"}]}, "initial": {"Y0": 1, "Y1": 0}}
+        path = tmp_path / "counts.spec"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out.csv"
+        out_flag = () if command[0] == "check" else ("--out", str(out_path))
+        code, out, err = run(capsys, command[0], str(path), *command[1:], *out_flag)
+        assert code == 1
+        assert err.startswith(message) and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (("--method", "series", "--seed", "-1"), "seed must lie in [0, 2^64), got -1"),

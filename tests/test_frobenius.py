@@ -169,6 +169,8 @@ class TestBuildProblem:
          "cannot read '1e-10000000' as a rational number: its decimal exponent is beyond"),
         ({"series": {"B": [{"n": 0, "value": "1e10000000*A"}]}},
          "cannot read '1e10000000' as a rational number: its decimal exponent is beyond"),
+        ({"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "x"}}]},
+         "symbol 'A': cannot read 'x' as a rational number"),
     ])
     def test_error_catalogue(self, doc, message):
         base = {

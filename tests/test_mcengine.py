@@ -348,6 +348,35 @@ class TestRk4Method:
             assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)
             assert abs(v1 - v2) <= 1e-12 * second
 
+    TWO_C_TERMS = {
+        "symbols": [
+            {"name": "F", "dist": "finite_discrete",
+             "params": {"support": ["-1", "1/2"], "probs": ["1/4", "3/4"]}},
+            {"name": "U", "dist": "uniform", "params": {"a": -1, "b": 1}},
+        ],
+        "series": {"A": [{"n": 0, "value": "F"}], "B": [{"n": 1, "value": "1 - F"}],
+                   "C": [{"n": 0, "value": "U"}, {"n": 2, "value": "F*U"}]},
+        "initial": {"Y0": "U", "Y1": "F"},
+    }
+
+    @pytest.mark.parametrize("doc,grid", [
+        (None, GRID7),
+        (TWO_C_TERMS, [0.0, 0.0, 0.25, 0.25, 0.5]),  # zero-step legs at t0 and at 0.25
+    ], ids=["hermite_forced", "two-c-terms"])
+    def test_step_blocks_do_not_change_result(self, hermite_forced, monkeypatch, doc, grid):
+        # the groups' step maps are built STEP_BLOCK steps at a time; blocks
+        # of 7 steps cut the legs anywhere and must give the same bits
+        spec = hermite_forced if doc is None else build_problem(doc)
+        cfg = McConfig(samples=64, seed=3, rk4_step=1e-3)
+        default = quiet_rk4(spec, grid, cfg)
+        monkeypatch.setattr(mcengine, "STEP_BLOCK", 7)
+        assert quiet_rk4(spec, grid, cfg) == default
+        want = per_draw_rk4(spec, grid, cfg)
+        for m1, v1, m2, v2 in zip(default.mean, default.variance, want.mean, want.variance):
+            second = max(v1 + m1 * m1, v2 + m2 * m2)
+            assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)
+            assert abs(v1 - v2) <= 1e-12 * second
+
     def test_overflowing_group_keeps_zero_draws(self):
         # b = -1e300 overflows the group's basis paths; draws with zero data
         # still have the zero path, as when each draw is integrated alone

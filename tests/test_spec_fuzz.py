@@ -4,8 +4,7 @@ Each case writes the mutated problem file and runs check, solve, stats,
 majorant and mc with both methods through `run_command`, at small orders,
 64 samples and a 3-point grid.  Every command must return 0, 1 or 2 without
 an exception escaping; an exit of 1 leaves exactly one `error:` line on
-stderr, unless it is a check verdict of "fail"; an exit of 0 from stats,
-majorant or mc writes only finite numbers.
+stderr; an exit of 0 from stats, majorant or mc writes only finite numbers.
 """
 
 import contextlib
@@ -75,9 +74,7 @@ def check_commands_on(doc):
                 code = run_command(argv)
             errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
             assert code in (0, 1, 2), argv
-            # a check whose hypotheses fail reports that verdict on stdout, not as an error
-            verdict = argv[0] == "check" and out_text.getvalue().startswith("status: fail")
-            if code == 1 and not verdict:
+            if code == 1:
                 assert len(errors) == 1, (argv, err.getvalue())
             if code == 0 and argv[0] != "solve" and out is not None:
                 with open(out, newline="") as fp:
