@@ -114,6 +114,8 @@ def read_curve(path: str) -> StatCurve:
                         raise SpecError(f"{path}: non-finite {name} on line {reader.line_num}")
     except OSError as exc:
         raise SpecError(f"cannot read curve file {path}: {exc}") from exc
+    except csv.Error as exc:  # such as a field past `csv.field_size_limit()`
+        raise SpecError(f"{path}: {exc}") from exc
     if not columns["t"]:
         raise SpecError(f"{path}: no data rows")
     return StatCurve(

@@ -15,7 +15,13 @@ in chunk order; the reduction tree never depends on scheduling.
 Both routes evaluate only the stored input polynomials (A_n, B_n, C_n, Y0,
 Y1) at the draws, through one `_EvalPlan` built once per call; the series
 route feeds those rows to `coeff_recursion`, the recursion `solve` runs on
-`Poly`s, and warns outside the declared radius as `stats` does.
+`Poly`s, and warns outside the declared radius as `stats` does.  The series
+route at order N reads the inputs of index <= N - 2, and the RK4 route
+those of index <= its input truncation, so each draws only the leading
+dependence blocks up to the last one owning a symbol its plan reads
+(`_PlanDraws`).  Blocks draw in declaration order from the chunk's stream,
+so the blocks drawn get the same values as in a full draw; the columns of
+the blocks left out are NaN.
 
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw (see `mc_rk4`).
@@ -82,7 +88,8 @@ def _worker_count() -> int:
     return n
 
 
-def _sample_matrix(model: RandomModel, seed: int, start: int, count: int) -> np.ndarray:
+def _sample_matrix(model: RandomModel | _PlanDraws, seed: int, start: int,
+                   count: int) -> np.ndarray:
     """Draw realizations start .. start+count-1 as a (count, n_symbols) array.
 
     `start` opens chunk start // CHUNK, which draws from its own Philox
@@ -131,6 +138,19 @@ class _EvalPlan:
             for row, coeff in entries:
                 out[row] += coeff * term
         return out
+
+
+class _PlanDraws:
+    """`model` as `_sample_matrix` sees it for one plan: its `draw` samples
+    only the leading blocks up to the last one owning a symbol the plan
+    reads, and leaves the other columns NaN."""
+
+    def __init__(self, model: RandomModel, plan: _EvalPlan):
+        self.model = model
+        self.blocks = model.leading_blocks(sid for sid, _ in plan.powers)
+
+    def draw(self, stream, count: int) -> np.ndarray:
+        return self.model.draw(stream, count, self.blocks)
 
 
 def _run_chunks(
@@ -204,8 +224,11 @@ def _input_terms(
     return terms, _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
 
 
-def _coeff_rows(spec: ProblemSpec, order: int) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """X_0 .. X_order at every draw of a sample matrix, one float64 row each.
+def _coeff_rows(
+    spec: ProblemSpec, order: int,
+) -> tuple[_EvalPlan, Callable[[np.ndarray], list[np.ndarray]]]:
+    """The plan of the inputs of index <= order - 2, and a function giving
+    X_0 .. X_order at every draw of a sample matrix, one float64 row each.
 
     Evaluating at a draw commutes with the ring operations, so X_n at a draw
     is `coeff_recursion` fed the draw's inputs of index <= order - 2.
@@ -219,7 +242,7 @@ def _coeff_rows(spec: ProblemSpec, order: int) -> Callable[[np.ndarray], list[np
         return coeff_recursion(series[0], series[1], dict(series[2]), rows[-2], rows[-1],
                                order, np.zeros(values.shape[0]))
 
-    return coeffs
+    return plan, coeffs
 
 
 def mc_series(
@@ -239,10 +262,11 @@ def mc_series(
     """
     _warn_outside_radius(grid, sol.spec.t0, sol.spec.radius)
     taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
-    coeffs = _coeff_rows(sol.spec, sol.order)
+    plan, coeffs = _coeff_rows(sol.spec, sol.order)
+    draws = _PlanDraws(model, plan)
 
     def worker(start: int, count: int):
-        return _horner(coeffs(_sample_matrix(model, cfg.seed, start, count)), taus)
+        return _horner(coeffs(_sample_matrix(draws, cfg.seed, start, count)), taus)
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
@@ -344,6 +368,7 @@ def mc_rk4(
     exps = np.array([n for _, n, _ in terms])
     n_ab = sum(s < 2 for s, _, _ in terms)
     n_basis = plan.rows - n_ab
+    draws = _PlanDraws(model, plan)
 
     def integrate(rows: np.ndarray) -> np.ndarray:
         """The (grid, columns) paths of a C-contiguous plan-row matrix."""
@@ -447,15 +472,22 @@ def mc_rk4(
     memo: dict[bytes, np.ndarray] = {}
 
     def worker(start: int, count: int):
-        rows = plan(_sample_matrix(model, cfg.seed, start, count))
-        # One key per draw: its A/B rows' bytes, or a shared 0 without A/B terms.
-        keys = (np.ascontiguousarray(rows[:n_ab].T).view(f"V{8 * n_ab}").ravel() if n_ab
-                else np.zeros(count))
-        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        order = np.argsort(inverse, kind="stable")
-        groups = [order[bounds[g]:bounds[g + 1]] for g in np.flatnonzero(counts > n_basis)]
-        singles = np.flatnonzero(counts[inverse] <= n_basis)
+        rows = plan(_sample_matrix(draws, cfg.seed, start, count))
+        # Draws with equal A/B bits are one group, in draw order (lexsort is
+        # stable); without A/B terms every draw is in one group.
+        if n_ab:
+            bits = rows[:n_ab].view(np.uint64)
+            order = np.lexsort(bits)
+            ordered = bits[:, order]
+            cuts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
+            bounds = np.concatenate(([0], cuts, [count]))
+        else:
+            order, bounds = np.arange(count), np.array([0, count])
+        sizes = np.diff(bounds)
+        groups = [order[lo:hi] for lo, hi, size in zip(bounds, bounds[1:], sizes) if size > n_basis]
+        single = np.empty(count, dtype=bool)
+        single[order] = np.repeat(sizes <= n_basis, sizes)
+        singles = np.flatnonzero(single)
 
         paths = np.empty((len(ts), count))
         if len(singles):

@@ -39,7 +39,10 @@ denominator D_n, keyed by packed monomial keys u (see `poly`).
 
 Sampling draws a whole batch of realizations from a caller-supplied
 `numpy.random.Generator`: one vectorized call per block, in declaration
-order, so a fixed seed and batch size reproduce the exact draws.
+order, so a fixed seed and batch size reproduce the exact draws.  A caller
+that reads only some symbols may draw just the leading blocks up to the
+last one owning such a symbol (`leading_blocks`): the blocks drawn get the
+same values as in a full draw, and the columns of the rest are NaN.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -621,14 +624,24 @@ class RandomModel:
         """sqrt(E[P^2]) through `second_moments`, without forming P^2."""
         return math.sqrt(float(self.second_moments([p])[0][0]))
 
-    def draw(self, stream, count: int) -> np.ndarray:
-        """`count` joint draws of every block as a (count, n_symbols) matrix.
+    def leading_blocks(self, sids: Iterable[int]) -> int:
+        """How many leading blocks cover the symbols `sids`: one past the last owner."""
+        return max((self._owner[sid][0] for sid in sids), default=-1) + 1
+
+    def draw(self, stream, count: int, blocks: int | None = None) -> np.ndarray:
+        """`count` joint draws of the first `blocks` blocks as a (count, n_symbols) matrix.
 
         Each block draws all `count` values in one call, blocks in
-        declaration order.  The matrix is column-major, so each symbol's
+        declaration order, so the blocks drawn get the same values whatever
+        `blocks` is; the default draws every block.  Columns of the blocks
+        not drawn are NaN.  The matrix is column-major, so each symbol's
         draws are contiguous.
         """
+        if blocks is None:
+            blocks = len(self.blocks)
         values = np.empty((count, self.n_symbols), order="F")
-        for block in self.blocks:
-            values[:, list(block.symbols)] = block.dist.sample(stream, count).reshape(count, -1)
+        for bidx, block in enumerate(self.blocks):
+            values[:, list(block.symbols)] = (
+                block.dist.sample(stream, count).reshape(count, -1) if bidx < blocks else np.nan
+            )
         return values

@@ -293,6 +293,14 @@ class TestCommands:
             assert (code, out) == (1, "")
             assert err == f"error: {bad}: {message}\n"
 
+    def test_compare_rejects_field_past_csv_limit(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,mean,variance\n0,1,0\n")
+        bad.write_text("t,mean,variance\n0,1," + "1" * 200_000 + "\n")
+        code, out, err = run(capsys, "compare", str(good), str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: field larger than field limit (131072)\n"
+
     def test_compare_rejects_header_only(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("t,mean,variance\n")

@@ -13,7 +13,8 @@ from conftest import BUNDLED, OraclePoly, decode_key, finite_support_docs, per_d
 
 import randfrob as rf
 from randfrob import (
-    McConfig, Poly, SeriesProcess, build_problem, compute_coeffs, compare_curves, mc_rk4, mc_series,
+    McConfig, Poly, RandomModel, SeriesProcess, build_problem, compute_coeffs, compare_curves,
+    mc_rk4, mc_series,
 )
 from randfrob import mcengine
 from randfrob.mcengine import CHUNK, _coeff_rows, _EvalPlan, _input_terms, _sample_matrix
@@ -94,12 +95,11 @@ class TestReproducibility:
             assert (one.mean, one.variance) == (three.mean, three.variance)
 
     def test_rk4_thread_count_invariance_shared_groups(self, monkeypatch):
-        # The draws with S = 0 form one A/B group in every chunk; S*U makes
-        # the rest single columns.  Chunk 0 holds two of them and chunks 1
-        # and 4 none, so the group's basis is integrated in state matrices of
-        # 5, 4 and 3 columns.  With 17 A/B/C rows the bits of a column of
-        # `accel`'s matmul depend on that width, so a cache keyed on the group
-        # alone would depend on which chunk reached it first.
+        # The draws with S = 0 share their A/B values and form one group in
+        # every chunk; S*U makes the rest single columns, two in chunk 0,
+        # none in chunks 1 and 4 and one in chunks 2 and 3.  The group's
+        # basis is memoized for the whole call, so the curves must not
+        # depend on the thread count or on which chunk reaches it first.
         doc = {
             "symbols": [
                 {"name": "S", "dist": "bernoulli", "params": {"p": "1/10000"}},
@@ -157,6 +157,61 @@ class TestReproducibility:
         b = mc_series(hf_solution, hermite_forced.model, [1.0],
                       McConfig(samples=500, seed=2))
         assert a.mean != b.mean
+
+
+class TestLeadingDraws:
+    """Each route draws only the leading blocks up to the last one owning a
+    symbol its plan reads, and its curves equal those of full draws."""
+
+    @staticmethod
+    def run(monkeypatch, route):
+        """The `blocks` each chunk asks `RandomModel.draw` for and the curve
+        of `route()`, then the curve of `route()` with every block drawn."""
+        draw = RandomModel.draw
+        asked = []
+
+        def recording(self, stream, count, blocks=None):
+            asked.append(blocks)
+            return draw(self, stream, count, blocks)
+
+        monkeypatch.setattr(RandomModel, "draw", recording)
+        pruned = route()
+        monkeypatch.setattr(RandomModel, "draw",
+                            lambda self, stream, count, blocks=None: draw(self, stream, count))
+        return asked, pruned, route()
+
+    def test_series_draws_inputs_to_order_minus_2(self, bundled_specs, monkeypatch):
+        spec = bundled_specs["beta_series"]  # blocks Y0, Y1, A_0 .. A_40
+        assert len(spec.model.blocks) == 43
+        sol = compute_coeffs(spec, 6)
+        cfg = McConfig(samples=CHUNK + 100, seed=3)
+        asked, pruned, full = self.run(
+            monkeypatch, lambda: mc_series(sol, spec.model, [0.0, 0.4, 0.8], cfg))
+        assert asked == [7, 7]  # Y0, Y1 and A_0 .. A_4
+        assert pruned == full
+
+    def test_rk4_draws_inputs_to_truncation(self, bundled_specs, monkeypatch):
+        spec = bundled_specs["beta_series"]
+        cfg = McConfig(samples=100, seed=3, rk4_step=1e-2, input_truncation=3)
+        asked, pruned, full = self.run(
+            monkeypatch, lambda: quiet_rk4(spec, [0.0, 0.3, 0.6], cfg))
+        assert asked == [6]  # Y0, Y1 and A_0 .. A_3
+        assert pruned == full
+
+    def test_symbol_in_last_block_draws_every_block(self, monkeypatch):
+        doc = {
+            "symbols": [{"name": name, "dist": "uniform", "params": {"a": 0, "b": 1}}
+                        for name in ("U", "V", "W")],
+            "series": {"B": [{"n": 0, "value": "W"}]},
+            "initial": {"Y0": 1, "Y1": 0},
+        }
+        spec = build_problem(doc)
+        sol = compute_coeffs(spec, 6)
+        cfg = McConfig(samples=50, seed=1)
+        asked, pruned, full = self.run(
+            monkeypatch, lambda: mc_series(sol, spec.model, [0.0, 0.5], cfg))
+        assert asked == [3]
+        assert pruned == full
 
 
 class TestSeriesMethod:
@@ -220,7 +275,8 @@ class TestSeriesRecursion:
     @staticmethod
     def check(spec, order, seed=0, count=64):
         values = _sample_matrix(spec.model, seed, 0, count)
-        got = np.array(_coeff_rows(spec, order)(values))
+        _, coeffs = _coeff_rows(spec, order)
+        got = np.array(coeffs(values))
         X = compute_coeffs(spec, order).X
         want = _EvalPlan(X)(values)
         scale = _EvalPlan([Poly({k: abs(c) for k, c in x.terms.items()}, x.den)

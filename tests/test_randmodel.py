@@ -417,6 +417,25 @@ class TestSampling:
         assert (draws[:, 1] > 0).all()
         assert (draws[:, 2] + draws[:, 3] == 3.0).all()
 
+    @pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+    def test_leading_blocks_draw(self, blocks):
+        # the blocks drawn are bit-equal to a full draw from the same stream;
+        # every other column is NaN
+        model = example_model()
+        full = model.draw(np.random.Generator(np.random.Philox(4)), 500)
+        part = model.draw(np.random.Generator(np.random.Philox(4)), 500, blocks)
+        drawn = [sid for block in model.blocks[:blocks] for sid in block.symbols]
+        assert part.shape == full.shape
+        assert part[:, drawn].tobytes() == full[:, drawn].tobytes()
+        assert np.isnan(np.delete(part, drawn, axis=1)).all()
+
+    def test_leading_blocks_cover_symbols(self):
+        model = example_model()  # blocks (A), (Y0), (Y1, C)
+        assert model.leading_blocks([]) == 0
+        assert model.leading_blocks([0]) == 1
+        assert model.leading_blocks([1, 0]) == 2
+        assert model.leading_blocks([3]) == 3
+
     def test_seed_reproducibility(self):
         model = example_model()
         a = model.draw(np.random.default_rng(99), 3)
