@@ -67,7 +67,7 @@ def _load_spec(arg: str) -> ProblemSpec:
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     try:
-        with open(path, "w", newline="") as fp:
+        with open(path, "w", newline="", encoding="utf-8") as fp:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
@@ -89,9 +89,9 @@ def _write_curve(path: str, curve: StatCurve, full: bool) -> None:
 
 
 def read_curve(path: str) -> StatCurve:
-    """Read a stats/mc CSV back into a curve of at least one row of finite values."""
+    """Read a UTF-8 stats/mc CSV back into a curve of at least one row of finite values."""
     try:
-        with open(path, newline="") as fp:
+        with open(path, newline="", encoding="utf-8") as fp:
             reader = csv.DictReader(fp)
             fields = reader.fieldnames or []
             if not {"t", "mean", "variance"}.issubset(fields):
@@ -114,7 +114,7 @@ def read_curve(path: str) -> StatCurve:
                         raise SpecError(f"{path}: non-finite {name} on line {reader.line_num}")
     except OSError as exc:
         raise SpecError(f"cannot read curve file {path}: {exc}") from exc
-    except csv.Error as exc:  # such as a field past `csv.field_size_limit()`
+    except (csv.Error, UnicodeDecodeError) as exc:  # a field past the csv limit; not UTF-8
         raise SpecError(f"{path}: {exc}") from exc
     if not columns["t"]:
         raise SpecError(f"{path}: no data rows")

@@ -19,12 +19,14 @@ route feeds those rows to `coeff_recursion`, the recursion `solve` runs on
 route at order N reads the inputs of index <= N - 2, and the RK4 route
 those of index <= its input truncation, so each draws only the leading
 dependence blocks up to the last one owning a symbol its plan reads
-(`_PlanDraws`).  Blocks draw in declaration order from the chunk's stream,
-so the blocks drawn get the same values as in a full draw; the columns of
-the blocks left out are NaN.
+(`RandomModel.leading_blocks`).  Blocks draw in declaration order from the
+chunk's stream, so the blocks drawn get the same values as in a full draw;
+the columns of the blocks left out are NaN.
 
 The RK4 route uses that the equation is linear: draws that repeat their A/B
-values integrate one basis of paths and combine it per draw (see `mc_rk4`).
+values integrate one basis of paths and combine it per draw.  Single draws
+and such groups share one RK4 step (`_rk4`) and one walk over the steps
+(see `mc_rk4`).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ CHUNK = 8192
 # Every RK4 step costs four stage evaluations per draw; the benchmark takes
 # 1 500 steps and the tests at most 10 000, so 10^7 only stops runaways.
 MAX_RK4_STEPS = 10**7
-# A group's RK4 step maps are built this many steps at a time, so their
-# memory does not grow with the step count.
+# RK4 walks its steps in pieces of this many, so the step times, and a
+# group's step maps, take memory that does not grow with the step count.
 STEP_BLOCK = 1024
 CI_MULTIPLIER = 1.96  # normal-approximation 95% interval; not configurable
 
@@ -88,16 +90,17 @@ def _worker_count() -> int:
     return n
 
 
-def _sample_matrix(model: RandomModel | _PlanDraws, seed: int, start: int,
-                   count: int) -> np.ndarray:
+def _sample_matrix(model: RandomModel, seed: int, start: int, count: int,
+                   blocks: int | None = None) -> np.ndarray:
     """Draw realizations start .. start+count-1 as a (count, n_symbols) array.
 
     `start` opens chunk start // CHUNK, which draws from its own Philox
-    stream keyed by (seed, chunk index).
+    stream keyed by (seed, chunk index).  Only the first `blocks` dependence
+    blocks are drawn (all by default); the other columns are NaN.
     """
     key = np.array([seed, start // CHUNK], dtype=np.uint64)
     stream = np.random.Generator(np.random.Philox(key=key))
-    return model.draw(stream, count)
+    return model.draw(stream, count, blocks)
 
 
 class _EvalPlan:
@@ -138,19 +141,6 @@ class _EvalPlan:
             for row, coeff in entries:
                 out[row] += coeff * term
         return out
-
-
-class _PlanDraws:
-    """`model` as `_sample_matrix` sees it for one plan: its `draw` samples
-    only the leading blocks up to the last one owning a symbol the plan
-    reads, and leaves the other columns NaN."""
-
-    def __init__(self, model: RandomModel, plan: _EvalPlan):
-        self.model = model
-        self.blocks = model.leading_blocks(sid for sid, _ in plan.powers)
-
-    def draw(self, stream, count: int) -> np.ndarray:
-        return self.model.draw(stream, count, self.blocks)
 
 
 def _run_chunks(
@@ -263,10 +253,10 @@ def mc_series(
     _warn_outside_radius(grid, sol.spec.t0, sol.spec.radius)
     taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
     plan, coeffs = _coeff_rows(sol.spec, sol.order)
-    draws = _PlanDraws(model, plan)
+    blocks = model.leading_blocks(sid for sid, _ in plan.powers)
 
     def worker(start: int, count: int):
-        return _horner(coeffs(_sample_matrix(draws, cfg.seed, start, count)), taus)
+        return _horner(coeffs(_sample_matrix(model, cfg.seed, start, count, blocks)), taus)
 
     sums, sumsqs = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, sumsqs, label=f"mc-series[{cfg.samples}]")
@@ -295,6 +285,19 @@ def _int_power(x: np.ndarray, e: int) -> np.ndarray:
     return result
 
 
+def _rk4(slope, state, h, start, mid, end):
+    """One classical RK4 step of size h from `state`.
+
+    `slope(at, state)` is the time derivative of a state, with `at` the
+    inputs at the step's start, mid or end; h broadcasts against `state`.
+    """
+    k1 = slope(start, state)
+    k2 = slope(mid, state + (h / 2) * k1)
+    k3 = slope(mid, state + (h / 2) * k2)
+    k4 = slope(end, state + h * k3)
+    return state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def mc_rk4(
     spec: ProblemSpec,
     model: RandomModel,
@@ -319,13 +322,16 @@ def mc_rk4(
 
     Within a group a(tau) and b(tau) are scalars, so an RK4 step is one
     affine map S -> P_i S + Q_i of the group's (2, n_basis) state of x and
-    x': P_i (2 x 2) composes the stages' L = [[0, 1], [-b, -a]], and Q_i
-    carries each C term's forcing [0, tau^n_j].  The maps are built for
-    STEP_BLOCK steps at a time with whole-array operations, then applied in
-    order.  A group's basis paths depend only on its A/B values, so they are
-    memoized on those values' bytes for this call: chunks that meet the same
-    group integrate it once, and the output does not depend on which chunk,
-    or thread, gets there first.
+    x': `_rk4` applied to the identity map [I | 0] composes the stages'
+    L = [[0, 1], [-b, -a]] into P_i (2 x 2), and Q_i carries each C term's
+    forcing [0, tau^n_j].  Both paths walk the steps STEP_BLOCK at a time:
+    single draws take one `_rk4` step on their stacked (x, x') rows, with
+    a, b and c evaluated once at each of the step's start, midpoint and end,
+    and a group builds a piece's maps at once, then applies them in order.  A
+    group's basis paths depend only on its A/B values, so they are memoized
+    on those values' bytes for this call: chunks that meet the same group
+    integrate it once, and the output does not depend on which chunk, or
+    thread, gets there first.
     """
     t0 = float(spec.t0)
     ts = [float(t) for t in grid]
@@ -344,19 +350,35 @@ def mc_rk4(
     # subnormal step makes infinite; then the rounded count, which gives
     # every nonempty leg at least one step.
     check_steps((ts[-1] - t0) / cfg.rk4_step if ts else 0.0)
-    legs = []  # (t_start, n_steps, h_actual)
-    t_prev = t0
-    for t in ts:
-        delta = t - t_prev
-        if delta <= 1e-14:
-            legs.append((t_prev, 0, cfg.rk4_step))
-        else:
-            n = _steps_for(delta, cfg.rk4_step)
-            legs.append((t_prev, n, delta / n))
-        t_prev = t
-    ends = list(accumulate(n for _, n, _ in legs))  # steps taken at each grid point
+    # Per grid point, the leg to it from the point before (t0 for the
+    # first): its start time, step count and step size.
+    leg_t = [t0] + ts[:-1]
+    deltas = [t - t_start for t_start, t in zip(leg_t, ts)]
+    leg_n = [_steps_for(d, cfg.rk4_step) if d > 1e-14 else 0 for d in deltas]
+    leg_h = np.array([d / n if n else 0.0 for d, n in zip(deltas, leg_n)])
+    ends = list(accumulate(leg_n))  # steps taken at each grid point
     total = ends[-1] if ends else 0
     check_steps(total)
+    leg_t, leg_end = np.array(leg_t), np.array(ends, dtype=np.int64)
+    leg_first = leg_end - leg_n
+
+    def pieces():
+        """Per STEP_BLOCK piece of the steps: each step's start tau and size."""
+        for lo in range(0, total, STEP_BLOCK):
+            step = np.arange(lo, min(lo + STEP_BLOCK, total))
+            leg = np.searchsorted(leg_end, step, side="right")
+            h = leg_h[leg]
+            yield leg_t[leg] + (step - leg_first[leg]) * h - t0, h
+
+    def march(states, width: int) -> np.ndarray:
+        """The (grid, width) x rows of the states before each step and after the last."""
+        paths = np.empty((len(ts), width))
+        g = 0
+        for step, state in enumerate(states):
+            while g < len(ends) and ends[g] == step:
+                paths[g] = state[0]
+                g += 1
+        return paths
 
     # Plan rows: each stored A_n, B_n, C_n with n <= input_truncation, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
@@ -368,46 +390,31 @@ def mc_rk4(
     exps = np.array([n for _, n, _ in terms])
     n_ab = sum(s < 2 for s, _, _ in terms)
     n_basis = plan.rows - n_ab
-    draws = _PlanDraws(model, plan)
+    blocks = model.leading_blocks(sid for sid, _ in plan.powers)
 
     def integrate(rows: np.ndarray) -> np.ndarray:
         """The (grid, columns) paths of a C-contiguous plan-row matrix."""
-        coeffs, (x, v) = rows[:-2], rows[-2:]
+        coeffs = rows[:-2]
 
-        def accel(tau: float, x, v):
-            a, b, c = (series * tau**exps) @ coeffs
-            return c - b * x - a * v
+        def slope(at: np.ndarray, state: np.ndarray) -> np.ndarray:
+            a, b, c = at
+            out = np.empty_like(state)
+            out[0] = state[1]
+            np.subtract(c, b * state[0], out=out[1])
+            out[1] -= a * state[1]
+            return out
 
-        paths = np.empty((len(ts), rows.shape[1]))
-        for g, (t_start, n_steps, h) in enumerate(legs):
-            for i in range(n_steps):
-                tau_a = t_start + i * h - t0
-                tau_m = tau_a + h / 2
-                tau_b = tau_a + h
-                k1x = v
-                k1v = accel(tau_a, x, v)
-                x2 = x + (h / 2) * k1x
-                v2 = v + (h / 2) * k1v
-                k2x = v2
-                k2v = accel(tau_m, x2, v2)
-                x3 = x + (h / 2) * k2x
-                v3 = v + (h / 2) * k2v
-                k3x = v3
-                k3v = accel(tau_m, x3, v3)
-                x4 = x + h * k3x
-                v4 = v + h * k3v
-                k4x = v4
-                k4v = accel(tau_b, x4, v4)
-                x = x + (h / 6) * (k1x + 2 * k2x + 2 * k3x + k4x)
-                v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            paths[g, :] = x
-        return paths
+        def states():
+            state = rows[-2:]  # (x, x') at t0: Y0 and Y1
+            yield state
+            for taus, hs in pieces():
+                for tau, h in zip(taus.tolist(), hs.tolist()):
+                    at = [(series * t**exps) @ coeffs for t in (tau, tau + h / 2, tau + h)]
+                    state = _rk4(slope, state, h, *at)
+                    yield state
 
-    # Per leg: its start time and step size, and the steps taken before and after it.
-    leg_t = np.array([t_start for t_start, _, _ in legs])
-    leg_h = np.array([h for _, _, h in legs])
-    leg_end = np.array(ends, dtype=np.int64)
-    leg_first = leg_end - [n for _, n, _ in legs]
+        return march(states(), rows.shape[1])
+
     # at_power[e]: the plan rows of the A/B/C terms of index e
     at_power: dict[int, list[int]] = {}
     for j, (_, n, _) in enumerate(terms):
@@ -426,7 +433,7 @@ def mc_rk4(
                     forcing[:, j - n_ab] = power
         return a_b[0][:, None], a_b[1][:, None], forcing
 
-    def slope(at, m: np.ndarray) -> np.ndarray:
+    def map_slope(at, m: np.ndarray) -> np.ndarray:
         """The slopes (v, c - b x - a v) at states (x, v) = K S + F, as maps [K | F] like `m`."""
         a, b, forcing = at
         out = np.empty(m.shape)
@@ -437,42 +444,29 @@ def mc_rk4(
 
     identity = np.eye(2, 2 + n_basis)  # the state S itself, as a map [I | 0]
 
-    def step_maps(ab: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """P_i and Q_i of steps lo .. hi - 1 for a group with A/B plan rows `ab`."""
-        step = np.arange(lo, hi)
-        leg = np.searchsorted(leg_end, step, side="right")
-        h = leg_h[leg]
-        tau_a = leg_t[leg] + (step - leg_first[leg]) * h - t0
-        start, mid, end = (field(ab, tau) for tau in (tau_a, tau_a + h / 2, tau_a + h))
-        h = h[:, None, None]
-        k1 = slope(start, np.broadcast_to(identity, (len(step),) + identity.shape))
-        k2 = slope(mid, identity + (h / 2) * k1)
-        k3 = slope(mid, identity + (h / 2) * k2)
-        k4 = slope(end, identity + h * k3)
-        maps = identity + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return np.ascontiguousarray(maps[:, :, :2]), np.ascontiguousarray(maps[:, :, 2:])
-
     def group_paths(ab: np.ndarray) -> np.ndarray:
         """The (grid, n_basis) basis paths of a group with A/B plan rows `ab`."""
-        state = np.eye(2, n_basis, n_basis - 2)  # the C columns start at rest; Y0, Y1 at I
-        paths = np.empty((len(ts), n_basis))
-        g = 0
-        for lo in range(0, total, STEP_BLOCK):
-            p, q = step_maps(ab, lo, min(lo + STEP_BLOCK, total))
-            for step, (p_i, q_i) in enumerate(zip(p, q), lo):
-                while ends[g] == step:
-                    paths[g] = state[0]
-                    g += 1
-                state = p_i @ state + q_i
-        paths[g:] = state[0]
-        return paths
+
+        def states():
+            state = np.eye(2, n_basis, n_basis - 2)  # the C columns start at rest; Y0, Y1 at I
+            yield state
+            for tau_a, h in pieces():
+                at = [field(ab, tau) for tau in (tau_a, tau_a + h / 2, tau_a + h)]
+                maps = _rk4(map_slope, np.broadcast_to(identity, (len(h),) + identity.shape),
+                            h[:, None, None], *at)
+                for p_i, q_i in zip(np.ascontiguousarray(maps[:, :, :2]),
+                                    np.ascontiguousarray(maps[:, :, 2:])):
+                    state = p_i @ state + q_i
+                    yield state
+
+        return march(states(), n_basis)
 
     # A group's basis paths, keyed on its A/B values; two threads that both
     # miss build the same bits, so the race is harmless.
     memo: dict[bytes, np.ndarray] = {}
 
     def worker(start: int, count: int):
-        rows = plan(_sample_matrix(draws, cfg.seed, start, count))
+        rows = plan(_sample_matrix(model, cfg.seed, start, count, blocks))
         # Draws with equal A/B bits are one group, in draw order (lexsort is
         # stable); without A/B terms every draw is in one group.
         if n_ab:

@@ -22,12 +22,14 @@ _SUFFIX = ".spec"
 
 
 def load_document(path) -> dict:
-    """Parse a problem file into a document dict with exact rational numbers."""
+    """Parse a UTF-8 problem file into a document dict with exact rational numbers."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecError(f"cannot read problem file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: {exc}") from exc
     return parse_document(text, source=str(path))
 
 

@@ -308,6 +308,16 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: {empty}: no data rows\n"
 
+    def test_compare_names_undecodable_file(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,mean,variance\n0,1,0\n")
+        bad.write_bytes(b"t,mean,variance\n0,1,0\n\xff")
+        for files in ((good, bad), (bad, good)):
+            code, out, err = run(capsys, "compare", *map(str, files))
+            assert (code, out) == (1, "")
+            assert err == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff"
+                           " in position 22: invalid start byte\n")
+
     def test_compare_grid_mismatch(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "stats", "hermite_forced", "--grid", "0:1:0.5", "--out", str(a))
@@ -540,6 +550,30 @@ class TestCommands:
         code, _, err = run(capsys, "check", "nowhere.spec")
         assert code == 1
         assert "no such problem file" in err
+
+    def test_check_names_undecodable_spec(self, capsys, tmp_path):
+        path = tmp_path / "bad.spec"
+        text = resolve_problem("hermite_forced").read_bytes()
+        path.write_bytes(text.replace(b'"hermite_forced"', b'"hermite\xff"'))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff in position ")
+        assert err.count("\n") == 1
+
+    def test_files_are_utf8_in_any_locale(self, tmp_path):
+        # a problem file with a non-ASCII name, and a curve file written and
+        # read back, where the locale's preferred encoding is ASCII
+        doc = json.loads(resolve_problem("hermite_forced").read_text(encoding="utf-8"))
+        spec, curve = tmp_path / "forced.spec", tmp_path / "stats.csv"
+        spec.write_text(json.dumps(dict(doc, name="forcé"), ensure_ascii=False), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]),
+                   PYTHONUTF8="0", LC_ALL="C")
+        for argv in (["check", str(spec)],
+                     ["stats", str(spec), "--order", "4", "--grid", "0:1:0.5", "--out", str(curve)],
+                     ["compare", str(curve), str(curve)]):
+            proc = subprocess.run([sys.executable, "-m", "randfrob", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
 
     def test_python_m_entry_point(self, capsys):
         # the package run as a module, from the source tree it was imported from

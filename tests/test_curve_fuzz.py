@@ -3,8 +3,9 @@
 Each case takes a `stats` or `mc` CSV written by the program, mutates its
 text (short and long rows, blank lines, non-numeric and non-finite cells,
 stray quotes, a cell past the csv module's field limit, dropped rows down
-to a header-only file) and compares it with the unmutated file through
-`run_command`, in either order.  Every run must
+to a header-only file) and then its bytes (bytes that are not UTF-8, a
+byte-order mark, a carriage return), and compares it with the unmutated
+file through `run_command`, in either order.  Every run must
 return 0 or 1 without an exception escaping, and an exit of 1 leaves
 exactly one `error:` line on stderr.
 """
@@ -29,6 +30,9 @@ SOURCES = {
 }
 CELLS = ["", " ", "abc", "nan", "inf", "-inf", "1e400", "1e-400", "-0", "0x10", "1,5", '"', '"1"',
          "\x00", "1" * 400, "1" * 200_000]
+# Raw bytes a "byte" edit inserts: not UTF-8 (a stray, a continuation, a
+# truncated sequence, an encoded surrogate) and valid but unexpected.
+BYTES = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xef\xbb\xbf", "é".encode(), b"\r"]
 
 
 def run(argv) -> tuple[int, str, str]:
@@ -50,17 +54,19 @@ def source_text(name: str) -> str:
 
 @st.composite
 def mutations(draw):
-    """A list of edits to a CSV's rows of cells; row 0 is the header."""
+    """A list of edits to a CSV's rows of cells or lines of bytes; row 0 is the header."""
     edits = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["short", "long", "cell", "drop", "header-only", "blank"]))
+        kind = draw(st.sampled_from(["short", "long", "cell", "drop", "header-only", "blank",
+                                     "byte"]))
         edits.append((kind, draw(st.integers(0, 10)), draw(st.integers(0, 10)),
-                      draw(st.sampled_from(CELLS))))
+                      draw(st.sampled_from(BYTES if kind == "byte" else CELLS))))
     return edits
 
 
-def mutate(text: str, edits) -> str:
-    """Apply `edits` to the rows of `text` and join the cells back unquoted."""
+def mutate(text: str, edits) -> bytes:
+    """Apply the cell edits of `edits` to the rows of `text`, join the cells
+    back unquoted into UTF-8 lines, then insert the bytes of its byte edits."""
     rows = [line.split(",") for line in text.splitlines()]
     for kind, i, j, cell in edits:
         i %= len(rows)
@@ -78,7 +84,12 @@ def mutate(text: str, edits) -> str:
             del rows[1:]
         elif kind == "blank":
             rows.insert(i + 1, [])
-    return "".join(",".join(row) + "\n" for row in rows)
+    lines = [(",".join(row) + "\n").encode() for row in rows]
+    for kind, i, j, value in edits:
+        if kind == "byte":
+            i %= len(lines)
+            lines[i] = lines[i][:j] + value + lines[i][j:]
+    return b"".join(lines)
 
 
 def check_compare(source: str, edits, mutated_first: bool) -> None:
@@ -86,7 +97,7 @@ def check_compare(source: str, edits, mutated_first: bool) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         good, bad = Path(tmp) / "good.csv", Path(tmp) / "bad.csv"
         good.write_text(text)
-        bad.write_text(mutate(text, edits))
+        bad.write_bytes(mutate(text, edits))
         files = [str(bad), str(good)] if mutated_first else [str(good), str(bad)]
         code, out, err = run(["compare", *files])
     errors = [line for line in err.splitlines() if line.startswith("error:")]
@@ -100,6 +111,8 @@ def check_compare(source: str, edits, mutated_first: bool) -> None:
 @given(st.sampled_from(sorted(SOURCES)), mutations(), st.booleans())
 @example("stats", [("header-only", 0, 0, "")], True).via("no data rows")
 @example("mc", [("cell", 1, 3, "nan")], False).via("non-finite half-width")
+@example("stats", [("byte", 2, 1, b"\xff")], True).via("byte that is not UTF-8")
+@example("mc", [("byte", 0, 0, b"\xef\xbb\xbf")], False).via("byte-order mark")
 @settings(max_examples=200, deadline=timedelta(seconds=2))
 def test_mutated_curve_file(source, edits, mutated_first):
     check_compare(source, edits, mutated_first)

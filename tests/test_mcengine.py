@@ -138,8 +138,8 @@ class TestReproducibility:
                                                          monkeypatch):
         seen = {}
 
-        def recording(model, seed, start, count):
-            values = _sample_matrix(model, seed, start, count)
+        def recording(model, seed, start, count, blocks=None):
+            values = _sample_matrix(model, seed, start, count, blocks)
             seen[samples, start] = values
             return values
 
@@ -415,19 +415,29 @@ class TestRk4Method:
         "initial": {"Y0": "U", "Y1": "F"},
     }
 
+    ALL_SINGLE = {
+        "symbols": [{"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+        "series": {"A": [{"n": 0, "value": 1}], "B": [{"n": 0, "value": "U"}],
+                   "C": [{"n": 1, "value": "U"}]},
+        "initial": {"Y0": 1, "Y1": "U"},
+    }
+
     @pytest.mark.parametrize("doc,grid", [
         (None, GRID7),
         (TWO_C_TERMS, [0.0, 0.0, 0.25, 0.25, 0.5]),  # zero-step legs at t0 and at 0.25
-    ], ids=["hermite_forced", "two-c-terms"])
+        (ALL_SINGLE, [0.0, 0.0, 0.25, 0.5]),
+    ], ids=["hermite_forced", "two-c-terms", "all-single-draws"])
     def test_step_blocks_do_not_change_result(self, hermite_forced, monkeypatch, doc, grid):
-        # the groups' step maps are built STEP_BLOCK steps at a time; blocks
-        # of 7 steps cut the legs anywhere and must give the same bits
+        # both paths walk the steps STEP_BLOCK at a time; blocks of 7 steps
+        # cut the legs anywhere and must give the same bits
         spec = hermite_forced if doc is None else build_problem(doc)
         cfg = McConfig(samples=64, seed=3, rk4_step=1e-3)
         default = quiet_rk4(spec, grid, cfg)
         monkeypatch.setattr(mcengine, "STEP_BLOCK", 7)
         assert quiet_rk4(spec, grid, cfg) == default
         want = per_draw_rk4(spec, grid, cfg)
+        if doc is self.ALL_SINGLE:  # no group forms: the per-draw walk, bit for bit
+            assert (default.mean, default.variance) == (want.mean, want.variance)
         for m1, v1, m2, v2 in zip(default.mean, default.variance, want.mean, want.variance):
             second = max(v1 + m1 * m1, v2 + m2 * m2)
             assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)

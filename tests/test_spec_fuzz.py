@@ -1,6 +1,10 @@
-"""Bundled problems with one leaf replaced by a hostile value fail loudly or run clean.
+"""Problem files with one hostile edit fail loudly or run clean.
 
-Each case writes the mutated problem file and runs check, solve, stats,
+Each case starts from a bundled problem or a small random problem whose
+symbols all have finite support (`conftest.finite_support_docs`), and
+replaces one leaf with a hostile value, drops one key, or adds an unknown
+key to one object (the top level, `problem`, a symbol, a series entry, a
+generator, ...).  It writes the mutated problem file and runs check, solve, stats,
 majorant and mc with both methods through `run_command`, at small orders,
 64 samples and a 3-point grid.  Every command must return 0, 1 or 2 without
 an exception escaping; an exit of 1 leaves exactly one `error:` line on
@@ -21,35 +25,51 @@ from hypothesis import strategies as st
 
 from randfrob.cli import run_command
 from randfrob.specfile import bundled_problems
-from conftest import BUNDLED
+from conftest import BUNDLED, finite_support_docs
 
 VALUES = [True, None, "", "nan", "inf", "1e400", 0, -1, 2**31, [1], {"a": 1}]
 GRID = "0:0.5:0.25"
 DOCS = {name: json.loads(bundled_problems()[name].read_text()) for name in BUNDLED}
 
 
-def leaves(node, path=()):
-    """Paths to every scalar in a JSON document, list items included."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from leaves(value, path + (key,))
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from leaves(value, path + (i,))
-    else:
-        yield path
+def nodes(node, path=()):
+    """(path, node) for a JSON document and every value in it, list items included."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from nodes(value, path + (key,))
 
 
-LEAVES = [(name, path) for name, doc in DOCS.items() for path in leaves(doc)]
-
-
-def mutated(name, path, value) -> dict:
-    doc = json.loads(json.dumps(DOCS[name]))
+def mutated(doc, path, value, kind="leaf") -> dict:
+    """A copy of `doc` with the value at `path` replaced ("leaf") or deleted
+    ("drop"), or with an unknown key of that value added to the object at
+    `path` ("add")."""
+    doc = json.loads(json.dumps(doc))
     node = doc
-    for key in path[:-1]:
+    for key in path if kind == "add" else path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if kind == "drop":
+        del node[path[-1]]
+    elif kind == "add":
+        node["unknown"] = value
+    else:
+        node[path[-1]] = value
     return doc
+
+
+@st.composite
+def mutations(draw, kinds):
+    """A bundled or finite-support document, and one edit of a kind in `kinds`."""
+    doc = draw(st.sampled_from(sorted(DOCS)).map(DOCS.get) | finite_support_docs())
+    kind = draw(st.sampled_from(kinds))
+    found = list(nodes(doc))
+    if kind == "leaf":
+        paths = [path for path, node in found if not isinstance(node, (dict, list))]
+    elif kind == "drop":  # a key of an object; list items are indexed by int
+        paths = [path for path, _ in found if path and isinstance(path[-1], str)]
+    else:
+        paths = [path for path, node in found if isinstance(node, dict)]
+    return doc, draw(st.sampled_from(paths)), draw(st.sampled_from(VALUES)), kind
 
 
 def check_commands_on(doc):
@@ -84,10 +104,17 @@ def check_commands_on(doc):
 
 # A mutated t0 or radius moves the grid out of the radius; that warning is expected.
 @pytest.mark.filterwarnings("ignore:grid point")
-@given(st.sampled_from(LEAVES), st.sampled_from(VALUES))
-@settings(max_examples=150, deadline=None)
-def test_one_leaf_mutation(leaf, value):
-    check_commands_on(mutated(*leaf, value))
+@given(mutations(["leaf"]))
+@settings(max_examples=70, deadline=None)
+def test_one_leaf_mutation(mutation):
+    check_commands_on(mutated(*mutation))
+
+
+@pytest.mark.filterwarnings("ignore:grid point")
+@given(mutations(["drop", "add"]))
+@settings(max_examples=40, deadline=None)
+def test_dropped_or_unknown_key(mutation):
+    check_commands_on(mutated(*mutation))
 
 
 @pytest.mark.parametrize("name,path,value", [
@@ -102,4 +129,4 @@ def test_one_leaf_mutation(leaf, value):
         "iid-M-1e400", "iid-M-2^31", "inverse-square-M-1e400", "inverse-square-M-2^31"])
 def test_counting_and_generator_sizes_do_not_hang(name, path, value):
     # each of these enumerated a support or expanded a generator for minutes
-    check_commands_on(mutated(name, path, value))
+    check_commands_on(mutated(DOCS[name], path, value))
