@@ -373,9 +373,10 @@ def mc_rk4(
     def march(states, width: int) -> np.ndarray:
         """The (grid, width) x rows of the states before each step and after the last."""
         paths = np.empty((len(ts), width))
+        stops = ends + [-1]  # no step is numbered -1, so g stops past the last grid point
         g = 0
         for step, state in enumerate(states):
-            while g < len(ends) and ends[g] == step:
+            while stops[g] == step:
                 paths[g] = state[0]
                 g += 1
         return paths

@@ -1,8 +1,8 @@
 """Problem files with one hostile edit fail loudly or run clean.
 
-Each case starts from a bundled problem or a small random problem whose
-symbols all have finite support (`conftest.finite_support_docs`), and
-replaces one leaf with a hostile value, drops one key, or adds an unknown
+Each case starts from a bundled problem or, in its own test, a small random
+problem whose symbols all have finite support (`conftest.finite_support_docs`),
+and replaces one leaf with a hostile value, drops one key, or adds an unknown
 key to one object (the top level, `problem`, a symbol, a series entry, a
 generator, ...).  It writes the mutated problem file and runs check, solve, stats,
 majorant and mc with both methods through `run_command`, at small orders,
@@ -57,19 +57,27 @@ def mutated(doc, path, value, kind="leaf") -> dict:
     return doc
 
 
-@st.composite
-def mutations(draw, kinds):
-    """A bundled or finite-support document, and one edit of a kind in `kinds`."""
-    doc = draw(st.sampled_from(sorted(DOCS)).map(DOCS.get) | finite_support_docs())
-    kind = draw(st.sampled_from(kinds))
+def targets(doc, kind) -> list:
+    """The paths in `doc` that an edit of `kind` can take."""
     found = list(nodes(doc))
     if kind == "leaf":
-        paths = [path for path, node in found if not isinstance(node, (dict, list))]
-    elif kind == "drop":  # a key of an object; list items are indexed by int
-        paths = [path for path, _ in found if path and isinstance(path[-1], str)]
-    else:
-        paths = [path for path, node in found if isinstance(node, dict)]
-    return doc, draw(st.sampled_from(paths)), draw(st.sampled_from(VALUES)), kind
+        return [path for path, node in found if not isinstance(node, (dict, list))]
+    if kind == "drop":  # a key of an object; list items are indexed by int
+        return [path for path, _ in found if path and isinstance(path[-1], str)]
+    return [path for path, node in found if isinstance(node, dict)]
+
+
+# (bundled problem, path) for every edit of each kind, so each path is equally likely
+BUNDLED_TARGETS = {kind: [(name, path) for name in sorted(DOCS) for path in targets(DOCS[name], kind)]
+                   for kind in ("leaf", "drop", "add")}
+
+
+@st.composite
+def finite_support_mutations(draw) -> dict:
+    """A finite-support document with one edit of any kind."""
+    doc = draw(finite_support_docs())
+    kind = draw(st.sampled_from(["leaf", "drop", "add"]))
+    return mutated(doc, draw(st.sampled_from(targets(doc, kind))), draw(st.sampled_from(VALUES)), kind)
 
 
 def check_commands_on(doc):
@@ -104,17 +112,26 @@ def check_commands_on(doc):
 
 # A mutated t0 or radius moves the grid out of the radius; that warning is expected.
 @pytest.mark.filterwarnings("ignore:grid point")
-@given(mutations(["leaf"]))
-@settings(max_examples=70, deadline=None)
-def test_one_leaf_mutation(mutation):
-    check_commands_on(mutated(*mutation))
+@given(st.sampled_from(BUNDLED_TARGETS["leaf"]), st.sampled_from(VALUES))
+@settings(max_examples=150, deadline=None)
+def test_one_leaf_mutation(target, value):
+    name, path = target
+    check_commands_on(mutated(DOCS[name], path, value))
 
 
 @pytest.mark.filterwarnings("ignore:grid point")
-@given(mutations(["drop", "add"]))
+@given(st.sampled_from(["drop", "add"]), st.data())
 @settings(max_examples=40, deadline=None)
-def test_dropped_or_unknown_key(mutation):
-    check_commands_on(mutated(*mutation))
+def test_dropped_or_unknown_key(kind, data):
+    name, path = data.draw(st.sampled_from(BUNDLED_TARGETS[kind]))
+    check_commands_on(mutated(DOCS[name], path, data.draw(st.sampled_from(VALUES)), kind))
+
+
+@pytest.mark.filterwarnings("ignore:grid point")
+@given(finite_support_mutations())
+@settings(max_examples=30, deadline=None)
+def test_finite_support_mutation(doc):
+    check_commands_on(doc)
 
 
 @pytest.mark.parametrize("name,path,value", [
