@@ -25,8 +25,9 @@ the columns of the blocks left out are NaN.
 
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw.  Single draws
-and such groups share one RK4 step (`_rk4`) and one walk over the steps
-(see `mc_rk4`).
+and such groups share one input evaluation (a weights product with plan
+rows), one slope, one RK4 step (`_rk4`) and one walk over the steps (see
+`mc_rk4`).
 """
 
 from __future__ import annotations
@@ -273,18 +274,6 @@ def _steps_for(delta: float, h: float) -> int:
     return n
 
 
-def _int_power(x: np.ndarray, e: int) -> np.ndarray:
-    """x^e elementwise by repeated squaring, so each value's bits depend only on x and e."""
-    result = np.ones_like(x)
-    while e:
-        if e & 1:
-            result = result * x
-        e >>= 1
-        if e:
-            x = x * x
-    return result
-
-
 def _rk4(slope, state, h, start, mid, end):
     """One classical RK4 step of size h from `state`.
 
@@ -320,18 +309,21 @@ def mc_rk4(
     of one RK4 pass over the chunk's single draws, so a chunk where no group
     forms is integrated bit for bit as per draw.
 
+    Both paths walk the steps STEP_BLOCK at a time and evaluate the inputs
+    one way: per piece, the weights series * tau^exps at every step's
+    start, midpoint and end, whose product with plan rows gives a, b and c
+    there, and one slope (x', c - b x - a x').  Single draws take one `_rk4`
+    step on their stacked (x, x') rows, with row i of the weights at step i.
     Within a group a(tau) and b(tau) are scalars, so an RK4 step is one
     affine map S -> P_i S + Q_i of the group's (2, n_basis) state of x and
-    x': `_rk4` applied to the identity map [I | 0] composes the stages'
-    L = [[0, 1], [-b, -a]] into P_i (2 x 2), and Q_i carries each C term's
-    forcing [0, tau^n_j].  Both paths walk the steps STEP_BLOCK at a time:
-    single draws take one `_rk4` step on their stacked (x, x') rows, with
-    a, b and c evaluated once at each of the step's start, midpoint and end,
-    and a group builds a piece's maps at once, then applies them in order.  A
-    group's basis paths depend only on its A/B values, so they are memoized
-    on those values' bytes for this call: chunks that meet the same group
-    integrate it once, and the output does not depend on which chunk, or
-    thread, gets there first.
+    x'.  [P_i | Q_i] is one `_rk4` step of 2 + n_basis map draws with the
+    group's A/B rows: the first two start at I unforced, and each other
+    starts at rest, forced by one unit C term (the Y0 and Y1 columns of Q_i
+    stay at rest).  A group builds a piece's maps at once, then applies them
+    in order.  Its basis paths depend only on its A/B values, so they are
+    memoized on those values' bytes for this call: chunks that meet the same
+    group integrate it once, and the output does not depend on which chunk,
+    or thread, gets there first.
     """
     t0 = float(spec.t0)
     ts = [float(t) for t in grid]
@@ -363,12 +355,15 @@ def mc_rk4(
     leg_first = leg_end - leg_n
 
     def pieces():
-        """Per STEP_BLOCK piece of the steps: each step's start tau and size."""
+        """Per STEP_BLOCK piece of the steps: each step's size, and the input
+        weights at its start, midpoint and end, (3, steps, terms) arrays whose
+        product with plan rows gives a, b and c there."""
         for lo in range(0, total, STEP_BLOCK):
             step = np.arange(lo, min(lo + STEP_BLOCK, total))
             leg = np.searchsorted(leg_end, step, side="right")
             h = leg_h[leg]
-            yield leg_t[leg] + (step - leg_first[leg]) * h - t0, h
+            tau = leg_t[leg] + (step - leg_first[leg]) * h - t0
+            yield h, [series[:, None, :] * t[:, None] ** exps for t in (tau, tau + h / 2, tau + h)]
 
     def march(states, width: int) -> np.ndarray:
         """The (grid, width) x rows of the states before each step and after the last."""
@@ -393,68 +388,43 @@ def mc_rk4(
     n_basis = plan.rows - n_ab
     blocks = model.leading_blocks(sid for sid, _ in plan.powers)
 
+    def slope(at, state: np.ndarray) -> np.ndarray:
+        """(x', c - b x - a x') at the states (x, x'), with (a, b, c) = `at`."""
+        a, b, c = at
+        out = np.empty_like(state)
+        out[0] = state[1]
+        np.subtract(c, b * state[0], out=out[1])
+        out[1] -= a * state[1]
+        return out
+
     def integrate(rows: np.ndarray) -> np.ndarray:
         """The (grid, columns) paths of a C-contiguous plan-row matrix."""
         coeffs = rows[:-2]
 
-        def slope(at: np.ndarray, state: np.ndarray) -> np.ndarray:
-            a, b, c = at
-            out = np.empty_like(state)
-            out[0] = state[1]
-            np.subtract(c, b * state[0], out=out[1])
-            out[1] -= a * state[1]
-            return out
-
         def states():
             state = rows[-2:]  # (x, x') at t0: Y0 and Y1
             yield state
-            for taus, hs in pieces():
-                for tau, h in zip(taus.tolist(), hs.tolist()):
-                    at = [(series * t**exps) @ coeffs for t in (tau, tau + h / 2, tau + h)]
-                    state = _rk4(slope, state, h, *at)
+            for hs, weights in pieces():
+                for i, h in enumerate(hs.tolist()):
+                    state = _rk4(slope, state, h, *(w[:, i] @ coeffs for w in weights))
                     yield state
 
         return march(states(), rows.shape[1])
 
-    # at_power[e]: the plan rows of the A/B/C terms of index e
-    at_power: dict[int, list[int]] = {}
-    for j, (_, n, _) in enumerate(terms):
-        at_power.setdefault(n, []).append(j)
-
-    def field(ab: np.ndarray, tau: np.ndarray):
-        """a and b at each tau, as columns, and the (tau, n_basis) forcing of each basis column."""
-        a_b = np.zeros((2, len(tau)))
-        forcing = np.zeros((len(tau), n_basis))  # the Y0 and Y1 columns are unforced
-        for e, term_rows in at_power.items():
-            power = _int_power(tau, e)
-            for j in term_rows:
-                if j < n_ab:
-                    a_b[terms[j][0]] += ab[j] * power
-                else:
-                    forcing[:, j - n_ab] = power
-        return a_b[0][:, None], a_b[1][:, None], forcing
-
-    def map_slope(at, m: np.ndarray) -> np.ndarray:
-        """The slopes (v, c - b x - a v) at states (x, v) = K S + F, as maps [K | F] like `m`."""
-        a, b, forcing = at
-        out = np.empty(m.shape)
-        out[:, 0] = m[:, 1]
-        out[:, 1] = -b * m[:, 0] - a * m[:, 1]
-        out[:, 1, 2:] += forcing
-        return out
-
-    identity = np.eye(2, 2 + n_basis)  # the state S itself, as a map [I | 0]
+    # The C rows of a group's map draws: draw 2 + j is forced by C term j alone.
+    unit_c = np.eye(n_basis - 2, 2 + n_basis, 2)
 
     def group_paths(ab: np.ndarray) -> np.ndarray:
         """The (grid, n_basis) basis paths of a group with A/B plan rows `ab`."""
+        coeffs = np.vstack([np.repeat(ab[:, None], 2 + n_basis, axis=1), unit_c])
 
         def states():
             state = np.eye(2, n_basis, n_basis - 2)  # the C columns start at rest; Y0, Y1 at I
             yield state
-            for tau_a, h in pieces():
-                at = [field(ab, tau) for tau in (tau_a, tau_a + h / 2, tau_a + h)]
-                maps = _rk4(map_slope, np.broadcast_to(identity, (len(h),) + identity.shape),
-                            h[:, None, None], *at)
+            for h, weights in pieces():
+                start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None], (2, len(h), 2 + n_basis))
+                maps = _rk4(slope, start, h[:, None], *(w @ coeffs for w in weights))
+                maps = maps.transpose(1, 0, 2)  # per step, [P_i | Q_i]
                 for p_i, q_i in zip(np.ascontiguousarray(maps[:, :, :2]),
                                     np.ascontiguousarray(maps[:, :, 2:])):
                     state = p_i @ state + q_i
