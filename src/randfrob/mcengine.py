@@ -151,13 +151,16 @@ def _run_chunks(
     """Apply `worker(start, count)` over fixed-size chunks, in order.
 
     Each chunk's (grid, count) paths reduce to per-row sums and sums of
-    squares.  The chunk layout depends only on the sample count, so any
-    worker count produces the same partials in the same order.
+    squared deviations about the chunk's own means.  The chunk layout
+    depends only on the sample count, so any worker count produces the same
+    partials in the same order.
     """
     def run_chunk(job):
         with np.errstate(over="ignore", invalid="ignore"):  # `_aggregate` rejects a non-finite total
             paths = worker(*job)
-            return paths.sum(axis=1), (paths * paths).sum(axis=1)
+            total = paths.sum(axis=1)
+            deviations = paths - (total / job[1])[:, None]
+            return total, (deviations * deviations).sum(axis=1)
 
     starts = list(range(0, samples, CHUNK))
     jobs = [(s, min(CHUNK, samples - s)) for s in starts]
@@ -174,22 +177,28 @@ def _aggregate(
     grid: Sequence[float],
     samples: int,
     sums: list[np.ndarray],
-    sumsqs: list[np.ndarray],
+    squares: list[np.ndarray],
     label: str,
 ) -> StatCurve:
+    """Mean, variance and CI half-width per grid point from `_run_chunks`' partials.
+
+    The chunks' squared deviations are pooled about the overall mean by
+    adding count * (chunk mean - mean)^2 per chunk (Chan, Golub & LeVeque,
+    1983), so a large mean does not cancel the variance's digits.
+    """
+    counts = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
     means, variances, halfwidths = [], [], []
     if samples == 1:
         warnings.warn("sample variance undefined for a single draw; reporting 0")
     for g in range(len(grid)):
         total = math.fsum(chunk[g] for chunk in sums)
-        total_sq = math.fsum(chunk[g] for chunk in sumsqs)
+        mean = total / samples
+        shifts = [float(chunk[g]) / n - mean for n, chunk in zip(counts, sums)]
+        total_sq = math.fsum([chunk[g] for chunk in squares]
+                             + [n * d * d for n, d in zip(counts, shifts)])
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise OverflowError(f"Monte Carlo sums at t={float(grid[g]):g} are not finite")
-        mean = total / samples
-        if samples > 1:
-            var = (total_sq - samples * mean * mean) / (samples - 1)
-        else:
-            var = 0.0
+        var = total_sq / (samples - 1) if samples > 1 else 0.0
         means.append(mean)
         variances.append(var)  # StatCurve clamps float dust to 0
         halfwidths.append(CI_MULTIPLIER * math.sqrt(max(var, 0.0) / samples))

@@ -262,6 +262,21 @@ class TestSeriesMethod:
                           McConfig(samples=777, seed=13))
         assert all(v >= 0 for v in curve.variance)
 
+    @pytest.mark.parametrize("route", ["series", "rk4"])
+    def test_variance_survives_large_mean(self, route):
+        # x = 1e8 + U: sum x^2 - N mean^2 would cancel every digit of the
+        # variance 1/12; deviations about each chunk's mean keep them
+        doc = {"symbols": [{"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+               "initial": {"Y0": "100000000 + U", "Y1": 0}}
+        spec = build_problem(doc)
+        cfg = McConfig(samples=100_000, seed=7, rk4_step=0.5)
+        if route == "series":
+            curve = mc_series(compute_coeffs(spec, 4), spec.model, [0.0, 1.0], cfg)
+        else:
+            curve = quiet_rk4(spec, [0.0, 1.0], cfg)
+        for var in curve.variance:
+            assert var == pytest.approx(1 / 12, rel=0.05)
+
 
 class TestSeriesRecursion:
     """The float recursion on sampled inputs against the exact route: the
