@@ -124,6 +124,21 @@ def coeff_recursion(a_items, b_items, c: Mapping, y0, y1, order: int, zero) -> l
     return X
 
 
+def _check_generator_reach(spec: ProblemSpec, index: int, reader: str) -> None:
+    """Raise SpecError if a generator-backed series stops before input `index`.
+
+    A generator expands its series up to index M only; `reader` (such as
+    "order 10") reads up to `index`, and would read zeros past M.
+    """
+    for label, proc in (("A", spec.a), ("B", spec.b), ("C", spec.c)):
+        if proc.generator is not None and proc.generator.order < index:
+            raise SpecError(
+                f"series {label}: generator M={proc.generator.order} expands inputs"
+                f" up to index {proc.generator.order}, but {reader} needs"
+                f" index {index}; raise M to at least {index}"
+            )
+
+
 def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     """Run the coefficient recursion up to X_order, exactly.
 
@@ -134,13 +149,7 @@ def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     """
     if order < 2:
         raise ValueError(f"truncation order must be >= 2, got {order}")
-    for label, proc in (("A", spec.a), ("B", spec.b), ("C", spec.c)):
-        if proc.generator is not None and proc.generator.order < order - 2:
-            raise SpecError(
-                f"series {label}: generator M={proc.generator.order} expands inputs"
-                f" up to index {proc.generator.order}, but order {order} needs"
-                f" index {order - 2}; raise M to at least {order - 2}"
-            )
+    _check_generator_reach(spec, order - 2, f"order {order}")
     X = coeff_recursion(spec.a.items(), spec.b.items(), spec.c.coeffs, spec.y0, spec.y1,
                         order, Poly.zero())
     return SeriesSolution(X=X, order=order, spec=spec)

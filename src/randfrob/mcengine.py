@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import GridMismatchError
-from .frobenius import ProblemSpec, SeriesSolution, coeff_recursion
+from .frobenius import ProblemSpec, SeriesSolution, _check_generator_reach, coeff_recursion
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
 from .uqstats import StatCurve, _horner, _warn_outside_radius
@@ -389,6 +389,9 @@ def mc_rk4(
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
     # The a and b rows come first: rows[:n_ab] fix a draw's basis, and the
     # path is linear in the n_basis rows after them.
+    if cfg.input_truncation is not None:
+        _check_generator_reach(spec, cfg.input_truncation,
+                               f"input truncation {cfg.input_truncation}")
     terms, plan = _input_terms(spec, math.inf if cfg.input_truncation is None
                                else cfg.input_truncation)
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)

@@ -545,6 +545,17 @@ class TestCommands:
         assert not out_path.exists()
         # order M + 2 reads inputs up to index M only
         assert run(capsys, "solve", str(path), "--order", "5", "--out", str(out_path))[0] == 0
+        # RK4 reads inputs up to its input truncation: the same check applies
+        mc_path = tmp_path / "mc.csv"
+        rk4 = ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05",
+               "--out", str(mc_path))
+        for spec, k, m in ((str(path), 4, 3), ("beta_series", 100, 40)):
+            code, _, err = run(capsys, rk4[0], spec, *rk4[1:], "--input-truncation", str(k))
+            assert code == 1
+            assert f"series A: generator M={m}" in err
+            assert f"input truncation {k} needs index {k}" in err
+            assert not mc_path.exists()
+        assert run(capsys, rk4[0], str(path), *rk4[1:], "--input-truncation", "3")[0] == 0
 
     def test_missing_file_is_validation_failure(self, capsys):
         code, _, err = run(capsys, "check", "nowhere.spec")
