@@ -339,13 +339,13 @@ def rk4_docs(draw):
             {"name": "U", "dist": "uniform", "params": {"a": -1, "b": 1}},
         ],
     }
-    ab = st.dictionaries(st.integers(0, 2), st.sampled_from(RK4_AB_VALUES), max_size=2)
+    ab = st.dictionaries(st.integers(0, 5), st.sampled_from(RK4_AB_VALUES), max_size=2)
     other = st.sampled_from(RK4_OTHER_VALUES)
     doc["series"] = {
         "A": [{"n": n, "value": v} for n, v in draw(ab).items()],
         "B": [{"n": n, "value": v} for n, v in draw(ab).items()],
         "C": [{"n": n, "value": v}
-              for n, v in draw(st.dictionaries(st.integers(0, 2), other, max_size=3)).items()],
+              for n, v in draw(st.dictionaries(st.integers(0, 5), other, max_size=3)).items()],
     }
     doc["initial"] = {"Y0": draw(other), "Y1": draw(other)}
     return doc

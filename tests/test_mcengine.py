@@ -382,6 +382,18 @@ class TestRk4Method:
         curve = quiet_rk4(spec, [float(t) for t in grid], McConfig(samples=1, seed=0, rk4_step=1e-4))
         assert max(abs(a - b) for a, b in zip(exact, curve.mean)) < 1e-8
 
+    # Groups whose a, b and c read tau^3, tau^5 and tau^7.
+    HIGH_INDEX = {
+        "symbols": [
+            {"name": "F", "dist": "finite_discrete",
+             "params": {"support": ["-1", "1/2"], "probs": ["1/4", "3/4"]}},
+            {"name": "U", "dist": "uniform", "params": {"a": -1, "b": 1}},
+        ],
+        "series": {"A": [{"n": 3, "value": "F"}], "B": [{"n": 5, "value": "1 - F"}],
+                   "C": [{"n": 7, "value": "U"}]},
+        "initial": {"Y0": "U", "Y1": "F"},
+    }
+
     @given(rk4_docs(), st.integers(0, 2), st.integers(1, CHUNK - 1), st.integers(0, 2**32))
     @example({"symbols": [{"name": "F", "dist": "binomial", "params": {"n": 3, "p": "1/3"}}],
               "series": {"A": [{"n": 0, "value": "F"}], "B": [{"n": 1, "value": "1 - F"}],
@@ -397,6 +409,7 @@ class TestRk4Method:
                           {"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
               "series": {"B": [{"n": 0, "value": "S*U"}], "C": [{"n": 0, "value": "S"}]},
               "initial": {"Y0": "U", "Y1": 1}}, 0, 900, 6).via("groups and single draws")
+    @example(HIGH_INDEX, 0, 600, 8).via("inputs of index 3, 5 and 7")
     @settings(max_examples=25, deadline=None)
     def test_matches_per_draw_oracle(self, doc, chunks, rest, seed):
         # superposed groups only reorder rounding; without a group the
@@ -441,7 +454,8 @@ class TestRk4Method:
         (None, GRID7),
         (TWO_C_TERMS, [0.0, 0.0, 0.25, 0.25, 0.5]),  # zero-step legs at t0 and at 0.25
         (ALL_SINGLE, [0.0, 0.0, 0.25, 0.5]),
-    ], ids=["hermite_forced", "two-c-terms", "all-single-draws"])
+        (HIGH_INDEX, [0.0, 0.25, 0.5, 1.0]),
+    ], ids=["hermite_forced", "two-c-terms", "all-single-draws", "high-index"])
     def test_step_blocks_do_not_change_result(self, hermite_forced, monkeypatch, doc, grid):
         # both paths walk the steps STEP_BLOCK at a time; blocks of 7 steps
         # cut the legs anywhere and must give the same bits
