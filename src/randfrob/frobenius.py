@@ -125,11 +125,7 @@ def coeff_recursion(a_items, b_items, c: Mapping, y0, y1, order: int, zero) -> l
 
 
 def _check_generator_reach(spec: ProblemSpec, index: int, reader: str) -> None:
-    """Raise SpecError if a generator-backed series stops before input `index`.
-
-    A generator expands its series up to index M only; `reader` (such as
-    "order 10") reads up to `index`, and would read zeros past M.
-    """
+    """Raise SpecError if a generator's M is below `index`, the last input `reader` reads."""
     for label, proc in (("A", spec.a), ("B", spec.b), ("C", spec.c)):
         if proc.generator is not None and proc.generator.order < index:
             raise SpecError(

@@ -180,12 +180,8 @@ def _aggregate(
     squares: list[np.ndarray],
     label: str,
 ) -> StatCurve:
-    """Mean, variance and CI half-width per grid point from `_run_chunks`' partials.
-
-    The chunks' squared deviations are pooled about the overall mean by
-    adding count * (chunk mean - mean)^2 per chunk (Chan, Golub & LeVeque,
-    1983), so a large mean does not cancel the variance's digits.
-    """
+    """Per grid point, the mean, and the variance pooled from the chunks' squared
+    deviations plus n_k (mean_k - mean)^2 each (Chan, Golub & LeVeque, 1983)."""
     counts = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
     means, variances, halfwidths = [], [], []
     if samples == 1:
