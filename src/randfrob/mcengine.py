@@ -160,7 +160,8 @@ def _run_chunks(
             paths = worker(*job)
             total = paths.sum(axis=1)
             deviations = paths - (total / job[1])[:, None]
-            return total, (deviations * deviations).sum(axis=1)
+            deviations *= deviations  # in place: one (grid, count) array beside the paths
+            return total, deviations.sum(axis=1)
 
     starts = list(range(0, samples, CHUNK))
     jobs = [(s, min(CHUNK, samples - s)) for s in starts]
