@@ -383,13 +383,13 @@ def mc_rk4(
                 g += 1
         return paths
 
+    if cfg.input_truncation is not None:
+        _check_generator_reach(spec, cfg.input_truncation,
+                               f"input truncation {cfg.input_truncation}")
     # Plan rows: each stored A_n, B_n, C_n with n <= input_truncation, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
     # The a and b rows come first: rows[:n_ab] fix a draw's basis, and the
     # path is linear in the n_basis rows after them.
-    if cfg.input_truncation is not None:
-        _check_generator_reach(spec, cfg.input_truncation,
-                               f"input truncation {cfg.input_truncation}")
     terms, plan = _input_terms(spec, math.inf if cfg.input_truncation is None
                                else cfg.input_truncation)
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
