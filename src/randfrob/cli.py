@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,9 +189,9 @@ def _cmd_mc(args) -> int:
     )
     if args.method == "series":
         sol = compute_coeffs(spec, order)
-        curve = mc_series(sol, spec.model, grid, cfg)
+        curve = mc_series(sol, grid, cfg)
     else:
-        curve = mc_rk4(spec, spec.model, grid, cfg)
+        curve = mc_rk4(spec, grid, cfg)
     _write_curve(args.out, curve, args.full_precision)
     print(f"wrote {len(curve.grid)} rows to {args.out}")
     return 0
@@ -292,6 +293,8 @@ def run_command(argv=None) -> int:
 
 
 def main() -> None:
+    # A warning reads as one line, not as the library source line that raised it.
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     sys.exit(run_command())
 
 

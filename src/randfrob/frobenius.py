@@ -302,18 +302,8 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     series term lists and/or generator rules, and initial-condition
     expressions.  Every error names the offending key.
     """
-    if not isinstance(doc, Mapping):
-        raise SpecError("problem document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SpecError(f"unknown top-level key(s): {sorted(unknown)}")
-
-    prob = doc.get("problem", {})
-    if not isinstance(prob, Mapping):
-        raise SpecError("'problem' must be an object")
-    unknown = set(prob) - {"t0", "radius", "order"}
-    if unknown:
-        raise SpecError(f"unknown key(s) in 'problem': {sorted(unknown)}")
+    doc = _object(doc, "problem document", _TOP_KEYS)
+    prob = _object(doc.get("problem", {}), "'problem'", {"t0", "radius", "order"})
     t0 = _read_rational(prob.get("t0", 0), "'t0'")
     radius = _read_radius(prob.get("radius", "inf"))
     default_order = _read_int(prob.get("order", 20), "'order'", 2)
@@ -331,11 +321,10 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     for entry in _entries(doc.get("symbols", []), "symbols"):
         name = _require(entry, "name", "symbols entry")
         sid = declare(name, "symbols")
-        dist = _make_dist(entry, f"symbol {name!r}")
+        what = f"symbol {name!r}"
+        dist = _make_dist(_object(entry, what, {"name", "dist", "params"}), what)
         if dist.arity != 1:
-            raise SpecError(
-                f"symbol {name!r}: vector distribution {dist.kind!r} needs a block declaration"
-            )
+            raise SpecError(f"{what}: vector distribution {dist.kind!r} needs a block declaration")
         blocks.append(DependenceBlock((sid,), dist))
 
     for entry in _entries(doc.get("blocks", []), "blocks"):
@@ -343,24 +332,15 @@ def build_problem(doc: Mapping) -> ProblemSpec:
         if not isinstance(names, (list, tuple)) or not names:
             raise SpecError("blocks entry: 'names' must be a non-empty list")
         sids = tuple(declare(n, "blocks") for n in names)
-        dist = _make_dist(entry, f"block {list(names)!r}")
+        what = f"block {list(names)!r}"
+        dist = _make_dist(_object(entry, what, {"names", "dist", "params"}), what)
         try:
             blocks.append(DependenceBlock(sids, dist))
         except DistributionError as exc:
-            raise SpecError(f"block {list(names)!r}: {exc}") from exc
+            raise SpecError(f"{what}: {exc}") from exc
 
-    series_doc = doc.get("series", {})
-    if not isinstance(series_doc, Mapping):
-        raise SpecError("'series' must be an object")
-    unknown = set(series_doc) - _SERIES_KEYS
-    if unknown:
-        raise SpecError(f"unknown series name(s): {sorted(unknown)} (expected A, B, C)")
-    gens_doc = doc.get("generators", {})
-    if not isinstance(gens_doc, Mapping):
-        raise SpecError("'generators' must be an object")
-    unknown = set(gens_doc) - _SERIES_KEYS
-    if unknown:
-        raise SpecError(f"unknown generator target(s): {sorted(unknown)}")
+    series_doc = _object(doc.get("series", {}), "'series'", _SERIES_KEYS)
+    gens_doc = _object(doc.get("generators", {}), "'generators'", _SERIES_KEYS)
 
     processes: dict[str, SeriesProcess] = {}
     for label in ("A", "B", "C"):
@@ -428,13 +408,21 @@ def _read_int(value, what: str, least: int) -> int:
     return int(number)
 
 
+def _object(value, what: str, keys: set | None = None) -> Mapping:
+    """`value` if it is an object whose keys all lie in `keys` (any keys when None)."""
+    if not isinstance(value, Mapping):
+        raise SpecError(f"{what} must be an object")
+    unknown = set() if keys is None else set(value) - keys
+    if unknown:
+        known = ", ".join(sorted(keys))
+        raise SpecError(f"{what}: unknown key(s) {sorted(unknown)} (known: {known})")
+    return value
+
+
 def _entries(value, what: str) -> list:
     if not isinstance(value, (list, tuple)):
         raise SpecError(f"'{what}' must be a list")
-    for entry in value:
-        if not isinstance(entry, Mapping):
-            raise SpecError(f"'{what}' entries must be objects")
-    return list(value)
+    return [_object(entry, f"'{what}' entry") for entry in value]
 
 
 def _require(entry: Mapping, key: str, context: str):
@@ -445,12 +433,7 @@ def _require(entry: Mapping, key: str, context: str):
 
 def _make_dist(entry: Mapping, context: str):
     kind = _require(entry, "dist", context)
-    params = entry.get("params", {})
-    if not isinstance(params, Mapping):
-        raise SpecError(f"{context}: 'params' must be an object")
-    extra = set(entry) - {"name", "names", "dist", "params"}
-    if extra:
-        raise SpecError(f"{context}: unknown key(s) {sorted(extra)}")
+    params = _object(entry.get("params", {}), f"{context}: 'params'")
     try:
         return distribution_from_spec(kind, dict(params))
     except (DistributionError, SpecError) as exc:  # SpecError: a number `to_fraction` cannot read
@@ -470,9 +453,7 @@ def _value_poly(value, table: SymbolTable, context: str) -> Poly:
 def _explicit_series(label: str, entries, table: SymbolTable) -> SeriesProcess:
     coeffs: dict[int, Poly] = {}
     for entry in _entries(entries, f"series {label}"):
-        unknown = set(entry) - {"n", "value"}
-        if unknown:
-            raise SpecError(f"series {label}: unknown key(s) {sorted(unknown)}")
+        _object(entry, f"series {label}", {"n", "value"})
         n = _read_int(_require(entry, "n", f"series {label} entry"), f"series {label}: index", 0)
         if n in coeffs:
             raise SpecError(f"series {label}: duplicate entry for n={n}")
@@ -482,7 +463,11 @@ def _explicit_series(label: str, entries, table: SymbolTable) -> SeriesProcess:
     return SeriesProcess(coeffs=coeffs)
 
 
-_GENERATOR_FAMILIES = ("iid", "inverse_square")
+# Each generator family and the keys its generator takes.
+_GENERATOR_KEYS = {
+    "iid": {"family", "M", "dist", "params", "prefix"},
+    "inverse_square": {"family", "M"},
+}
 # Largest M a generator expands to.  Each index adds a term, and an iid index
 # a symbol, whose packed monomial key grows with the symbol count: about
 # 2*M^2 bytes in all, so building beta_series at M = 4096 adds about 38 MB.
@@ -508,41 +493,32 @@ def _expand_generator(
     2N is a safe and cheap cover for any solve at order <= N.  An M, given
     or default, over MAX_GENERATOR_M raises SpecError before any term is built.
     """
-    if not isinstance(gen, Mapping):
-        raise SpecError(f"generator for series {label} must be an object")
-    family = _require(gen, "family", f"generator {label}")
-    if family not in _GENERATOR_FAMILIES:
-        raise SpecError(
-            f"generator {label}: unknown family {family!r} (known: {list(_GENERATOR_FAMILIES)})"
-        )
+    what = f"generator {label}"
+    family = _require(_object(gen, what), "family", what)
+    if not isinstance(family, str) or family not in _GENERATOR_KEYS:
+        raise SpecError(f"{what}: unknown family {family!r} (known: {list(_GENERATOR_KEYS)})")
+    _object(gen, what, _GENERATOR_KEYS[family])
     m_value = gen.get("M")
-    order = 2 * default_order if m_value is None else _read_int(m_value, f"generator {label}: M", 0)
+    order = 2 * default_order if m_value is None else _read_int(m_value, f"{what}: M", 0)
     if order > MAX_GENERATOR_M:
         given = f"M = {m_value!r}" if m_value is not None else (
             f"M (by default 2 x order {default_order}) = {order}")
-        raise SpecError(f"generator {label}: {given} is over the limit {MAX_GENERATOR_M}")
+        raise SpecError(f"{what}: {given} is over the limit {MAX_GENERATOR_M}")
 
     if family == "inverse_square":
-        unknown = set(gen) - {"family", "M"}
-        if unknown:
-            raise SpecError(f"generator {label}: unknown key(s) {sorted(unknown)}")
         coeffs = {n: Poly.const(Fraction(1, n * n)) for n in range(1, order + 1)}
         return SeriesProcess(coeffs=coeffs, generator=GeneratorRule(family, order))
 
-    unknown = set(gen) - {"family", "M", "dist", "params", "prefix"}
-    if unknown:
-        raise SpecError(f"generator {label}: unknown key(s) {sorted(unknown)}")
-    dist = _make_dist({"dist": _require(gen, "dist", f"generator {label}"),
-                       "params": gen.get("params", {})}, f"generator {label}")
+    dist = _make_dist(gen, what)
     if dist.arity != 1:
-        raise SpecError(f"generator {label}: iid family needs a scalar distribution")
+        raise SpecError(f"{what}: iid family needs a scalar distribution")
     prefix = gen.get("prefix", label)
     coeffs = {}
     for n in range(order + 1):
         name = f"{prefix}_{n}"
         if name in table:
             raise SpecError(
-                f"generator {label}: generated symbol {name!r} clashes with an existing declaration"
+                f"{what}: generated symbol {name!r} clashes with an existing declaration"
             )
         sid = table.add(name)
         blocks.append(DependenceBlock((sid,), dist))

@@ -245,7 +245,6 @@ def _coeff_rows(
 
 def mc_series(
     sol: SeriesSolution,
-    model: RandomModel,
     grid: Sequence[float],
     cfg: McConfig,
 ) -> StatCurve:
@@ -261,10 +260,10 @@ def mc_series(
     _warn_outside_radius(grid, sol.spec.t0, sol.spec.radius)
     taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
     plan, coeffs = _coeff_rows(sol.spec, sol.order)
-    blocks = model.leading_blocks(sid for sid, _ in plan.powers)
+    blocks = sol.spec.model.leading_blocks(sid for sid, _ in plan.powers)
 
     def worker(start: int, count: int):
-        return _horner(coeffs(_sample_matrix(model, cfg.seed, start, count, blocks)), taus)
+        return _horner(coeffs(_sample_matrix(sol.spec.model, cfg.seed, start, count, blocks)), taus)
 
     sums, squares = _run_chunks(cfg.samples, worker)
     return _aggregate(grid, cfg.samples, sums, squares, label=f"mc-series[{cfg.samples}]")
@@ -296,7 +295,6 @@ def _rk4(slope, state, h, start, mid, end):
 
 def mc_rk4(
     spec: ProblemSpec,
-    model: RandomModel,
     grid: Sequence[float],
     cfg: McConfig,
 ) -> StatCurve:
@@ -396,7 +394,7 @@ def mc_rk4(
     exps = np.array([n for _, n, _ in terms])
     n_ab = sum(s < 2 for s, _, _ in terms)
     n_basis = plan.rows - n_ab
-    blocks = model.leading_blocks(sid for sid, _ in plan.powers)
+    blocks = spec.model.leading_blocks(sid for sid, _ in plan.powers)
 
     def slope(at, state: np.ndarray) -> np.ndarray:
         """(x', c - b x - a x') at the states (x, x'), with (a, b, c) = `at`."""
@@ -447,7 +445,7 @@ def mc_rk4(
     memo: dict[bytes, np.ndarray] = {}
 
     def worker(start: int, count: int):
-        rows = plan(_sample_matrix(model, cfg.seed, start, count, blocks))
+        rows = plan(_sample_matrix(spec.model, cfg.seed, start, count, blocks))
         # Draws with equal A/B bits are one group, in draw order (lexsort is
         # stable); without A/B terms every draw is in one group.
         if n_ab:

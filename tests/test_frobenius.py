@@ -108,16 +108,16 @@ class TestBuildProblem:
 
     @pytest.mark.parametrize("doc,message", [
         ('[1]', "top level must be a JSON object"),
-        ([1], "problem document must be a JSON object"),
-        ({"extra": 1}, "unknown top-level"),
+        ([1], "problem document must be an object"),
+        ({"extra": 1}, "problem document: unknown key(s) ['extra']"),
         ({"problem": [1]}, "'problem' must be an object"),
-        ({"problem": {"step": 1}}, "unknown key(s) in 'problem'"),
+        ({"problem": {"step": 1}}, "'problem': unknown key(s) ['step'] (known: order, radius, t0)"),
         ({"problem": {"t0": "x"}}, "'t0' must be a rational number"),
         ({"problem": {"radius": -1}}, "radius must be positive"),
         *[({"problem": {"order": order}}, "'order' must be an integer >= 2")
           for order in (True, Fraction(5, 2), "x", 1)],
         ({"symbols": {"name": "A"}}, "'symbols' must be a list"),
-        ({"symbols": [1]}, "'symbols' entries must be objects"),
+        ({"symbols": [1]}, "'symbols' entry must be an object"),
         ({"symbols": [{"dist": "bernoulli"}]}, "symbols entry: missing key 'name'"),
         ({"symbols": [{"name": 3, "dist": "bernoulli"}]}, "symbol name must be a string"),
         ({"symbols": [{"name": "A", "dist": "zeta", "params": {}}]},
@@ -134,7 +134,7 @@ class TestBuildProblem:
                       "params": {"trials": 1, "probs": [0.5, 0.5]}}]},
          "block of 3 symbol(s) does not match multinomial arity 2"),
         ({"series": [1]}, "'series' must be an object"),
-        ({"series": {"D": []}}, "unknown series name(s)"),
+        ({"series": {"D": []}}, "'series': unknown key(s) ['D'] (known: A, B, C)"),
         ({"series": {"B": [{"n": 0, "value": 1, "step": 1}]}}, "series B: unknown key(s)"),
         ({"series": {"B": [{"n": 0, "value": "Q"}]}}, "undeclared symbol"),
         ({"series": {"B": [{"n": 0, "value": "A"}, {"n": 0, "value": 1}]}},
@@ -144,10 +144,10 @@ class TestBuildProblem:
         ({"series": {"B": [{"n": 0, "value": "^2"}]}}, "near '^2'"),
         ({"series": {"B": [{"n": 0, "value": "A*"}]}}, "near '*'"),
         ({"generators": [1]}, "'generators' must be an object"),
-        ({"generators": {"D": {}}}, "unknown generator target(s)"),
+        ({"generators": {"D": {}}}, "'generators': unknown key(s) ['D']"),
         ({"series": {"A": [{"n": 0, "value": 1}]},
           "generators": {"A": {"family": "inverse_square"}}}, "not both"),
-        ({"generators": {"A": [1]}}, "generator for series A must be an object"),
+        ({"generators": {"A": [1]}}, "generator A must be an object"),
         ({"generators": {"A": {"family": "markov"}}}, "unknown family 'markov'"),
         ({"generators": {"A": {"family": "inverse_square", "dist": "beta"}}},
          "generator A: unknown key(s) ['dist']"),
@@ -171,6 +171,13 @@ class TestBuildProblem:
          "cannot read '1e10000000' as a rational number: its decimal exponent is beyond"),
         ({"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "x"}}]},
          "symbol 'A': cannot read 'x' as a rational number"),
+        # a symbol takes no `names` and a block no `name`
+        ({"symbols": [{"name": "A", "names": ["B", "C"], "dist": "bernoulli",
+                       "params": {"p": 0.5}}]},
+         "symbol 'A': unknown key(s) ['names'] (known: dist, name, params)"),
+        ({"blocks": [{"names": ["X", "Y"], "name": "Z", "dist": "multinomial",
+                      "params": {"trials": 1, "probs": [0.5, 0.5]}}]},
+         "block ['X', 'Y']: unknown key(s) ['name'] (known: dist, names, params)"),
     ])
     def test_error_catalogue(self, doc, message):
         base = {

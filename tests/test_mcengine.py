@@ -34,7 +34,7 @@ def oscillator_spec(b=1):
 def quiet_rk4(spec, grid, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return mc_rk4(spec, spec.model, grid, cfg)
+        return mc_rk4(spec, grid, cfg)
 
 
 class TestConfig:
@@ -54,8 +54,8 @@ class TestConfig:
 class TestReproducibility:
     def test_bit_identical_reruns(self, hermite_forced, hf_solution):
         cfg = McConfig(samples=3000, seed=11)
-        a = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
-        b = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
+        a = mc_series(hf_solution, GRID7, cfg)
+        b = mc_series(hf_solution, GRID7, cfg)
         assert a.mean == b.mean
         assert a.variance == b.variance
         assert a.ci_halfwidth == b.ci_halfwidth
@@ -63,9 +63,9 @@ class TestReproducibility:
     def test_thread_count_invariance(self, hermite_forced, hf_solution, monkeypatch):
         cfg = McConfig(samples=20000, seed=11)
         monkeypatch.setenv("RANDFROB_THREADS", "1")
-        a = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
+        a = mc_series(hf_solution, GRID7, cfg)
         monkeypatch.setenv("RANDFROB_THREADS", "4")
-        b = mc_series(hf_solution, hermite_forced.model, GRID7, cfg)
+        b = mc_series(hf_solution, GRID7, cfg)
         assert a.mean == b.mean
         assert a.variance == b.variance
 
@@ -89,7 +89,7 @@ class TestReproducibility:
         with pytest.MonkeyPatch.context() as mp:
             for threads in ("1", "3"):
                 mp.setenv("RANDFROB_THREADS", threads)
-                curves[threads] = [mc_series(sol, spec.model, [0.0, 0.5], cfg),
+                curves[threads] = [mc_series(sol, [0.0, 0.5], cfg),
                                    quiet_rk4(spec, [0.0, 0.5], cfg)]
         for one, three in zip(curves["1"], curves["3"]):
             assert (one.mean, one.variance) == (three.mean, three.variance)
@@ -145,17 +145,14 @@ class TestReproducibility:
 
         monkeypatch.setattr(mcengine, "_sample_matrix", recording)
         for samples in (CHUNK, CHUNK + 100):
-            mc_series(hf_solution, hermite_forced.model, [1.0],
-                      McConfig(samples=samples, seed=6))
+            mc_series(hf_solution, [1.0], McConfig(samples=samples, seed=6))
         assert sorted(seen) == [(CHUNK, 0), (CHUNK + 100, 0), (CHUNK + 100, CHUNK)]
         assert (seen[CHUNK, 0] == seen[CHUNK + 100, 0]).all()
         assert seen[CHUNK + 100, CHUNK].shape == (100, hermite_forced.model.n_symbols)
 
     def test_seed_changes_draws(self, hermite_forced, hf_solution):
-        a = mc_series(hf_solution, hermite_forced.model, [1.0],
-                      McConfig(samples=500, seed=1))
-        b = mc_series(hf_solution, hermite_forced.model, [1.0],
-                      McConfig(samples=500, seed=2))
+        a = mc_series(hf_solution, [1.0], McConfig(samples=500, seed=1))
+        b = mc_series(hf_solution, [1.0], McConfig(samples=500, seed=2))
         assert a.mean != b.mean
 
 
@@ -186,7 +183,7 @@ class TestLeadingDraws:
         sol = compute_coeffs(spec, 6)
         cfg = McConfig(samples=CHUNK + 100, seed=3)
         asked, pruned, full = self.run(
-            monkeypatch, lambda: mc_series(sol, spec.model, [0.0, 0.4, 0.8], cfg))
+            monkeypatch, lambda: mc_series(sol, [0.0, 0.4, 0.8], cfg))
         assert asked == [7, 7]  # Y0, Y1 and A_0 .. A_4
         assert pruned == full
 
@@ -209,7 +206,7 @@ class TestLeadingDraws:
         sol = compute_coeffs(spec, 6)
         cfg = McConfig(samples=50, seed=1)
         asked, pruned, full = self.run(
-            monkeypatch, lambda: mc_series(sol, spec.model, [0.0, 0.5], cfg))
+            monkeypatch, lambda: mc_series(sol, [0.0, 0.5], cfg))
         assert asked == [3]
         assert pruned == full
 
@@ -217,7 +214,7 @@ class TestLeadingDraws:
 class TestSeriesMethod:
     def test_flagship_t0_within_scatter(self, hermite_forced, hf_solution):
         cfg = McConfig(samples=20000, seed=3)
-        curve = mc_series(hf_solution, hermite_forced.model, [0.0], cfg)
+        curve = mc_series(hf_solution, [0.0], cfg)
         sigma = curve.ci_halfwidth[0] / 1.96
         assert abs(curve.mean[0] - 1.0) < 3 * sigma
 
@@ -233,15 +230,14 @@ class TestSeriesMethod:
         spec = build_problem(doc)
         sol = compute_coeffs(spec, 12)
         exact = rf.stat_curves(rf.moment_matrix(sol, spec.model), GRID7, spec.t0)
-        mc = mc_series(sol, spec.model, GRID7, McConfig(samples=64, seed=5))
+        mc = mc_series(sol, GRID7, McConfig(samples=64, seed=5))
         for i in range(len(GRID7)):
             assert mc.mean[i] == pytest.approx(exact.mean[i], abs=1e-12)
             assert mc.variance[i] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_sample_variance_warned(self, hermite_forced, hf_solution):
         with pytest.warns(UserWarning, match="single draw"):
-            curve = mc_series(hf_solution, hermite_forced.model, [1.0],
-                              McConfig(samples=1, seed=9))
+            curve = mc_series(hf_solution, [1.0], McConfig(samples=1, seed=9))
         assert curve.variance == [0.0]
 
     def test_radius_warning(self, bundled_specs):
@@ -250,16 +246,15 @@ class TestSeriesMethod:
         spec = bundled_specs["beta_series"]
         cfg = McConfig(samples=16, seed=3, rk4_step=0.05, input_truncation=2)
         with pytest.warns(UserWarning, match="outside the declared radius") as record:
-            mc_series(compute_coeffs(spec, 4), spec.model, [0.0, 0.5, 1.0, 2.0], cfg)
+            mc_series(compute_coeffs(spec, 4), [0.0, 0.5, 1.0, 2.0], cfg)
         assert [str(w.message) for w in record] == [
             f"grid point t={t} lies outside the declared radius" for t in (1, 2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mc_rk4(spec, spec.model, [0.0, 2.0], cfg)
+            mc_rk4(spec, [0.0, 2.0], cfg)
 
     def test_variance_nonnegative(self, hermite_forced, hf_solution):
-        curve = mc_series(hf_solution, hermite_forced.model, GRID7,
-                          McConfig(samples=777, seed=13))
+        curve = mc_series(hf_solution, GRID7, McConfig(samples=777, seed=13))
         assert all(v >= 0 for v in curve.variance)
 
     @pytest.mark.parametrize("route", ["series", "rk4"])
@@ -271,7 +266,7 @@ class TestSeriesMethod:
         spec = build_problem(doc)
         cfg = McConfig(samples=100_000, seed=7, rk4_step=0.5)
         if route == "series":
-            curve = mc_series(compute_coeffs(spec, 4), spec.model, [0.0, 1.0], cfg)
+            curve = mc_series(compute_coeffs(spec, 4), [0.0, 1.0], cfg)
         else:
             curve = quiet_rk4(spec, [0.0, 1.0], cfg)
         for var in curve.variance:
@@ -333,7 +328,7 @@ class TestRk4Method:
         spec = oscillator_spec(b=1)
         cfg = McConfig(samples=2, seed=0, rk4_step=1e-3)
         with pytest.warns(UserWarning, match="does not divide"):
-            mc_rk4(spec, spec.model, [math.pi / 3], cfg)
+            mc_rk4(spec, [math.pi / 3], cfg)
 
     def test_fourth_order_convergence(self):
         spec = oscillator_spec(b=4)  # x(t) = cos(2t)
@@ -488,9 +483,9 @@ class TestRk4Method:
     def test_grid_validation(self, hermite_forced):
         cfg = McConfig(samples=2, seed=0)
         with pytest.raises(ValueError, match="ascending"):
-            mc_rk4(hermite_forced, hermite_forced.model, [1.0, 0.5], cfg)
+            mc_rk4(hermite_forced, [1.0, 0.5], cfg)
         with pytest.raises(ValueError, match="t0"):
-            mc_rk4(hermite_forced, hermite_forced.model, [-1.0], cfg)
+            mc_rk4(hermite_forced, [-1.0], cfg)
 
     def test_step_limit_counts_rounded_legs(self, monkeypatch):
         # 150 legs of 1e-3 at step 1: a float span of 0.15 steps, but every
@@ -520,8 +515,7 @@ class TestRk4Method:
     def test_matches_series_on_identical_draws(self, hermite_forced, hf_solution):
         # same seed and sample count: deviation is series truncation only
         n = 2000
-        mcs = mc_series(hf_solution, hermite_forced.model, GRID7,
-                        McConfig(samples=n, seed=42))
+        mcs = mc_series(hf_solution, GRID7, McConfig(samples=n, seed=42))
         mcr = quiet_rk4(hermite_forced, GRID7,
                         McConfig(samples=n, seed=42, rk4_step=1e-3))
         # the gap is the N=20 truncation error, growing steeply with t
@@ -545,7 +539,7 @@ class TestMethodAgreement:
         spec = bundled_specs[name]
         sol = compute_coeffs(spec, 20)
         n = 2000
-        mcs = mc_series(sol, spec.model, grid, McConfig(samples=n, seed=31))
+        mcs = mc_series(sol, grid, McConfig(samples=n, seed=31))
         mcr = quiet_rk4(spec, grid, McConfig(samples=n, seed=57, rk4_step=1e-3))
         report = compare_curves(mcs, mcr)
         assert all(p.mean_sigmas < 3 for p in report.points)
@@ -613,7 +607,6 @@ class TestCompare:
 
     def test_summary_text(self, hermite_forced, hf_solution, hf_moments):
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
-        mc = mc_series(hf_solution, hermite_forced.model, GRID7,
-                       McConfig(samples=4000, seed=3))
+        mc = mc_series(hf_solution, GRID7, McConfig(samples=4000, seed=3))
         text = compare_curves(exact, mc).summary()
         assert "max abs dev" in text and "CI" in text
