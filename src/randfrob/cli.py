@@ -67,11 +67,11 @@ def _load_spec(arg: str) -> ProblemSpec:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    # No field needs CSV quoting: symbol names match [A-Za-z_][A-Za-z0-9_]*, and
+    # polynomial text, ints and `_fmt` floats hold no ',', '"', '\r' or '\n'.
     try:
         with open(path, "w", newline="", encoding="utf-8") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fp.writelines(",".join(map(str, row)) + "\n" for row in (header, *rows))
     except OSError as exc:
         raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -35,18 +35,18 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import GridMismatchError
 from .frobenius import ProblemSpec, SeriesSolution, _check_generator_reach, coeff_recursion
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
 from .uqstats import StatCurve, _horner, _warn_outside_radius
+
+if TYPE_CHECKING:  # numpy and the thread pool are imported by the functions that sample
+    import numpy as np
 
 CHUNK = 8192
 # Every RK4 step costs four stage evaluations per draw; the benchmark takes
@@ -100,6 +100,7 @@ def _sample_matrix(model: RandomModel, seed: int, start: int, count: int,
     stream keyed by (seed, chunk index).  Only the first `blocks` dependence
     blocks are drawn (all by default); the other columns are NaN.
     """
+    import numpy as np
     key = np.array([seed, start // CHUNK], dtype=np.uint64)
     stream = np.random.Generator(np.random.Philox(key=key))
     return model.draw(stream, count, blocks)
@@ -125,6 +126,7 @@ class _EvalPlan:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """A (len(polys), count) array: row r is polynomial r at every draw."""
+        import numpy as np
         count = values.shape[0]
         power = {(sid, e): values[:, sid] ** e if e > 1 else values[:, sid]
                  for sid, e in self.powers}
@@ -156,6 +158,7 @@ def _run_chunks(
     depends only on the sample count, so any worker count produces the same
     partials in the same order.
     """
+    import numpy as np
     def run_chunk(job):
         with np.errstate(over="ignore", invalid="ignore"):  # `_aggregate` rejects a non-finite total
             paths = worker(*job)
@@ -170,6 +173,7 @@ def _run_chunks(
     if n_workers <= 1:
         results = [run_chunk(job) for job in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run_chunk, jobs))
     return [total for total, _ in results], [squares for _, squares in results]
@@ -231,6 +235,7 @@ def _coeff_rows(
     Evaluating at a draw commutes with the ring operations, so X_n at a draw
     is `coeff_recursion` fed the draw's inputs of index <= order - 2.
     """
+    import numpy as np
     terms, plan = _input_terms(spec, order - 2)
 
     def coeffs(values: np.ndarray) -> list[np.ndarray]:
@@ -257,6 +262,7 @@ def mc_series(
     Horner's rule in tau = t - t0 forms the partial sums: tau^N alone may
     leave the float range where the sum does not.
     """
+    import numpy as np
     _warn_outside_radius(grid, sol.spec.t0, sol.spec.radius)
     taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
     plan, coeffs = _coeff_rows(sol.spec, sol.order)
@@ -330,6 +336,7 @@ def mc_rk4(
     group integrate it once, and the output does not depend on which chunk,
     or thread, gets there first.
     """
+    import numpy as np
     t0 = float(spec.t0)
     ts = [float(t) for t in grid]
     if any(t1 > t2 for t1, t2 in zip(ts, ts[1:])):

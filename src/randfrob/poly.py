@@ -37,8 +37,6 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from .errors import ExponentOverflowError, MissingSymbolError, SpecError
 
 FIELD_BITS = 32  # bits per symbol in a monomial key, a whole number of bytes
@@ -320,6 +318,7 @@ def format_poly(p: Poly, table: SymbolTable | None = None) -> str:
     """
     if not p.terms:
         return "0"
+    import numpy as np  # for the term sort only, so the exact commands start without it
     keys = list(p.terms)
     fields = max(1, -(-max(keys).bit_length() // FIELD_BITS))
     raw = b"".join([k.to_bytes(fields * FIELD_BITS // 8, "little") for k in keys])

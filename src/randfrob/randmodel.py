@@ -52,12 +52,13 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import DistributionError, MissingSymbolError
 from .poly import Poly, SymbolTable, key_factors, to_fraction
+
+if TYPE_CHECKING:  # numpy is imported where a draw needs it, so loading a model does not
+    import numpy as np
 
 NormValue = Union[Fraction, float]  # math.inf marks an unbounded support
 
@@ -111,17 +112,21 @@ def _check_positive(v: Fraction, what: str) -> Fraction:
     return v
 
 
+def _check_float(value: Fraction, what: str) -> Fraction:
+    try:  # every moment and sup bound of these values is read as a float
+        float(value)
+    except OverflowError:
+        raise DistributionError(
+            f"{what} is out of float range, got a value of {len(str(abs(int(value))))} digits"
+        ) from None
+    return value
+
+
 def _check_count(value, what: str) -> int:
     count = to_fraction(value)
     if count.denominator != 1 or count < 0:
         raise DistributionError(f"{what} must be a nonnegative integer, got {value!r}")
-    try:  # every moment and sup bound of the counts is read as a float
-        float(count)
-    except OverflowError:
-        raise DistributionError(
-            f"{what} is out of float range, got a value of {len(str(count))} digits"
-        ) from None
-    return int(count)
+    return int(_check_float(count, what))
 
 
 def _normalize_probs(probs: Sequence, what: str) -> tuple[Fraction, ...]:
@@ -152,6 +157,7 @@ class PointMass(Distribution):
         return abs(self.value)
 
     def sample(self, stream, size: int) -> np.ndarray:
+        import numpy as np
         return np.full(size, float(self.value))
 
 
@@ -305,15 +311,13 @@ class FiniteDiscrete(Distribution):
     kind = "finite_discrete"
 
     def __post_init__(self):
-        support = tuple(to_fraction(x) for x in self.support)
+        support = tuple(_check_float(to_fraction(x), "finite_discrete support")
+                        for x in self.support)
         probs = _normalize_probs(self.probs, "finite_discrete probabilities")
         if len(support) != len(probs):
             raise DistributionError("support and probabilities differ in length")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
-        # cumulative probabilities, summed exactly and rounded once
-        object.__setattr__(self, "_cum_floats", np.array([float(c) for c in accumulate(probs)]))
-        object.__setattr__(self, "_support_floats", np.array([float(x) for x in support]))
 
     def _raw_moment(self, k: int) -> Fraction:
         return sum((p * x**k for x, p in zip(self.support, self.probs)), Fraction(0))
@@ -323,9 +327,13 @@ class FiniteDiscrete(Distribution):
         return max(points, default=Fraction(0))
 
     def sample(self, stream, size: int) -> np.ndarray:
+        import numpy as np
+        # cumulative probabilities, summed exactly and rounded once
+        cum = np.array([float(c) for c in accumulate(self.probs)])
+        points = np.array([float(x) for x in self.support])
         # first point whose cumulative probability exceeds u
-        idx = np.searchsorted(self._cum_floats, stream.random(size), side="right")
-        return self._support_floats[np.minimum(idx, len(self.support) - 1)]
+        idx = np.searchsorted(cum, stream.random(size), side="right")
+        return points[np.minimum(idx, len(points) - 1)]
 
 
 @dataclass(frozen=True)
@@ -352,6 +360,7 @@ class MultinomialVector(_Counting):
         return len(self.probs)
 
     def sample(self, stream, size: int) -> np.ndarray:
+        import numpy as np
         # Sequential binomial decomposition: condition each category count on
         # the trials not yet assigned to earlier categories.
         counts = np.empty((size, self.arity))
@@ -637,6 +646,7 @@ class RandomModel:
         not drawn are NaN.  The matrix is column-major, so each symbol's
         draws are contiguous.
         """
+        import numpy as np
         if blocks is None:
             blocks = len(self.blocks)
         values = np.empty((count, self.n_symbols), order="F")

@@ -59,11 +59,17 @@ class MomentMatrix:
 
     @cached_property
     def power_sums(self) -> list[Fraction]:
-        """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k."""
-        out = [Fraction(0)] * (2 * self.order + 1)
+        """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k, skipping
+        zeros, each symmetric pair n < m added once doubled, as integers over one lcm."""
+        parts = [[] for _ in range(2 * self.order + 1)]  # (numerator, denominator) per power
         for n, row in enumerate(self.second):
-            for m, entry in enumerate(row):
-                out[n + m] += entry
+            for m, entry in enumerate(row[n:], n):
+                if entry:
+                    parts[n + m].append((entry.numerator * (2 if m > n else 1), entry.denominator))
+        out = []
+        for entries in parts:
+            den = math.lcm(*(d for _, d in entries))
+            out.append(Fraction(sum(a * (den // d) for a, d in entries), den))
         return out
 
 

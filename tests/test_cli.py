@@ -1,5 +1,6 @@
 """Command-line interface and problem-file handling, end to end."""
 
+import csv
 import json
 import math
 import os
@@ -160,6 +161,17 @@ class TestCommands:
         assert lines[0] == "n,polynomial"
         assert lines[3] == "2,0"  # X_2 vanishes for the Airy structure
         assert lines[4] == "3,-1/6*A*Y0"
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_solve_csv_reads_back(self, capsys, tmp_path, name):
+        # the rows are joined by hand: no symbol name or polynomial needs quoting
+        spec = rf.load_problem(name)
+        out_path = tmp_path / "coeffs.csv"
+        assert run(capsys, "solve", name, "--out", str(out_path))[0] == 0
+        rows = [[str(n), rf.format_poly(p, spec.table)]
+                for n, p in enumerate(rf.compute_coeffs(spec, spec.default_order).X)]
+        with open(out_path, newline="", encoding="utf-8") as fp:
+            assert list(csv.reader(fp)) == [["n", "polynomial"], *rows]
 
     def test_stats_table(self, capsys, tmp_path):
         out_path = tmp_path / "stats.csv"
@@ -493,6 +505,21 @@ class TestCommands:
         assert err.startswith(message) and err.count("\n") == 1
         assert out == "" and not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_support_out_of_float_range(self, capsys, tmp_path, command):
+        # rejected when the model is built, so `solve`, which reads no float of it, fails too
+        doc = load_document(resolve_problem("airy"))
+        doc["symbols"][1]["params"]["support"] = ["1e400", 2]
+        path = tmp_path / "huge_support.spec"
+        path.write_text(canonical_json(doc))
+        out_path = tmp_path / "coeffs.csv"
+        out_flag = ("--out", str(out_path)) if command == "solve" else ()
+        code, out, err = run(capsys, command, str(path), *out_flag)
+        assert (code, out) == (1, "")
+        assert err == ("error: symbol 'Y0': finite_discrete support is out of float range,"
+                       " got a value of 401 digits\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("flags,message", [
         (("--method", "series", "--seed", "-1"), "seed must lie in [0, 2^64), got -1"),
         (("--method", "series", "--seed", str(1 << 64)), f"got {1 << 64}"),
@@ -594,6 +621,31 @@ class TestCommands:
         code, out, _ = run(capsys, "check", "hermite_forced")
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
         assert code == 0 and out.startswith("status: pass")
+
+    def test_exact_commands_do_not_import_numpy(self, tmp_path):
+        # a fresh interpreter: only sampling (and solve's term sort) imports numpy
+        script = """
+import sys
+import randfrob
+from randfrob.cli import run_command
+out = sys.argv[1]
+for name in randfrob.bundled_problems():
+    randfrob.load_problem(name)
+    for argv in (["check", name],
+                 ["stats", name, "--order", "6", "--grid", "0:0.2:0.1", "--out", out + "/s.csv"],
+                 ["majorant", name, "--s", "0.5", "--order", "6", "--out", out + "/m.csv"],
+                 ["compare", out + "/s.csv", out + "/s.csv"]):
+        assert run_command(argv) == 0, argv
+print("numpy" in sys.modules, file=sys.stderr)
+run_command(["mc", "hermite_forced", "--method", "series", "--samples", "10",
+             "--grid", "0:0.2:0.1", "--out", out + "/mc.csv"])
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["False", "True"]
 
     def test_mc_series_warns_outside_radius(self, tmp_path):
         # on stderr, as a user sees it; the run still writes every row

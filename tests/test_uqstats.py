@@ -50,6 +50,17 @@ class TestMomentMatrix:
         assert full.means == streamed.means
         assert full.second == streamed.second
 
+    @pytest.mark.parametrize("name,order", [("hermite_forced", 40), ("airy", 60)])
+    def test_power_sums_match_fold(self, bundled_specs, name, order):
+        spec = bundled_specs[name]
+        mm = rf.moment_matrix(compute_coeffs(spec, order), spec.model)
+        fold = [Fraction(0)] * (2 * order + 1)
+        for n, row in enumerate(mm.second):
+            for m, entry in enumerate(row):
+                fold[n + m] += entry
+        assert mm.power_sums == fold
+        assert all(type(s) is Fraction for s in mm.power_sums)
+
 
 def assert_kernel_matches_reference(coeffs, model):
     """The chaos-coordinate kernel equals the pair-by-pair reference exactly."""
