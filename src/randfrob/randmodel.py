@@ -5,12 +5,12 @@ symbols of a `SymbolTable` into mutually independent dependence blocks;
 within a block the joint distribution may couple its symbols (the
 multinomial vector being the canonical example).  `Distribution.joint_moment`
 checks its exponents and computes a block's moment in closed form, always
-as an exact `Fraction`: distribution parameters are coerced to rationals on
-construction, so the expectation of any polynomial in the symbols is an
-exact rational.  The counting kinds (Bernoulli, binomial, multinomial)
-share one rule through their factorial moments, at a cost set by the
-exponents and not by the number of trials; `finite_discrete` sums over its
-listed points.
+as an exact `Fraction`: each field of a kind declares the reader (`_param`)
+that turns its parameter into a rational on construction, so the expectation
+of any polynomial in the symbols is an exact rational.  The counting kinds
+(Bernoulli, binomial, multinomial) share one rule through their factorial
+moments, at a cost set by the exponents and not by the number of trials;
+`finite_discrete` sums over its listed points.
 `RandomModel.expect_monomial` caches those block moments and multiplies them.
 
 `RandomModel.second_moments` is the one exact E[P_n P_m] kernel, behind
@@ -48,7 +48,7 @@ same values as in a full draw, and the columns of the rest are NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
@@ -68,6 +68,16 @@ class Distribution:
 
     kind = "abstract"
     arity = 1
+
+    def __post_init__(self):
+        """Read each `_param` field of a kind by its reader, then run `_check`."""
+        for f in fields(self):
+            value = f.metadata["reader"](getattr(self, f.name), f"{self.kind} {f.name}")
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise DistributionError where the parameters, each valid alone, do not fit together."""
 
     def raw_moment(self, k: int) -> Fraction:
         """Exact E[Z^k] for scalar kinds, checked as `joint_moment((k,))`."""
@@ -100,21 +110,15 @@ class Distribution:
         raise NotImplementedError
 
 
-def _check_probability(p: Fraction, what: str) -> Fraction:
-    if p < 0 or p > 1:
-        raise DistributionError(f"{what} must lie in [0, 1], got {p}")
-    return p
+# Readers: (value, "<kind> <parameter>") -> the value as stored, or DistributionError.
+# Moments, sup bounds and draws read each parameter as a float: all start from `_rational`.
 
-
-def _check_positive(v: Fraction, what: str) -> Fraction:
-    if v <= 0:
-        raise DistributionError(f"{what} must be positive, got {v}")
-    return v
-
-
-def _check_float(value: Fraction, what: str) -> Fraction:
-    try:  # every moment and sup bound of these values is read as a float
+def _rational(value, what: str) -> Fraction:
+    try:
+        value = to_fraction(value)
         float(value)
+    except TypeError as exc:  # a bool, or a value that is no number
+        raise DistributionError(f"{what}: {exc}") from None
     except OverflowError:
         raise DistributionError(
             f"{what} is out of float range, got a value of {len(str(abs(int(value))))} digits"
@@ -122,36 +126,57 @@ def _check_float(value: Fraction, what: str) -> Fraction:
     return value
 
 
-def _check_count(value, what: str) -> int:
-    count = to_fraction(value)
-    if count.denominator != 1 or count < 0:
-        raise DistributionError(f"{what} must be a nonnegative integer, got {value!r}")
-    return int(_check_float(count, what))
+def _probability(value, what: str) -> Fraction:
+    p = _rational(value, what)
+    if p < 0 or p > 1:
+        raise DistributionError(f"{what} must lie in [0, 1], got {p}")
+    return p
 
 
-def _normalize_probs(probs: Sequence, what: str) -> tuple[Fraction, ...]:
-    ps = tuple(_check_probability(to_fraction(p), what) for p in probs)
+def _positive(value, what: str) -> Fraction:
+    v = _rational(value, what)
+    if v <= 0:
+        raise DistributionError(f"{what} must be positive, got {v}")
+    _rational(1 / v, f"{what}'s reciprocal")  # gamma draws with scale 1/rate; numpy takes no 0.0
+    return v
+
+
+def _count(value, what: str) -> int:
+    count = _rational(value, what)
+    if count.denominator != 1 or not 0 <= count < 1 << 63:  # numpy draws counts as int64
+        raise DistributionError(f"{what} must be an integer in [0, 2^63), got {value!r}")
+    return int(count)
+
+
+def _points(value, what: str) -> tuple[Fraction, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise DistributionError(f"{what} must be a list, got {value!r}")
+    return tuple(_rational(x, what) for x in value)
+
+
+def _probs(value, what: str) -> tuple[Fraction, ...]:
+    ps = tuple(_probability(p, what) for p in _points(value, what))
     if not ps:
         raise DistributionError(f"{what}: need at least one probability")
     total = sum(ps)
     if abs(total - 1) > Fraction(1, 10**9):
         raise DistributionError(f"{what} must sum to 1, got {float(total):g}")
-    if total != 1:
-        ps = tuple(p / total for p in ps)  # exact renormalization of float dust
-    return ps
+    return tuple(p / total for p in ps)  # exact renormalization of float dust
+
+
+def _param(reader):
+    """A distribution field, read by `reader(value, "<kind> <field>")` on construction."""
+    return field(metadata={"reader": reader})
 
 
 @dataclass(frozen=True)
 class PointMass(Distribution):
-    value: Fraction
+    value: Fraction = _param(_rational)
 
     kind = "pointmass"
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", to_fraction(self.value))
-
     def _raw_moment(self, k: int) -> Fraction:
-        return Fraction(1) if k == 0 else self.value**k
+        return self.value**k
 
     def linfty(self) -> Fraction:
         return abs(self.value)
@@ -199,54 +224,52 @@ class _Counting(Distribution):
 
 @dataclass(frozen=True)
 class Bernoulli(_Counting):
-    p: Fraction
+    p: Fraction = _param(_probability)
 
     kind = "bernoulli"
     trials = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
-        object.__setattr__(self, "probs", (self.p,))
-        object.__setattr__(self, "_p_float", float(self.p))
+    @property
+    def probs(self) -> tuple[Fraction]:
+        return (self.p,)
 
     def sample(self, stream, size: int) -> np.ndarray:
-        return (stream.random(size) < self._p_float).astype(float)
+        return (stream.random(size) < float(self.p)).astype(float)
 
 
 @dataclass(frozen=True)
 class Binomial(_Counting):
-    n: int
-    p: Fraction
+    n: int = _param(_count)
+    p: Fraction = _param(_probability)
 
     kind = "binomial"
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _check_count(self.n, "binomial n"))
-        object.__setattr__(self, "p", _check_probability(to_fraction(self.p), "p"))
-        object.__setattr__(self, "trials", self.n)
-        object.__setattr__(self, "probs", (self.p,))
+    @property
+    def trials(self) -> int:
+        return self.n
+
+    @property
+    def probs(self) -> tuple[Fraction]:
+        return (self.p,)
 
     def sample(self, stream, size: int) -> np.ndarray:
         return stream.binomial(self.n, float(self.p), size).astype(float)
 
 
+def _rising(x: Fraction, k: int) -> Fraction:
+    """The rising factorial x (x + 1) ... (x + k - 1), exactly."""
+    return math.prod((x + j for j in range(k)), start=Fraction(1))
+
+
 @dataclass(frozen=True)
 class Beta(Distribution):
-    alpha: Fraction
-    beta: Fraction
+    alpha: Fraction = _param(_positive)
+    beta: Fraction = _param(_positive)
 
     kind = "beta"
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _check_positive(to_fraction(self.alpha), "alpha"))
-        object.__setattr__(self, "beta", _check_positive(to_fraction(self.beta), "beta"))
-
     def _raw_moment(self, k: int) -> Fraction:
-        # E[Z^k] = prod_{j<k} (alpha+j)/(alpha+beta+j)
-        total = Fraction(1)
-        for j in range(k):
-            total *= (self.alpha + j) / (self.alpha + self.beta + j)
-        return total
+        return _rising(self.alpha, k) / _rising(self.alpha + self.beta, k)
 
     def linfty(self) -> Fraction:
         return Fraction(1)
@@ -257,21 +280,13 @@ class Beta(Distribution):
 
 @dataclass(frozen=True)
 class Gamma(Distribution):
-    shape: Fraction
-    rate: Fraction  # shape-rate parametrization: mean = shape / rate
+    shape: Fraction = _param(_positive)
+    rate: Fraction = _param(_positive)  # shape-rate parametrization: mean = shape / rate
 
     kind = "gamma"
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _check_positive(to_fraction(self.shape), "shape"))
-        object.__setattr__(self, "rate", _check_positive(to_fraction(self.rate), "rate"))
-
     def _raw_moment(self, k: int) -> Fraction:
-        # E[Z^k] = prod_{j<k} (shape+j)/rate
-        total = Fraction(1)
-        for j in range(k):
-            total *= (self.shape + j) / self.rate
-        return total
+        return _rising(self.shape, k) / self.rate**k
 
     def linfty(self) -> float:
         return math.inf
@@ -282,14 +297,12 @@ class Gamma(Distribution):
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
-    a: Fraction
-    b: Fraction
+    a: Fraction = _param(_rational)
+    b: Fraction = _param(_rational)
 
     kind = "uniform"
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", to_fraction(self.a))
-        object.__setattr__(self, "b", to_fraction(self.b))
+    def _check(self) -> None:
         if not self.a < self.b:
             raise DistributionError(f"uniform needs a < b, got [{self.a}, {self.b}]")
 
@@ -305,19 +318,14 @@ class Uniform(Distribution):
 
 @dataclass(frozen=True)
 class FiniteDiscrete(Distribution):
-    support: tuple[Fraction, ...]
-    probs: tuple[Fraction, ...]
+    support: tuple[Fraction, ...] = _param(_points)
+    probs: tuple[Fraction, ...] = _param(_probs)
 
     kind = "finite_discrete"
 
-    def __post_init__(self):
-        support = tuple(_check_float(to_fraction(x), "finite_discrete support")
-                        for x in self.support)
-        probs = _normalize_probs(self.probs, "finite_discrete probabilities")
-        if len(support) != len(probs):
-            raise DistributionError("support and probabilities differ in length")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+    def _check(self) -> None:
+        if len(self.support) != len(self.probs):
+            raise DistributionError("finite_discrete support and probs differ in length")
 
     def _raw_moment(self, k: int) -> Fraction:
         return sum((p * x**k for x, p in zip(self.support, self.probs)), Fraction(0))
@@ -338,22 +346,10 @@ class FiniteDiscrete(Distribution):
 
 @dataclass(frozen=True)
 class MultinomialVector(_Counting):
-    trials: int
-    probs: tuple[Fraction, ...]
+    trials: int = _param(_count)
+    probs: tuple[Fraction, ...] = _param(_probs)
 
     kind = "multinomial"
-
-    def __post_init__(self):
-        object.__setattr__(self, "trials", _check_count(self.trials, "multinomial trials"))
-        probs = _normalize_probs(self.probs, "multinomial probabilities")
-        object.__setattr__(self, "probs", probs)
-        # conditional success probabilities of the sequential decomposition
-        cond = []
-        mass = Fraction(1)
-        for p in probs[:-1]:
-            cond.append(min(1.0, float(p / mass)) if mass > 0 else 0.0)
-            mass -= p
-        object.__setattr__(self, "_cond_floats", tuple(cond))
 
     @property
     def arity(self) -> int:
@@ -365,10 +361,13 @@ class MultinomialVector(_Counting):
         # the trials not yet assigned to earlier categories.
         counts = np.empty((size, self.arity))
         remaining = np.full(size, self.trials, dtype=np.int64)
-        for j, cond in enumerate(self._cond_floats):
+        mass = Fraction(1)  # of the categories not yet drawn
+        for j, p in enumerate(self.probs[:-1]):
+            cond = min(1.0, float(p / mass)) if mass > 0 else 0.0
             c = stream.binomial(remaining, cond)
             counts[:, j] = c
             remaining -= c
+            mass -= p
         counts[:, -1] = remaining
         return counts
 
@@ -432,10 +431,7 @@ def distribution_from_spec(kind: str, params: dict) -> Distribution:
         raise DistributionError(f"{key}: missing parameter(s) {missing}")
     if extra:
         raise DistributionError(f"{key}: unknown parameter(s) {extra}")
-    try:
-        return cls(**params)
-    except TypeError as exc:  # a bool or non-numeric parameter
-        raise DistributionError(f"{key}: {exc}") from exc
+    return cls(**params)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,12 @@ class TestDocuments:
         assert names == {"airy", "hermite", "polynomial_data", "beta_series", "hermite_forced"}
 
 
+MC_SERIES = ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")
+# a valid parameter set of each kind whose parameters are all rational
+RATIONAL_PARAMS = {"pointmass": {"value": 1}, "uniform": {"a": 0, "b": 1},
+                   "beta": {"alpha": 2, "beta": 3}, "gamma": {"shape": 2, "rate": 1}}
+
+
 def run(capsys, *argv):
     code = run_command(list(argv))
     out = capsys.readouterr()
@@ -459,14 +465,10 @@ class TestCommands:
         # every coefficient is a float, but the partial sum X_0 + X_2 tau^2 is not
         (1, {"series": {"B": [{"n": 0, "value": "-1"}]}},
          ("mc", "--method", "series", "--samples", "10", "--grid", "0:1e308:1e307")),
-        # the gamma scale 1/rate is not a float
-        ("A", {"symbols": [{"name": "A", "dist": "gamma", "params": {"shape": 2, "rate": "1e-400"}}]},
-         ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")),
         # every input is a float, but H_n grows like 1/s^n
         ("A", {}, ("majorant", "--s", "1e-320")),
     ], ids=["check", "stats", "mc-series", "mc-rk4", "majorant",
-            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-series-path", "mc-gamma-scale",
-            "majorant-tiny-s"])
+            "mc-series-square", "mc-rk4-square", "mc-rk4-path", "mc-series-path", "majorant-tiny-s"])
     @pytest.mark.filterwarnings("error")
     def test_value_out_of_float_range(self, capsys, tmp_path, y0, fields, argv):
         doc = {
@@ -504,6 +506,52 @@ class TestCommands:
         assert code == 1
         assert err.startswith(message) and err.count("\n") == 1
         assert out == "" and not out_path.exists()
+
+    @pytest.mark.parametrize("command", [("solve",), ("check",), MC_SERIES], ids=["solve", "check", "mc"])
+    @pytest.mark.parametrize("kind,param,value", [
+        *[(kind, param, sign + "1e400")
+          for kind, params in RATIONAL_PARAMS.items() for param in params for sign in ("", "-")],
+        # zero as a float, so 1/rate (the gamma scale) is not a float and numpy rejects alpha
+        ("gamma", "rate", "1e-400"),
+        ("beta", "alpha", "1e-400"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_parameter_out_of_float_range(self, capsys, tmp_path, command, kind, param, value):
+        # rejected when the model is built, so `solve`, which reads no float of it, fails too
+        params = {**RATIONAL_PARAMS[kind], param: value}
+        doc = {"symbols": [{"name": "A", "dist": kind, "params": params}],
+               "initial": {"Y0": "A", "Y1": 0}}
+        path = tmp_path / "range.spec"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out.csv"
+        out_flag = () if command[0] == "check" else ("--out", str(out_path))
+        code, out, err = run(capsys, command[0], str(path), *command[1:], *out_flag)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: symbol 'A': {kind} {param}") and err.count("\n") == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", [("check",), MC_SERIES], ids=["check", "mc"])
+    @pytest.mark.parametrize("trials,code", [(1 << 63, 1), (10**20, 1), ((1 << 63) - 1, 0)],
+                             ids=["2^63", "10^20", "2^63-1"])
+    @pytest.mark.parametrize("kind", ["binomial", "multinomial"])
+    def test_count_past_int64(self, capsys, tmp_path, command, trials, code, kind):
+        # numpy draws counts as int64: a larger count fails at load, naming the input
+        if kind == "binomial":
+            doc = {"symbols": [{"name": "F", "dist": "binomial",
+                                "params": {"n": str(trials), "p": "1/2"}}]}
+            message = "error: symbol 'F': binomial n must be an integer in [0, 2^63)"
+        else:
+            doc = {"blocks": [{"names": ["F", "G"], "dist": "multinomial",
+                               "params": {"trials": str(trials), "probs": ["1/3", "2/3"]}}]}
+            message = "error: block ['F', 'G']: multinomial trials must be an integer in [0, 2^63)"
+        path = tmp_path / "counts.spec"
+        path.write_text(json.dumps({**doc, "initial": {"Y0": "F", "Y1": 0}}))
+        out_path = tmp_path / "out.csv"
+        out_flag = () if command[0] == "check" else ("--out", str(out_path))
+        got, _, err = run(capsys, command[0], str(path), *command[1:], *out_flag)
+        assert got == code
+        if code:
+            assert err.startswith(message) and err.count("\n") == 1
+        assert out_path.exists() == (command[0] == "mc" and not code)
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_support_out_of_float_range(self, capsys, tmp_path, command):

@@ -1,6 +1,7 @@
 """Polynomial layer: arithmetic, canonical text form, evaluation."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from randfrob import MissingSymbolError, Poly, SpecError, SymbolTable, format_poly, parse_poly
 from randfrob.errors import ExponentOverflowError
+from randfrob.frobenius import compute_coeffs
 from randfrob.mcengine import _EvalPlan
 from randfrob.poly import EXP_LIMIT, MAX_DECIMAL_EXPONENT, to_fraction
 from conftest import OraclePoly, decode_key
@@ -165,6 +167,24 @@ class TestTextForm:
         p = TestRingAxioms.random_poly(rng, table, max_terms=8)
         text = format_poly(p, table)
         assert format_poly(parse_poly(text, table), table) == text
+
+    def test_solved_coefficients_roundtrip(self, bundled_specs):
+        # X_22 of beta_series has 4 476 terms; each comes back in the order the text lists it
+        spec = bundled_specs["beta_series"]
+        for x in compute_coeffs(spec, 22).X:
+            text = format_poly(x, spec.table)
+            back = parse_poly(text, spec.table)
+            assert back == x
+            pieces = re.split(r" (?=[-+] )", text)
+            assert list(back.terms) == [next(iter(parse_poly(t, spec.table).terms)) for t in pieces]
+
+    def test_parse_sums_repeated_monomials_as_plus_does(self, table):
+        a, y0 = sym(table, "A"), sym(table, "Y0")
+        p = parse_poly("A + Y0 - A + 1/2*A + 0*Y1 + 1/3*A", table)
+        assert p == Fraction(5, 6) * a + y0
+        # A is deleted when its sum reaches 0, so it comes back after Y0
+        assert list(p.terms) == list((a + y0 - a + Fraction(1, 2) * a + Fraction(1, 3) * a).terms)
+        assert parse_poly("A - A", table) == Poly.zero()
 
     def test_decimal_and_rational_literals(self, table):
         assert parse_poly("0.35*A", table) == Fraction(7, 20) * sym(table, "A")

@@ -1,6 +1,7 @@
 """Moment oracle, norms and sampling, checked against independent oracles."""
 
 import math
+import re
 import zlib
 from fractions import Fraction
 
@@ -479,6 +480,31 @@ class TestValidationAndFactory:
             rf.distribution_from_spec("beta", {"alpha": 1})  # missing beta
         with pytest.raises(DistributionError):
             rf.distribution_from_spec("bernoulli", {"p": Fraction(1, 2), "q": 1})
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("bernoulli", {"p": "3/2"}, "bernoulli p must lie in [0, 1], got 3/2"),
+        ("binomial", {"n": "5/2", "p": 0}, "binomial n must be an integer in [0, 2^63)"),
+        ("binomial", {"n": -1, "p": 0}, "binomial n must be an integer in [0, 2^63)"),
+        ("beta", {"alpha": 1, "beta": 0}, "beta beta must be positive, got 0"),
+        ("gamma", {"shape": "1e-310", "rate": 1}, "gamma shape's reciprocal is out of float range"),
+        ("pointmass", {"value": "1e309"}, "pointmass value is out of float range"),
+        ("finite_discrete", {"support": "12", "probs": [1]}, "finite_discrete support must be a list"),
+        ("finite_discrete", {"support": [1, 2], "probs": "1"}, "finite_discrete probs must be a list"),
+        ("finite_discrete", {"support": [1, 2], "probs": [1]},
+         "finite_discrete support and probs differ in length"),
+        ("multinomial", {"trials": 1, "probs": []}, "multinomial probs: need at least one probability"),
+        ("multinomial", {"trials": 1, "probs": ["1/2", "-1/2", 1]},
+         "multinomial probs must lie in [0, 1], got -1/2"),
+        ("uniform", {"a": 1, "b": 1}, "uniform needs a < b, got [1, 1]"),
+    ])
+    def test_each_rule_names_its_parameter(self, kind, params, message):
+        with pytest.raises(DistributionError, match=re.escape(message)):
+            rf.distribution_from_spec(kind, params)
+
+    def test_counting_kinds_read_trials_and_probs(self):
+        d = Binomial(3, "1/2")
+        assert (d.n, d.p, d.trials, d.probs) == (3, Fraction(1, 2), 3, (Fraction(1, 2),))
+        assert Bernoulli("0.35").probs == (Fraction(7, 20),)
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(DistributionError):
