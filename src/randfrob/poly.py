@@ -366,7 +366,7 @@ def parse_poly(text: str, table: SymbolTable) -> Poly:
         terms.append(m)
         pos = m.end()
 
-    sums: dict[int, Fraction] = {}  # by key, in the order `+` would give: a zero sum is deleted
+    result = Poly.zero()
     for m in terms:
         coeff = Fraction(-1 if m["signs"].count("-") % 2 else 1)
         mono: dict[int, int] = {}
@@ -383,8 +383,5 @@ def parse_poly(text: str, table: SymbolTable) -> Poly:
         if max(mono.values(), default=0) >= EXP_LIMIT:
             raise SpecError(f"exponents must stay below {EXP_LIMIT}: {text!r}")
         key = sum(e << (FIELD_BITS * sid) for sid, e in mono.items())
-        sums[key] = sums.get(key, 0) + coeff
-        if not sums[key]:
-            del sums[key]
-    den = math.lcm(*(c.denominator for c in sums.values()))
-    return Poly({key: c.numerator * (den // c.denominator) for key, c in sums.items()}, den)
+        result = result + Poly({key: coeff.numerator}, coeff.denominator)
+    return result

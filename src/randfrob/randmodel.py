@@ -77,7 +77,7 @@ class Distribution:
         self._check()
 
     def _check(self) -> None:
-        """Raise DistributionError where the parameters, each valid alone, do not fit together."""
+        """Raise DistributionError where the parameters, each valid alone, do not suit the kind."""
 
     def raw_moment(self, k: int) -> Fraction:
         """Exact E[Z^k] for scalar kinds, checked as `joint_moment((k,))`."""
@@ -135,9 +135,8 @@ def _probability(value, what: str) -> Fraction:
 
 def _positive(value, what: str) -> Fraction:
     v = _rational(value, what)
-    if v <= 0:
-        raise DistributionError(f"{what} must be positive, got {v}")
-    _rational(1 / v, f"{what}'s reciprocal")  # gamma draws with scale 1/rate; numpy takes no 0.0
+    if not float(v) > 0:  # numpy rejects a parameter that is 0.0 as a float
+        raise DistributionError(f"{what} must be positive as a float, got {value!r}")
     return v
 
 
@@ -284,6 +283,9 @@ class Gamma(Distribution):
     rate: Fraction = _param(_positive)  # shape-rate parametrization: mean = shape / rate
 
     kind = "gamma"
+
+    def _check(self) -> None:
+        _rational(1 / self.rate, "gamma rate's reciprocal")  # the scale of a draw
 
     def _raw_moment(self, k: int) -> Fraction:
         return _rising(self.shape, k) / self.rate**k

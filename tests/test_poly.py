@@ -178,14 +178,6 @@ class TestTextForm:
             pieces = re.split(r" (?=[-+] )", text)
             assert list(back.terms) == [next(iter(parse_poly(t, spec.table).terms)) for t in pieces]
 
-    def test_parse_sums_repeated_monomials_as_plus_does(self, table):
-        a, y0 = sym(table, "A"), sym(table, "Y0")
-        p = parse_poly("A + Y0 - A + 1/2*A + 0*Y1 + 1/3*A", table)
-        assert p == Fraction(5, 6) * a + y0
-        # A is deleted when its sum reaches 0, so it comes back after Y0
-        assert list(p.terms) == list((a + y0 - a + Fraction(1, 2) * a + Fraction(1, 3) * a).terms)
-        assert parse_poly("A - A", table) == Poly.zero()
-
     def test_decimal_and_rational_literals(self, table):
         assert parse_poly("0.35*A", table) == Fraction(7, 20) * sym(table, "A")
         assert parse_poly("7/20*A", table) == Fraction(7, 20) * sym(table, "A")

@@ -485,8 +485,9 @@ class TestValidationAndFactory:
         ("bernoulli", {"p": "3/2"}, "bernoulli p must lie in [0, 1], got 3/2"),
         ("binomial", {"n": "5/2", "p": 0}, "binomial n must be an integer in [0, 2^63)"),
         ("binomial", {"n": -1, "p": 0}, "binomial n must be an integer in [0, 2^63)"),
-        ("beta", {"alpha": 1, "beta": 0}, "beta beta must be positive, got 0"),
-        ("gamma", {"shape": "1e-310", "rate": 1}, "gamma shape's reciprocal is out of float range"),
+        ("beta", {"alpha": 1, "beta": 0}, "beta beta must be positive as a float, got 0"),
+        ("beta", {"alpha": "1e-400", "beta": 1}, "beta alpha must be positive as a float, got '1e-400'"),
+        ("gamma", {"shape": 1, "rate": "1e-310"}, "gamma rate's reciprocal is out of float range"),
         ("pointmass", {"value": "1e309"}, "pointmass value is out of float range"),
         ("finite_discrete", {"support": "12", "probs": [1]}, "finite_discrete support must be a list"),
         ("finite_discrete", {"support": [1, 2], "probs": "1"}, "finite_discrete probs must be a list"),
@@ -500,6 +501,17 @@ class TestValidationAndFactory:
     def test_each_rule_names_its_parameter(self, kind, params, message):
         with pytest.raises(DistributionError, match=re.escape(message)):
             rf.distribution_from_spec(kind, params)
+
+    @pytest.mark.parametrize("kind,params", [
+        ("gamma", {"shape": "1e-310", "rate": 1}),
+        ("beta", {"alpha": "1e-310", "beta": "1e-310"}),
+    ], ids=["gamma-shape", "beta-alpha-beta"])
+    def test_subnormal_positive_parameter_loads_and_samples(self, kind, params):
+        # a positive float, though its reciprocal is not: numpy draws with it
+        d = rf.distribution_from_spec(kind, params)
+        assert d.raw_moment(1) > 0
+        draws = d.sample(np.random.default_rng(7), 64)
+        assert draws.shape == (64,) and np.isfinite(draws).all()
 
     def test_counting_kinds_read_trials_and_probs(self):
         d = Binomial(3, "1/2")
