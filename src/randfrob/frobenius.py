@@ -40,20 +40,12 @@ from .randmodel import (
 Radius = Union[Fraction, float]  # math.inf for entire series
 
 
-@dataclass(frozen=True)
-class GeneratorRule:
-    """Recipe for an infinite coefficient family, expanded up to order M."""
-
-    family: str
-    order: int  # M: highest expanded index
-
-
 @dataclass
 class SeriesProcess:
     """Power-series data process: sparse map n -> coefficient polynomial."""
 
     coeffs: dict[int, Poly]
-    generator: GeneratorRule | None = None
+    m: int | None = None  # a generator's M, its highest expanded index
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -78,6 +70,23 @@ class ProblemSpec:
     def table(self) -> SymbolTable:
         return self.model.table
 
+    def inputs(self, upto: int | None = None, reader: str = "") -> list[tuple[int, int, Poly]]:
+        """The stored (s, n, A_n | B_n | C_n) with n <= upto, all of them when None.
+
+        s = 0, 1, 2 for A, B, C, in that order and each by index.  A
+        generator-backed series expanded to an M below `upto` raises
+        SpecError naming `reader`, instead of reading zeros past M.
+        """
+        terms = []
+        for s, (label, proc) in enumerate(zip("ABC", (self.a, self.b, self.c))):
+            if upto is not None and proc.m is not None and proc.m < upto:
+                raise SpecError(
+                    f"series {label}: generator M={proc.m} expands inputs up to index"
+                    f" {proc.m}, but {reader} needs index {upto}; raise M to at least {upto}"
+                )
+            terms += [(s, n, p) for n, p in proc.items() if upto is None or n <= upto]
+        return terms
+
 
 @dataclass
 class SeriesSolution:
@@ -91,15 +100,15 @@ class SeriesSolution:
         assert len(self.X) == self.order + 1
 
 
-def _convolution(a_items, b_items, X: Sequence, n: int, acc):
-    """acc + sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the stored terms.
+def _convolution(terms, X: Sequence, n: int, acc):
+    """acc + sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the (s, k, term) inputs.
 
     A `Poly` acc takes the (weight, factor, X) triples in one n-ary sum;
     other rings fold them in the same order, one `acc + w * (f * x)` each.
     """
     # k = n - m, so an A term's weight is m + 1 = n - k + 1
-    triples = [(n - k + 1, ak, X[n - k + 1]) for k, ak in a_items if k <= n]
-    triples += [(1, bk, X[n - k]) for k, bk in b_items if k <= n]
+    triples = [(n - k + 1, f, X[n - k + 1]) if s == 0 else (1, f, X[n - k])
+               for s, k, f in terms if s < 2 and k <= n]
     if isinstance(acc, Poly):
         return acc.add_products(triples)
     for w, f, x in triples:
@@ -108,31 +117,22 @@ def _convolution(a_items, b_items, X: Sequence, n: int, acc):
     return acc
 
 
-def coeff_recursion(a_items, b_items, c: Mapping, y0, y1, order: int, zero) -> list:
+def coeff_recursion(terms, y0, y1, order: int, zero) -> list:
     """X_0 .. X_order of the module docstring's recursion in any ring of values.
 
-    A and B come as stored (k, term) pairs by index, C as a map from k.  The
-    sums start from the ring's `zero`, so every X_n is a ring value.
+    The inputs come as `ProblemSpec.inputs` lists them, (s, k, term) with
+    s = 0, 1, 2 for A, B, C, and terms in the ring.  The sums start from
+    the ring's `zero`, so every X_n is a ring value.
     """
+    c = {k: f for s, k, f in terms if s == 2}
     X = [y0, y1]
     for n in range(order - 1):
-        rhs = -_convolution(a_items, b_items, X, n, zero)
+        rhs = -_convolution(terms, X, n, zero)
         cn = c.get(n)
         if cn is not None:
             rhs = rhs + cn
         X.append(rhs / ((n + 2) * (n + 1)))
     return X
-
-
-def _check_generator_reach(spec: ProblemSpec, index: int, reader: str) -> None:
-    """Raise SpecError if a generator's M is below `index`, the last input `reader` reads."""
-    for label, proc in (("A", spec.a), ("B", spec.b), ("C", spec.c)):
-        if proc.generator is not None and proc.generator.order < index:
-            raise SpecError(
-                f"series {label}: generator M={proc.generator.order} expands inputs"
-                f" up to index {proc.generator.order}, but {reader} needs"
-                f" index {index}; raise M to at least {index}"
-            )
 
 
 def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
@@ -141,12 +141,14 @@ def compute_coeffs(spec: ProblemSpec, order: int) -> SeriesSolution:
     The division by (n+2)(n+1) is exact rational arithmetic; no rounding
     occurs at any truncation order.  X_order reads inputs up to index
     order - 2, so a generator-backed series expanded to a smaller M raises
-    SpecError instead of solving with zeros in their place.
+    SpecError instead of solving with zeros in their place.  An order over
+    MAX_ORDER raises ValueError before any X_n is built.
     """
     if order < 2:
         raise ValueError(f"truncation order must be >= 2, got {order}")
-    _check_generator_reach(spec, order - 2, f"order {order}")
-    X = coeff_recursion(spec.a.items(), spec.b.items(), spec.c.coeffs, spec.y0, spec.y1,
+    if order > MAX_ORDER:
+        raise ValueError(f"truncation order {order} is over the limit {MAX_ORDER}")
+    X = coeff_recursion(spec.inputs(order - 2, f"order {order}"), spec.y0, spec.y1,
                         order, Poly.zero())
     return SeriesSolution(X=X, order=order, spec=spec)
 
@@ -162,8 +164,8 @@ def residual_coefficients(sol: SeriesSolution) -> list[Poly]:
     each of which must be the zero polynomial for a correct solution.
     """
     spec = sol.spec
-    a_items, b_items = spec.a.items(), spec.b.items()
-    return [_convolution(a_items, b_items, sol.X, n, ((n + 2) * (n + 1)) * sol.X[n + 2])
+    terms = spec.inputs()
+    return [_convolution(terms, sol.X, n, ((n + 2) * (n + 1)) * sol.X[n + 2])
             - spec.c.coeffs.get(n, 0) for n in range(sol.order - 1)]
 
 
@@ -200,7 +202,7 @@ def _radius_estimate(proc: SeriesProcess, norms: list[tuple[int, float]]) -> flo
     the estimate is 1 / max_n ||.||^(1/n) over the expanded indices n >= 1,
     a conservative practical stand-in for 1/limsup.
     """
-    if proc.generator is None:
+    if proc.m is None:
         return math.inf
     rho = max((v ** (1.0 / n) for n, v in norms if n >= 1 and v > 0), default=0.0)
     return math.inf if rho == 0.0 else 1.0 / rho
@@ -307,6 +309,8 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     t0 = _read_rational(prob.get("t0", 0), "'t0'")
     radius = _read_radius(prob.get("radius", "inf"))
     default_order = _read_int(prob.get("order", 20), "'order'", 2)
+    if default_order > MAX_ORDER:
+        raise SpecError(f"'order' = {default_order} is over the limit {MAX_ORDER}")
 
     table = SymbolTable()
     blocks: list[DependenceBlock] = []
@@ -472,6 +476,8 @@ _GENERATOR_KEYS = {
 # a symbol, whose packed monomial key grows with the symbol count: about
 # 2*M^2 bytes in all, so building beta_series at M = 4096 adds about 38 MB.
 MAX_GENERATOR_M = 4096
+# Largest truncation order a solve runs to, or a problem file declares.
+MAX_ORDER = 4096
 
 
 def _expand_generator(
@@ -507,7 +513,7 @@ def _expand_generator(
 
     if family == "inverse_square":
         coeffs = {n: Poly.const(Fraction(1, n * n)) for n in range(1, order + 1)}
-        return SeriesProcess(coeffs=coeffs, generator=GeneratorRule(family, order))
+        return SeriesProcess(coeffs=coeffs, m=order)
 
     dist = _make_dist(gen, what)
     if dist.arity != 1:
@@ -523,4 +529,4 @@ def _expand_generator(
         sid = table.add(name)
         blocks.append(DependenceBlock((sid,), dist))
         coeffs[n] = Poly.symbol(sid)
-    return SeriesProcess(coeffs=coeffs, generator=GeneratorRule(family, order))
+    return SeriesProcess(coeffs=coeffs, m=order)

@@ -15,10 +15,11 @@ in chunk order; the reduction tree never depends on scheduling.
 Both routes evaluate only the stored input polynomials (A_n, B_n, C_n, Y0,
 Y1) at the draws, through one `_EvalPlan` built once per call; the series
 route feeds those rows to `coeff_recursion`, the recursion `solve` runs on
-`Poly`s, and warns outside the declared radius as `stats` does.  The series
-route at order N reads the inputs of index <= N - 2, and the RK4 route
-those of index <= its input truncation, so each draws only the leading
-dependence blocks up to the last one owning a symbol its plan reads
+`Poly`s, and warns outside the declared radius as `stats` does.  Both read
+their inputs from `ProblemSpec.inputs`, which checks a generator's M: the
+series route at order N those of index <= N - 2, as `solve` does, and the
+RK4 route those of index <= its input truncation.  So each draws only the
+leading dependence blocks up to the last one owning a symbol its plan reads
 (`RandomModel.leading_blocks`).  Blocks draw in declaration order from the
 chunk's stream, so the blocks drawn get the same values as in a full draw;
 the columns of the blocks left out are NaN.
@@ -40,7 +41,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import GridMismatchError
-from .frobenius import ProblemSpec, SeriesSolution, _check_generator_reach, coeff_recursion
+from .frobenius import ProblemSpec, SeriesSolution, coeff_recursion
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
 from .uqstats import StatCurve, _horner, _warn_outside_radius
@@ -213,37 +214,24 @@ def _aggregate(
     )
 
 
-def _input_terms(
-    spec: ProblemSpec, cap: float,
-) -> tuple[list[tuple[int, int, Poly]], _EvalPlan]:
-    """The stored (s, n, A_n | B_n | C_n) with n <= cap, and a plan of their rows.
-
-    s = 0, 1, 2 for A, B, C, in that order and each by index.  The plan's
-    rows are the terms' polynomials, then Y0 and Y1.
-    """
-    terms = [(s, n, p) for s, proc in enumerate((spec.a, spec.b, spec.c))
-             for n, p in proc.items() if n <= cap]
-    return terms, _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
-
-
 def _coeff_rows(
     spec: ProblemSpec, order: int,
 ) -> tuple[_EvalPlan, Callable[[np.ndarray], list[np.ndarray]]]:
-    """The plan of the inputs of index <= order - 2, and a function giving
+    """The plan of the inputs X_order reads, and a function giving
     X_0 .. X_order at every draw of a sample matrix, one float64 row each.
 
     Evaluating at a draw commutes with the ring operations, so X_n at a draw
-    is `coeff_recursion` fed the draw's inputs of index <= order - 2.
+    is `coeff_recursion` fed the draw's rows of the inputs `compute_coeffs`
+    reads, `spec.inputs(order - 2)`, which checks a generator's M as it does.
     """
     import numpy as np
-    terms, plan = _input_terms(spec, order - 2)
+    terms = spec.inputs(order - 2, f"order {order}")
+    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
 
     def coeffs(values: np.ndarray) -> list[np.ndarray]:
         rows = plan(values)
-        series = [[(k, rows[j]) for j, (s, k, _) in enumerate(terms) if s == label]
-                  for label in range(3)]
-        return coeff_recursion(series[0], series[1], dict(series[2]), rows[-2], rows[-1],
-                               order, np.zeros(values.shape[0]))
+        return coeff_recursion([(s, k, rows[j]) for j, (s, k, _) in enumerate(terms)],
+                               rows[-2], rows[-1], order, np.zeros(values.shape[0]))
 
     return plan, coeffs
 
@@ -258,7 +246,8 @@ def mc_series(
     The paper's random differential transform method: each chunk's X_0 ..
     X_N come from the recursion run on its draws' sampled inputs
     (`_coeff_rows`), so only `sol.spec` and `sol.order` are read, not the
-    exact `sol.X`, and output matches evaluating `sol.X` up to rounding.
+    exact `sol.X`, and output matches evaluating `sol.X` up to rounding.  A
+    generator whose M is below N - 2 raises SpecError, as in `compute_coeffs`.
     Horner's rule in tau = t - t0 forms the partial sums: tau^N alone may
     leave the float range where the sum does not.
     """
@@ -388,15 +377,12 @@ def mc_rk4(
                 g += 1
         return paths
 
-    if cfg.input_truncation is not None:
-        _check_generator_reach(spec, cfg.input_truncation,
-                               f"input truncation {cfg.input_truncation}")
     # Plan rows: each stored A_n, B_n, C_n with n <= input_truncation, then Y0 and Y1.
     # series[s, j] = 1 marks row j as a term of a, b or c (s = 0, 1, 2), of index exps[j].
     # The a and b rows come first: rows[:n_ab] fix a draw's basis, and the
     # path is linear in the n_basis rows after them.
-    terms, plan = _input_terms(spec, math.inf if cfg.input_truncation is None
-                               else cfg.input_truncation)
+    terms = spec.inputs(cfg.input_truncation, f"input truncation {cfg.input_truncation}")
+    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
     exps = np.array([n for _, n, _ in terms])
     n_ab = sum(s < 2 for s, _, _ in terms)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .frobenius import ProblemSpec, Radius, SeriesSolution, bounded_sup_norms
+from .frobenius import MAX_ORDER, ProblemSpec, Radius, SeriesSolution, bounded_sup_norms
 from .poly import Poly, to_fraction
 from .randmodel import RandomModel
 
@@ -199,7 +199,8 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
     ||C_n||_ms s^n over the explicitly available input terms, so the
     domination is exact for the (truncated-input) problem actually solved;
     `input_max_index` records how far the inputs reached.  A D_s or H_n
-    that is not a finite float raises OverflowError.
+    that is not a finite float raises OverflowError.  An order over
+    2 * MAX_ORDER raises ValueError: `majorant` defaults to twice the order.
     """
     s_f = float(s)
     if not 0 < s_f < float(spec.radius):
@@ -208,6 +209,8 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
         )
     if order < 2:
         raise ValueError("majorant order must be >= 2")
+    if order > 2 * MAX_ORDER:
+        raise ValueError(f"majorant order {order} is over the limit {2 * MAX_ORDER}")
 
     model = spec.model
     norms = [(n, float(bound)) for _, n, bound in bounded_sup_norms(spec)]

@@ -275,8 +275,8 @@ def per_draw_rk4(spec, grid, cfg) -> rf.StatCurve:
             n = mcengine._steps_for(delta, cfg.rk4_step)
             legs.append((t_prev, n, delta / n))
         t_prev = t
-    cap = math.inf if cfg.input_truncation is None else cfg.input_truncation
-    terms, plan = mcengine._input_terms(spec, cap)
+    terms = spec.inputs(cfg.input_truncation)
+    plan = mcengine._EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
     series = np.array([[s == k for s, _, _ in terms] for k in range(3)], dtype=float)
     exps = np.array([n for _, n, _ in terms])
 

@@ -631,6 +631,36 @@ class TestCommands:
             assert f"input truncation {k} needs index {k}" in err
             assert not mc_path.exists()
         assert run(capsys, rk4[0], str(path), *rk4[1:], "--input-truncation", "3")[0] == 0
+        # the bundled M = 40 covers order 42; exact and Monte Carlo runs past it fail alike
+        beyond = ("series A: generator M=40 expands inputs up to index 40, but {} needs"
+                  " index 41; raise M to at least 41")
+        beyond_path = tmp_path / "beyond.csv"
+        for argv, reader in (
+            (("stats", "--order", "43", "--grid", "0:0.1:0.05"), "order 43"),
+            (("mc", "--method", "series", "--samples", "10", "--order", "43",
+              "--grid", "0:0.1:0.05"), "order 43"),
+            (rk4[:-2] + ("--input-truncation", "41"), "input truncation 41"),
+        ):
+            code, _, err = run(capsys, argv[0], "beta_series", *argv[1:], "--out", str(beyond_path))
+            assert (code, err) == (1, f"error: {beyond.format(reader)}\n")
+            assert not beyond_path.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("solve", "hermite_forced", "--order", "100000000"),
+         "truncation order 100000000 is over the limit 4096"),
+        (("stats", "hermite_forced", "--order", "100000", "--grid", "0:1:0.5"),
+         "truncation order 100000 is over the limit 4096"),
+        (("mc", "hermite_forced", "--method", "series", "--samples", "10", "--order", "5000",
+          "--grid", "0:1:0.5"), "truncation order 5000 is over the limit 4096"),
+        (("majorant", "hermite_forced", "--s", "0.9", "--order", "3000000"),
+         "majorant order 3000000 is over the limit 8192"),
+    ], ids=["solve", "stats", "mc", "majorant"])
+    def test_order_over_limit(self, capsys, tmp_path, argv, message):
+        # each fails before it builds a coefficient
+        out_path = tmp_path / "out.csv"
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert (code, err) == (1, f"error: {message}\n")
+        assert not out_path.exists()
 
     def test_missing_file_is_validation_failure(self, capsys):
         code, _, err = run(capsys, "check", "nowhere.spec")

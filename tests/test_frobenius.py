@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_coefficients
-from randfrob.frobenius import MAX_GENERATOR_M, coeff_recursion
+from randfrob.frobenius import MAX_GENERATOR_M, MAX_ORDER, coeff_recursion
 from randfrob.specfile import parse_document
 from conftest import (
     UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, finite_support_docs, rk4_docs, scalar_series_coeffs,
@@ -66,7 +66,7 @@ class TestBuildProblem:
     def test_iid_generator_expansion(self, bundled_specs):
         spec = bundled_specs["beta_series"]
         assert sorted(spec.a.coeffs) == list(range(41))  # M=40 -> 41 terms
-        assert spec.a.generator.family == "iid"
+        assert spec.a.m == 40
         names = spec.table.names
         assert "A_0" in names and "A_40" in names
         # each generated symbol is its own independent block
@@ -96,12 +96,13 @@ class TestBuildProblem:
             build_problem(doc)
 
     def test_default_generator_m_over_limit(self):
-        doc = {"problem": {"order": 10**6},
+        doc = {"problem": {"order": MAX_ORDER},
                "symbols": [{"name": "Y0", "dist": "pointmass", "params": {"value": 1}}],
                "generators": {"B": {"family": "inverse_square"}},
                "initial": {"Y0": "Y0", "Y1": 0}}
         with pytest.raises(SpecError, match=re.escape(
-                f"generator B: M (by default 2 x order {10**6}) = {2 * 10**6} is over the limit")):
+                f"generator B: M (by default 2 x order {MAX_ORDER}) = {2 * MAX_ORDER}"
+                f" is over the limit {MAX_GENERATOR_M}")):
             build_problem(doc)
         doc["generators"]["B"]["M"] = MAX_GENERATOR_M  # an explicit M in the limit is read
         assert sorted(build_problem(doc).b.coeffs) == list(range(1, MAX_GENERATOR_M + 1))
@@ -178,6 +179,7 @@ class TestBuildProblem:
         ({"blocks": [{"names": ["X", "Y"], "name": "Z", "dist": "multinomial",
                       "params": {"trials": 1, "probs": [0.5, 0.5]}}]},
          "block ['X', 'Y']: unknown key(s) ['name'] (known: dist, names, params)"),
+        ({"problem": {"order": 10**9}}, f"'order' = {10**9} is over the limit {MAX_ORDER}"),
     ])
     def test_error_catalogue(self, doc, message):
         base = {
@@ -251,12 +253,9 @@ class TestRecursion:
         spec = build_problem(doc)
         values = dict(enumerate(draw[:len(spec.table)]))
 
-        def at(items):
-            return [(k, eval_poly_exact(p, values)) for k, p in items]
-
-        X = coeff_recursion(at(spec.a.items()), at(spec.b.items()), dict(at(spec.c.items())),
-                            eval_poly_exact(spec.y0, values), eval_poly_exact(spec.y1, values),
-                            order, Fraction(0))
+        terms = [(s, k, eval_poly_exact(p, values)) for s, k, p in spec.inputs()]
+        X = coeff_recursion(terms, eval_poly_exact(spec.y0, values),
+                            eval_poly_exact(spec.y1, values), order, Fraction(0))
         want = [eval_poly_exact(x, values) for x in compute_coeffs(spec, order).X]
         assert all(type(x) is Fraction for x in X)
         assert X == want

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from randfrob import (
     mc_rk4, mc_series,
 )
 from randfrob import mcengine
-from randfrob.mcengine import CHUNK, _coeff_rows, _EvalPlan, _input_terms, _sample_matrix
+from randfrob.mcengine import CHUNK, _coeff_rows, _EvalPlan, _sample_matrix
 
 GRID7 = [0.25 * k for k in range(7)]
 
@@ -235,6 +236,16 @@ class TestSeriesMethod:
             assert mc.mean[i] == pytest.approx(exact.mean[i], abs=1e-12)
             assert mc.variance[i] == pytest.approx(0.0, abs=1e-12)
 
+    def test_order_beyond_generator_inputs(self, bundled_specs):
+        # X_43 reads A_41, past beta_series' generator M = 40: mc_series checks
+        # that itself, as compute_coeffs does, instead of reading zeros there
+        spec = bundled_specs["beta_series"]
+        sol = rf.SeriesSolution(X=[Poly.zero()] * 44, order=43, spec=spec)
+        with pytest.raises(rf.SpecError, match=re.escape(
+                "series A: generator M=40 expands inputs up to index 40, but order 43"
+                " needs index 41; raise M to at least 41")):
+            mc_series(sol, [0.5], McConfig(samples=10, seed=7))
+
     def test_single_sample_variance_warned(self, hermite_forced, hf_solution):
         with pytest.warns(UserWarning, match="single draw"):
             curve = mc_series(hf_solution, [1.0], McConfig(samples=1, seed=9))
@@ -304,7 +315,7 @@ class TestSeriesRecursion:
     @pytest.mark.parametrize("order", [2, 3])
     def test_hermite_forced_low_orders(self, hermite_forced, order):
         # C_2 is stored but lies past the cap N - 2 at both orders
-        terms, _ = _input_terms(hermite_forced, order - 2)
+        terms = hermite_forced.inputs(order - 2)
         assert (2, 2) not in [(s, n) for s, n, _ in terms]
         self.check(hermite_forced, order)
 
