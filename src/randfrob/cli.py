@@ -119,10 +119,13 @@ def read_curve(path: str) -> StatCurve:
         raise SpecError(f"{path}: {exc}") from exc
     if not columns["t"]:
         raise SpecError(f"{path}: no data rows")
-    return StatCurve(
-        grid=columns["t"], mean=columns["mean"], variance=columns["variance"],
-        ci_halfwidth=columns.get("ci_halfwidth"), label=Path(path).name,
-    )
+    try:
+        return StatCurve(
+            grid=columns["t"], mean=columns["mean"], variance=columns["variance"],
+            ci_halfwidth=columns.get("ci_halfwidth"), label=Path(path).name,
+        )
+    except ValueError as exc:  # a negative variance
+        raise SpecError(f"{path}: {exc}") from None
 
 
 def _cmd_check(args) -> int:

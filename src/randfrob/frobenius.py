@@ -35,6 +35,7 @@ from .randmodel import (
     NormValue,
     RandomModel,
     distribution_from_spec,
+    float_rational,
 )
 
 Radius = Union[Fraction, float]  # math.inf for entire series
@@ -306,11 +307,9 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     """
     doc = _object(doc, "problem document", _TOP_KEYS)
     prob = _object(doc.get("problem", {}), "'problem'", {"t0", "radius", "order"})
-    t0 = _read_rational(prob.get("t0", 0), "'t0'")
+    t0 = _read_float_rational(prob.get("t0", 0), "'t0'")
     radius = _read_radius(prob.get("radius", "inf"))
-    default_order = _read_int(prob.get("order", 20), "'order'", 2)
-    if default_order > MAX_ORDER:
-        raise SpecError(f"'order' = {default_order} is over the limit {MAX_ORDER}")
+    default_order = _read_int(prob.get("order", 20), "'order'", 2, MAX_ORDER)
 
     table = SymbolTable()
     blocks: list[DependenceBlock] = []
@@ -387,7 +386,7 @@ def build_problem(doc: Mapping) -> ProblemSpec:
 def _read_radius(value) -> Radius:
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity"):
         return math.inf
-    radius = _read_rational(value, "radius")
+    radius = _read_float_rational(value, "radius")
     if radius <= 0:
         raise SpecError(f"radius must be positive, got {radius}")
     return radius
@@ -401,14 +400,24 @@ def _read_rational(value, what: str) -> Fraction:
         raise SpecError(f"{what} must be a rational number, got {value!r}") from None
 
 
-def _read_int(value, what: str, least: int) -> int:
-    """An integer >= least, given as a JSON integer, rational or string."""
+def _read_float_rational(value, what: str) -> Fraction:
+    """`_read_rational` in float range, the rule of a distribution parameter."""
+    try:
+        return float_rational(_read_rational(value, what), what)
+    except DistributionError as exc:
+        raise SpecError(str(exc)) from None
+
+
+def _read_int(value, what: str, least: int, limit: int) -> int:
+    """An integer from least to limit, given as a JSON integer, rational or string."""
     try:
         number = to_fraction(value)
     except (TypeError, SpecError):
         number = None
     if number is None or number.denominator != 1 or number < least:
         raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")
+    if number > limit:
+        raise SpecError(f"{what} = {value!r} is over the limit {limit}")
     return int(number)
 
 
@@ -458,7 +467,8 @@ def _explicit_series(label: str, entries, table: SymbolTable) -> SeriesProcess:
     coeffs: dict[int, Poly] = {}
     for entry in _entries(entries, f"series {label}"):
         _object(entry, f"series {label}", {"n", "value"})
-        n = _read_int(_require(entry, "n", f"series {label} entry"), f"series {label}: index", 0)
+        n = _read_int(_require(entry, "n", f"series {label} entry"), f"series {label}: index",
+                      0, MAX_GENERATOR_M)
         if n in coeffs:
             raise SpecError(f"series {label}: duplicate entry for n={n}")
         p = _value_poly(_require(entry, "value", f"series {label} entry"), table, f"series {label} term n={n}")
@@ -472,9 +482,9 @@ _GENERATOR_KEYS = {
     "iid": {"family", "M", "dist", "params", "prefix"},
     "inverse_square": {"family", "M"},
 }
-# Largest M a generator expands to.  Each index adds a term, and an iid index
-# a symbol, whose packed monomial key grows with the symbol count: about
-# 2*M^2 bytes in all, so building beta_series at M = 4096 adds about 38 MB.
+# Largest M a generator expands to, and largest explicit series index.  Each index adds
+# a term, and an iid index a symbol, whose packed monomial key grows with the symbol
+# count: about 2*M^2 bytes in all, so building beta_series at M = 4096 adds about 38 MB.
 MAX_GENERATOR_M = 4096
 # Largest truncation order a solve runs to, or a problem file declares.
 MAX_ORDER = 4096
@@ -505,11 +515,11 @@ def _expand_generator(
         raise SpecError(f"{what}: unknown family {family!r} (known: {list(_GENERATOR_KEYS)})")
     _object(gen, what, _GENERATOR_KEYS[family])
     m_value = gen.get("M")
-    order = 2 * default_order if m_value is None else _read_int(m_value, f"{what}: M", 0)
-    if order > MAX_GENERATOR_M:
-        given = f"M = {m_value!r}" if m_value is not None else (
-            f"M (by default 2 x order {default_order}) = {order}")
-        raise SpecError(f"{what}: {given} is over the limit {MAX_GENERATOR_M}")
+    order = 2 * default_order if m_value is None else _read_int(
+        m_value, f"{what}: M", 0, MAX_GENERATOR_M)
+    if order > MAX_GENERATOR_M:  # a default M
+        raise SpecError(f"{what}: M (by default 2 x order {default_order}) = {order}"
+                        f" is over the limit {MAX_GENERATOR_M}")
 
     if family == "inverse_square":
         coeffs = {n: Poly.const(Fraction(1, n * n)) for n in range(1, order + 1)}

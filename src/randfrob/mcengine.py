@@ -151,13 +151,13 @@ class _EvalPlan:
 def _run_chunks(
     samples: int,
     worker: Callable[[int, int], np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Apply `worker(start, count)` over fixed-size chunks, in order.
 
-    Each chunk's (grid, count) paths reduce to per-row sums and sums of
-    squared deviations about the chunk's own means.  The chunk layout
-    depends only on the sample count, so any worker count produces the same
-    partials in the same order.
+    Each chunk's (grid, count) paths reduce to its draw count, per-row sums
+    and sums of squared deviations about the chunk's own means.  The chunk
+    layout depends only on the sample count, so any worker count produces
+    the same partials in the same order.
     """
     import numpy as np
     def run_chunk(job):
@@ -166,45 +166,40 @@ def _run_chunks(
             total = paths.sum(axis=1)
             deviations = paths - (total / job[1])[:, None]
             deviations *= deviations  # in place: one (grid, count) array beside the paths
-            return total, deviations.sum(axis=1)
+            return job[1], total, deviations.sum(axis=1)
 
-    starts = list(range(0, samples, CHUNK))
-    jobs = [(s, min(CHUNK, samples - s)) for s in starts]
+    jobs = [(s, min(CHUNK, samples - s)) for s in range(0, samples, CHUNK)]
     n_workers = min(_worker_count(), len(jobs))
     if n_workers <= 1:
-        results = [run_chunk(job) for job in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_chunk, jobs))
-    return [total for total, _ in results], [squares for _, squares in results]
+        return [run_chunk(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        return list(pool.map(run_chunk, jobs))
 
 
 def _aggregate(
     grid: Sequence[float],
-    samples: int,
-    sums: list[np.ndarray],
-    squares: list[np.ndarray],
+    chunks: list[tuple[int, np.ndarray, np.ndarray]],
     label: str,
 ) -> StatCurve:
     """Per grid point, the mean, and the variance pooled from the chunks' squared
     deviations plus n_k (mean_k - mean)^2 each (Chan, Golub & LeVeque, 1983)."""
-    counts = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
+    samples = sum(n for n, _, _ in chunks)
     means, variances, halfwidths = [], [], []
     if samples == 1:
         warnings.warn("sample variance undefined for a single draw; reporting 0")
     for g in range(len(grid)):
-        total = math.fsum(chunk[g] for chunk in sums)
+        total = math.fsum(sums[g] for _, sums, _ in chunks)
         mean = total / samples
-        shifts = [float(chunk[g]) / n - mean for n, chunk in zip(counts, sums)]
-        total_sq = math.fsum([chunk[g] for chunk in squares]
-                             + [n * d * d for n, d in zip(counts, shifts)])
+        shifts = [float(sums[g]) / n - mean for n, sums, _ in chunks]
+        total_sq = math.fsum([squares[g] for _, _, squares in chunks]
+                             + [n * d * d for (n, _, _), d in zip(chunks, shifts)])
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise OverflowError(f"Monte Carlo sums at t={float(grid[g]):g} are not finite")
         var = total_sq / (samples - 1) if samples > 1 else 0.0
         means.append(mean)
-        variances.append(var)  # StatCurve clamps float dust to 0
-        halfwidths.append(CI_MULTIPLIER * math.sqrt(max(var, 0.0) / samples))
+        variances.append(var)
+        halfwidths.append(CI_MULTIPLIER * math.sqrt(var / samples))
     return StatCurve(
         grid=[float(t) for t in grid],
         mean=means,
@@ -214,28 +209,6 @@ def _aggregate(
     )
 
 
-def _coeff_rows(
-    spec: ProblemSpec, order: int,
-) -> tuple[_EvalPlan, Callable[[np.ndarray], list[np.ndarray]]]:
-    """The plan of the inputs X_order reads, and a function giving
-    X_0 .. X_order at every draw of a sample matrix, one float64 row each.
-
-    Evaluating at a draw commutes with the ring operations, so X_n at a draw
-    is `coeff_recursion` fed the draw's rows of the inputs `compute_coeffs`
-    reads, `spec.inputs(order - 2)`, which checks a generator's M as it does.
-    """
-    import numpy as np
-    terms = spec.inputs(order - 2, f"order {order}")
-    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
-
-    def coeffs(values: np.ndarray) -> list[np.ndarray]:
-        rows = plan(values)
-        return coeff_recursion([(s, k, rows[j]) for j, (s, k, _) in enumerate(terms)],
-                               rows[-2], rows[-1], order, np.zeros(values.shape[0]))
-
-    return plan, coeffs
-
-
 def mc_series(
     sol: SeriesSolution,
     grid: Sequence[float],
@@ -243,25 +216,28 @@ def mc_series(
 ) -> StatCurve:
     """Sample the random symbols and evaluate the order-N truncated series per draw.
 
-    The paper's random differential transform method: each chunk's X_0 ..
-    X_N come from the recursion run on its draws' sampled inputs
-    (`_coeff_rows`), so only `sol.spec` and `sol.order` are read, not the
-    exact `sol.X`, and output matches evaluating `sol.X` up to rounding.  A
-    generator whose M is below N - 2 raises SpecError, as in `compute_coeffs`.
-    Horner's rule in tau = t - t0 forms the partial sums: tau^N alone may
-    leave the float range where the sum does not.
+    The paper's random differential transform method: evaluating commutes
+    with the ring operations, so each chunk's X_0 .. X_N are `coeff_recursion`
+    run on its draws' rows of `spec.inputs(N - 2)`, the inputs (and generator
+    check) of `compute_coeffs`.  Only `sol.spec` and `sol.order` are read, not
+    `sol.X`.  Horner's rule in tau = t - t0 forms the partial sums: tau^N
+    alone may leave the float range where the sum does not.
     """
     import numpy as np
-    _warn_outside_radius(grid, sol.spec.t0, sol.spec.radius)
-    taus = np.array([float(t) - float(sol.spec.t0) for t in grid])[:, None]
-    plan, coeffs = _coeff_rows(sol.spec, sol.order)
-    blocks = sol.spec.model.leading_blocks(sid for sid, _ in plan.powers)
+    spec, order = sol.spec, sol.order
+    _warn_outside_radius(grid, spec.t0, spec.radius)
+    taus = np.array([float(t) - float(spec.t0) for t in grid])[:, None]
+    terms = spec.inputs(order - 2, f"order {order}")
+    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+    blocks = spec.model.leading_blocks(sid for sid, _ in plan.powers)
 
     def worker(start: int, count: int):
-        return _horner(coeffs(_sample_matrix(sol.spec.model, cfg.seed, start, count, blocks)), taus)
+        rows = plan(_sample_matrix(spec.model, cfg.seed, start, count, blocks))
+        coeffs = coeff_recursion([(s, k, rows[j]) for j, (s, k, _) in enumerate(terms)],
+                                 rows[-2], rows[-1], order, np.zeros(count))
+        return _horner(coeffs, taus)
 
-    sums, squares = _run_chunks(cfg.samples, worker)
-    return _aggregate(grid, cfg.samples, sums, squares, label=f"mc-series[{cfg.samples}]")
+    return _aggregate(grid, _run_chunks(cfg.samples, worker), label=f"mc-series[{cfg.samples}]")
 
 
 def _steps_for(delta: float, h: float) -> int:
@@ -470,8 +446,7 @@ def mc_rk4(
                 paths[:, members] = integrate(np.ascontiguousarray(rows[:, members]))
         return paths
 
-    sums, squares = _run_chunks(cfg.samples, worker)
-    return _aggregate(grid, cfg.samples, sums, squares, label=f"mc-rk4[{cfg.samples}]")
+    return _aggregate(grid, _run_chunks(cfg.samples, worker), label=f"mc-rk4[{cfg.samples}]")
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +496,7 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
     CI flagging uses the mean's combined standard error from whichever
     curves carry half-widths; exact curves contribute zero width.
     """
-    if len(a.grid) != len(b.grid) or any(
-        ta != tb for ta, tb in zip(a.grid, b.grid)
-    ):
+    if a.grid != b.grid:
         raise GridMismatchError(
             f"curves have different grids ({len(a.grid)} vs {len(b.grid)} points)"
         )
@@ -549,10 +522,9 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
             se = math.hypot(hw_a, hw_b) / CI_MULTIPLIER
             if se > 0:
                 sigmas = abs(dmean) / se
-                outside = sigmas > CI_MULTIPLIER
             else:
                 sigmas = 0.0 if dmean == 0 else math.inf
-                outside = dmean != 0
+            outside = sigmas > CI_MULTIPLIER
         points.append(PointComparison(t, dmean, sigmas, outside))
     return ComparisonReport(
         points=points,

@@ -111,9 +111,9 @@ class Distribution:
 
 
 # Readers: (value, "<kind> <parameter>") -> the value as stored, or DistributionError.
-# Moments, sup bounds and draws read each parameter as a float: all start from `_rational`.
+# Moments, sup bounds and draws read each parameter as a float: all start from `float_rational`.
 
-def _rational(value, what: str) -> Fraction:
+def float_rational(value, what: str) -> Fraction:
     try:
         value = to_fraction(value)
         float(value)
@@ -127,21 +127,21 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _probability(value, what: str) -> Fraction:
-    p = _rational(value, what)
+    p = float_rational(value, what)
     if p < 0 or p > 1:
         raise DistributionError(f"{what} must lie in [0, 1], got {p}")
     return p
 
 
 def _positive(value, what: str) -> Fraction:
-    v = _rational(value, what)
+    v = float_rational(value, what)
     if not float(v) > 0:  # numpy rejects a parameter that is 0.0 as a float
         raise DistributionError(f"{what} must be positive as a float, got {value!r}")
     return v
 
 
 def _count(value, what: str) -> int:
-    count = _rational(value, what)
+    count = float_rational(value, what)
     if count.denominator != 1 or not 0 <= count < 1 << 63:  # numpy draws counts as int64
         raise DistributionError(f"{what} must be an integer in [0, 2^63), got {value!r}")
     return int(count)
@@ -150,7 +150,7 @@ def _count(value, what: str) -> int:
 def _points(value, what: str) -> tuple[Fraction, ...]:
     if not isinstance(value, (list, tuple)):
         raise DistributionError(f"{what} must be a list, got {value!r}")
-    return tuple(_rational(x, what) for x in value)
+    return tuple(float_rational(x, what) for x in value)
 
 
 def _probs(value, what: str) -> tuple[Fraction, ...]:
@@ -170,7 +170,7 @@ def _param(reader):
 
 @dataclass(frozen=True)
 class PointMass(Distribution):
-    value: Fraction = _param(_rational)
+    value: Fraction = _param(float_rational)
 
     kind = "pointmass"
 
@@ -285,7 +285,7 @@ class Gamma(Distribution):
     kind = "gamma"
 
     def _check(self) -> None:
-        _rational(1 / self.rate, "gamma rate's reciprocal")  # the scale of a draw
+        float_rational(1 / self.rate, "gamma rate's reciprocal")  # the scale of a draw
 
     def _raw_moment(self, k: int) -> Fraction:
         return _rising(self.shape, k) / self.rate**k
@@ -299,8 +299,8 @@ class Gamma(Distribution):
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
-    a: Fraction = _param(_rational)
-    b: Fraction = _param(_rational)
+    a: Fraction = _param(float_rational)
+    b: Fraction = _param(float_rational)
 
     kind = "uniform"
 

@@ -46,8 +46,6 @@ from .frobenius import MAX_ORDER, ProblemSpec, Radius, SeriesSolution, bounded_s
 from .poly import Poly, to_fraction
 from .randmodel import RandomModel
 
-VARIANCE_CLAMP = 1e-12
-
 
 @dataclass
 class MomentMatrix:
@@ -89,17 +87,9 @@ class StatCurve:
             raise ValueError("grid, mean and variance must have equal lengths")
         if self.ci_halfwidth is not None and len(self.ci_halfwidth) != n:
             raise ValueError("ci_halfwidth length must match the grid")
-        clamped = []
-        for v in self.variance:
-            if v < 0:
-                if v < -VARIANCE_CLAMP:
-                    warnings.warn(
-                        f"variance {v:.3e} clamped to 0 (below -{VARIANCE_CLAMP:g})",
-                        stacklevel=2,
-                    )
-                v = 0.0
-            clamped.append(v)
-        self.variance = clamped
+        for t, v in zip(self.grid, self.variance):
+            if v < 0:  # no route builds one, but a hand-built curve or a curve file can
+                raise ValueError(f"variance {float(v):g} at t={float(t):g} is negative")
 
 
 @dataclass
@@ -216,10 +206,12 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
     norms = [(n, float(bound)) for _, n, bound in bounded_sup_norms(spec)]
     norms += [(n, model.poly_l2_norm(p)) for n, p in spec.c.items()]
     d_s = 0.0
-    max_index = -1
     for n, norm in norms:
-        d_s = max(d_s, norm * s_f**n)
-        max_index = max(max_index, n)
+        try:
+            d_s = max(d_s, norm * s_f**n)
+        except OverflowError:  # s^n is past float range; the check below names s
+            d_s = math.inf
+    max_index = max((n for n, _ in norms), default=-1)
 
     h = [model.poly_l2_norm(spec.y0), model.poly_l2_norm(spec.y1)]
     h.append((d_s / 2) * (h[1] + h[0] + 1))

@@ -313,8 +313,7 @@ def per_draw_rk4(spec, grid, cfg) -> rf.StatCurve:
             paths[g, :] = x
         return paths
 
-    sums, squares = mcengine._run_chunks(cfg.samples, worker)
-    return mcengine._aggregate(grid, cfg.samples, sums, squares, label="per-draw-rk4")
+    return mcengine._aggregate(grid, mcengine._run_chunks(cfg.samples, worker), label="per-draw-rk4")
 
 
 # A/B terms for RK4 specs.  F has finite support with one rare point, so its

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,8 @@ from conftest import BUNDLED, UNBOUNDED_DOC, WARN_DOC
 
 import randfrob as rf
 from randfrob.cli import MAX_GRID_POINTS, parse_grid, read_curve, run_command
+from randfrob.errors import SpecError
+from randfrob.frobenius import MAX_GENERATOR_M
 from randfrob.poly import EXP_LIMIT
 from randfrob.specfile import canonical_json, load_document, parse_document, resolve_problem
 
@@ -95,6 +98,7 @@ class TestDocuments:
 
 
 MC_SERIES = ("mc", "--method", "series", "--samples", "10", "--grid", "0:1:0.5")
+MC_RK4 = ("mc", "--method", "rk4", "--samples", "10", "--grid", "0:0.1:0.05")
 # a valid parameter set of each kind whose parameters are all rational
 RATIONAL_PARAMS = {"pointmass": {"value": 1}, "uniform": {"a": 0, "b": 1},
                    "beta": {"alpha": 2, "beta": 3}, "gamma": {"shape": 2, "rate": 1}}
@@ -335,6 +339,20 @@ class TestCommands:
             assert (code, out) == (1, "")
             assert err == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff"
                            " in position 22: invalid start byte\n")
+
+    def test_compare_rejects_negative_variance(self, capsys, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("t,mean,variance\n0,1,0\n0.5,1,0.25\n")
+        bad.write_text("t,mean,variance\n0,1,0\n0.5,1,-1e-15\n")
+        for files in ((good, bad), (bad, good)):
+            code, out, err = run(capsys, "compare", *map(str, files))
+            assert (code, out) == (1, "")
+            assert err == f"error: {bad}: variance -1e-15 at t=0.5 is negative\n"
+
+    def test_read_curve_missing_file(self, tmp_path):
+        path = tmp_path / "nowhere.csv"
+        with pytest.raises(SpecError, match=f"cannot read curve file {re.escape(str(path))}: "):
+            read_curve(str(path))
 
     def test_compare_grid_mismatch(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -660,6 +678,51 @@ class TestCommands:
         out_path = tmp_path / "out.csv"
         code, _, err = run(capsys, *argv, "--out", str(out_path))
         assert (code, err) == (1, f"error: {message}\n")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [("check",), ("solve",), MC_RK4], ids=["check", "solve", "mc-rk4"])
+    @pytest.mark.parametrize("index", [10**20, 2**64], ids=["10^20", "2^64"])
+    def test_series_index_over_limit(self, capsys, tmp_path, argv, index):
+        # rejected at load, the limit a generator's M has, before numpy meets the index
+        doc = {"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+               "series": {"B": [{"n": index, "value": "A"}]}, "initial": {"Y0": 1, "Y1": 0}}
+        path = tmp_path / "index.spec"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out.csv"
+        out_flag = () if argv[0] == "check" else ("--out", str(out_path))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], *out_flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: series B: index = {index} is over the limit {MAX_GENERATOR_M}\n"
+        assert not out_path.exists()
+
+    def test_series_index_at_limit(self, capsys, tmp_path):
+        # an index of the limit loads; 1.5^4096 is past float range, which the majorant names
+        doc = {"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+               "series": {"B": [{"n": MAX_GENERATOR_M, "value": "A"}]},
+               "initial": {"Y0": 1, "Y1": 0}}
+        path = tmp_path / "index.spec"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "check", str(path))[0] == 0
+        code, _, err = run(capsys, "majorant", str(path), "--s", "1.5",
+                           "--out", str(tmp_path / "h.csv"))
+        assert (code, err) == (1, "error: a value is out of float range"
+                                  " (the majorant at s=1.5 is not finite)\n")
+
+    @pytest.mark.parametrize("argv", [("check",), ("solve",), ("stats", "--grid", "0:1:0.5"),
+                                      MC_SERIES, MC_RK4, ("majorant", "--s", "0.5")],
+                             ids=["check", "solve", "stats", "mc-series", "mc-rk4", "majorant"])
+    @pytest.mark.parametrize("key,name", [("t0", "'t0'"), ("radius", "radius")])
+    def test_problem_value_out_of_float_range(self, capsys, tmp_path, argv, key, name):
+        doc = {"problem": {key: "1e400"},
+               "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+               "series": {"B": [{"n": 0, "value": "A"}]}, "initial": {"Y0": 1, "Y1": 0}}
+        path = tmp_path / "range.spec"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "out.csv"
+        out_flag = () if argv[0] == "check" else ("--out", str(out_path))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], *out_flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} is out of float range, got a value of 401 digits\n"
         assert not out_path.exists()
 
     def test_missing_file_is_validation_failure(self, capsys):

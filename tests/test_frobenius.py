@@ -180,6 +180,10 @@ class TestBuildProblem:
                       "params": {"trials": 1, "probs": [0.5, 0.5]}}]},
          "block ['X', 'Y']: unknown key(s) ['name'] (known: dist, names, params)"),
         ({"problem": {"order": 10**9}}, f"'order' = {10**9} is over the limit {MAX_ORDER}"),
+        ({"problem": {"t0": "-1e400"}}, "'t0' is out of float range, got a value of 401 digits"),
+        ({"problem": {"radius": 10**400}}, "radius is out of float range, got a value of 401 digits"),
+        ({"series": {"C": [{"n": MAX_GENERATOR_M + 1, "value": 1}]}},
+         f"series C: index = {MAX_GENERATOR_M + 1} is over the limit {MAX_GENERATOR_M}"),
     ])
     def test_error_catalogue(self, doc, message):
         base = {

@@ -18,7 +18,8 @@ from randfrob import (
     mc_rk4, mc_series,
 )
 from randfrob import mcengine
-from randfrob.mcengine import CHUNK, _coeff_rows, _EvalPlan, _sample_matrix
+from randfrob.frobenius import coeff_recursion
+from randfrob.mcengine import CHUNK, _EvalPlan, _sample_matrix
 
 GRID7 = [0.25 * k for k in range(7)]
 
@@ -296,8 +297,10 @@ class TestSeriesRecursion:
     @staticmethod
     def check(spec, order, seed=0, count=64):
         values = _sample_matrix(spec.model, seed, 0, count)
-        _, coeffs = _coeff_rows(spec, order)
-        got = np.array(coeffs(values))
+        terms = spec.inputs(order - 2)
+        rows = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])(values)
+        got = np.array(coeff_recursion([(s, k, rows[j]) for j, (s, k, _) in enumerate(terms)],
+                                       rows[-2], rows[-1], order, np.zeros(count)))
         X = compute_coeffs(spec, order).X
         want = _EvalPlan(X)(values)
         scale = _EvalPlan([Poly({k: abs(c) for k, c in x.terms.items()}, x.den)
@@ -615,6 +618,32 @@ class TestCompare:
         assert report.max_abs_mean == pytest.approx(1.2e-4, rel=0.2)
         worst = max(report.points, key=lambda p: abs(p.mean_delta))
         assert worst.t == 1.5
+
+    def test_mean_shifted_past_ci(self, hermite_forced, hf_moments):
+        # a copy with CI half-widths of 0.01 whose mean moves 0.05 (about 10
+        # standard errors) at t = 0.5 and 1.5, and 0.005 (within) at t = 1
+        exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
+        shift = {0.5: 0.05, 1.0: 0.005, 1.5: 0.05}
+        shifted = dataclasses.replace(
+            exact, mean=[m + shift.get(t, 0.0) for t, m in zip(exact.grid, exact.mean)],
+            ci_halfwidth=[0.01] * len(GRID7), label="shifted")
+        report = compare_curves(exact, shifted)
+        assert [p.t for p in report.points if p.outside_ci] == [0.5, 1.5]
+        assert report.points[4].mean_sigmas == pytest.approx(0.005 / (0.01 / 1.96))
+        assert report.summary().splitlines()[-1] == (
+            "2 point(s) outside the combined 95% CI: 0.5, 1.5")
+
+    def test_zero_width_ci(self, hermite_forced, hf_moments):
+        # two exact curves, one carrying zero half-widths: a mean that differs
+        # at all lies infinitely many standard errors out
+        exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
+        other = dataclasses.replace(exact, mean=[m + 1 if t == 1.0 else m for t, m in zip(GRID7, exact.mean)],
+                                    ci_halfwidth=[0.0] * len(GRID7))
+        report = compare_curves(exact, other)
+        assert report.has_ci
+        assert [(p.mean_sigmas, p.outside_ci) for p in report.points] == (
+            [(0.0, False)] * 4 + [(math.inf, True)] + [(0.0, False)] * 2)
+        assert report.summary().endswith("1 point(s) outside the combined 95% CI: 1")
 
     def test_summary_text(self, hermite_forced, hf_solution, hf_moments):
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)

@@ -27,7 +27,7 @@ from randfrob.cli import run_command
 from randfrob.specfile import bundled_problems
 from conftest import BUNDLED, finite_support_docs
 
-VALUES = [True, None, "", "nan", "inf", "1e400", 0, -1, 2**31, [1], {"a": 1}]
+VALUES = [True, None, "", "nan", "inf", "1e400", 0, -1, 2**31, 2**64, [1], {"a": 1}]
 GRID = "0:0.5:0.25"
 DOCS = {name: json.loads(bundled_problems()[name].read_text()) for name in BUNDLED}
 

@@ -220,17 +220,9 @@ class TestStatCurves:
         with pytest.warns(UserWarning, match="outside the declared radius"):
             rf.stat_curves(mm, [1.5], spec.t0, radius=spec.radius)
 
-    def test_variance_clamp(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            curve = rf.StatCurve(grid=[0.0], mean=[0.0], variance=[-1e-9])
-        assert curve.variance == [0.0]
-        # dust above the clamp threshold is silently zeroed
-        curve = rf.StatCurve(grid=[0.0], mean=[0.0], variance=[-1e-15])
-        assert curve.variance == [0.0]
-
     # the rational path has no rounding, so the variance of the truncated
-    # solution is nonnegative exactly, with zero pre-clamp deficit; the two
-    # many-symbol problems run at reduced order to keep the suite fast
+    # solution is nonnegative exactly, and so is its float in a StatCurve;
+    # the two many-symbol problems run at reduced order to keep the suite fast
     @pytest.mark.parametrize(
         "name,order,ts",
         [
