@@ -11,7 +11,11 @@ of any polynomial in the symbols is an exact rational.  The counting kinds
 (Bernoulli, binomial, multinomial) share one rule through their factorial
 moments, at a cost set by the exponents and not by the number of trials;
 `finite_discrete` sums over its listed points.
-`RandomModel.expect_monomial` caches those block moments and multiplies them.
+`RandomModel` memoizes block moments per distinct distribution (same kind
+and parameters, as iid `A_k` are) and exponent pattern, and each monomial
+key's split into block patterns, which the means and the chaos kernel both
+read.  `expect_monomial` and `expect_poly` work in integer numerators and
+denominators over one lcm and normalize each result once.
 
 `RandomModel.second_moments` is the one exact E[P_n P_m] kernel, behind
 the moment matrix of `stats` and the mean-square norms (`poly_l2_norm`) of
@@ -22,11 +26,12 @@ denominator D_n, keyed by packed monomial keys u (see `poly`).
 1. Each distinct key splits into one local exponent pattern per block it
    touches.  Per block, the patterns that occur, constant first and then
    by total degree, give the Gram matrix G[p, q] = E[x^(p+q)] (block
-   moments memoized in `_moment_cache`), and its exact G = L D L^T gives
-   orthogonal polynomials phi_j with x^p_i = sum_j L[i, j] phi_j and
-   E[phi_j phi_k] = d_j [j = k].  A zero pivot d_j marks a pattern that is
-   a.s. a combination of earlier ones (A^2 = A for a Bernoulli A); phi_j
-   is then 0 a.s. and its column of L is set to zero.
+   moments memoized in `_moment_cache` per distribution and pattern), and
+   its exact G = L D L^T gives orthogonal polynomials phi_j with
+   x^p_i = sum_j L[i, j] phi_j and E[phi_j phi_k] = d_j [j = k].  A zero
+   pivot d_j marks a pattern that is a.s. a combination of earlier ones
+   (A^2 = A for a Bernoulli A); phi_j is then 0 a.s. and its column of L
+   is set to zero.
 2. Blocks are independent, so a label alpha, one index j per block packed
    into bit fields, names the product of the phi_j, with norm h_alpha the
    product of their pivots.  A key expands into labels with integer
@@ -121,9 +126,15 @@ def float_rational(value, what: str) -> Fraction:
         raise DistributionError(f"{what}: {exc}") from None
     except OverflowError:
         raise DistributionError(
-            f"{what} is out of float range, got a value of {len(str(abs(int(value))))} digits"
+            f"{what} is out of float range, got a value of {_digits(abs(int(value)))} digits"
         ) from None
     return value
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of n > 0, counted without `str`, which refuses ints past 4300 digits."""
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1  # from 2^(b-1) <= n: exact or one short
+    return d + (n >= 10**d)
 
 
 def _probability(value, what: str) -> Fraction:
@@ -256,8 +267,9 @@ class Binomial(_Counting):
 
 
 def _rising(x: Fraction, k: int) -> Fraction:
-    """The rising factorial x (x + 1) ... (x + k - 1), exactly."""
-    return math.prod((x + j for j in range(k)), start=Fraction(1))
+    """The rising factorial x (x + 1) ... (x + k - 1) = prod (a + j b) / b^k for x = a/b."""
+    a, b = x.numerator, x.denominator
+    return Fraction(math.prod(a + j * b for j in range(k)), b**k)
 
 
 @dataclass(frozen=True)
@@ -455,8 +467,11 @@ class DependenceBlock:
 class RandomModel:
     """Partition of all symbols into mutually independent dependence blocks.
 
-    Joint moments are memoized per (block, exponent pattern); the cache is
-    filled during read-only queries and never changes results.
+    Blocks whose distributions compare equal (same kind, same parameters)
+    share one id, and joint moments are memoized per (that id, exponent
+    pattern), so iid blocks compute each moment once.  A monomial key's split
+    into block patterns and its moment are memoized per key.  The caches are
+    filled during read-only queries and never change results.
     """
 
     def __init__(self, table: SymbolTable, blocks: Sequence[DependenceBlock]):
@@ -478,7 +493,12 @@ class RandomModel:
         if missing:
             raise DistributionError(f"symbols missing from every block: {missing}")
         self._owner = owner
-        self._moment_cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        first: dict[Distribution, int] = {}
+        # block index -> index of the first block with an equal distribution
+        self._dist_ids = [first.setdefault(block.dist, bidx)
+                          for bidx, block in enumerate(self.blocks)]
+        self._moment_cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}  # by dist id
+        self._split_cache: dict[int, dict[int, tuple[int, ...]]] = {}  # by monomial key
         self._monomial_cache: dict[int, Fraction] = {}  # by monomial key
 
     @property
@@ -490,14 +510,21 @@ class RandomModel:
         cached = self._monomial_cache.get(key)
         if cached is not None:
             return cached
-        total = Fraction(1)
+        num = den = 1
         for bidx, exps in self._block_exponents(key).items():
-            total *= self._block_moment(bidx, exps)
-        self._monomial_cache[key] = total
+            moment = self._block_moment(bidx, exps)
+            num *= moment.numerator
+            den *= moment.denominator
+        total = self._monomial_cache[key] = Fraction(num, den)
         return total
 
     def _block_exponents(self, key: int) -> dict[int, tuple[int, ...]]:
-        """A monomial key's exponent pattern in each block it touches, by block index."""
+        """A monomial key's exponent pattern in each block it touches, by block index.
+
+        Memoized per key: callers must not change the dict returned."""
+        split = self._split_cache.get(key)
+        if split is not None:
+            return split
         per_block: dict[int, list[int]] = {}
         for sid, e in key_factors(key):
             info = self._owner.get(sid)
@@ -507,18 +534,23 @@ class RandomModel:
                 )
             bidx, pos = info
             per_block.setdefault(bidx, [0] * len(self.blocks[bidx].symbols))[pos] = e
-        return {bidx: tuple(exps) for bidx, exps in per_block.items()}
+        split = self._split_cache[key] = {bidx: tuple(exps) for bidx, exps in per_block.items()}
+        return split
 
     def _block_moment(self, bidx: int, exps: tuple[int, ...]) -> Fraction:
-        """E[prod x^e] within one block, memoized per (block, exponent pattern)."""
-        moment = self._moment_cache.get((bidx, exps))
+        """E[prod x^e] within one block, memoized per (distribution id, exponent pattern)."""
+        cache_key = (self._dist_ids[bidx], exps)
+        moment = self._moment_cache.get(cache_key)
         if moment is None:
-            moment = self._moment_cache[bidx, exps] = self.blocks[bidx].dist.joint_moment(exps)
+            moment = self._moment_cache[cache_key] = self.blocks[bidx].dist.joint_moment(exps)
         return moment
 
     def expect_poly(self, p: Poly) -> Fraction:
-        """Exact E[P] by linearity over terms."""
-        return sum((n * self.expect_monomial(k) for k, n in p.terms.items()), Fraction(0)) / p.den
+        """Exact E[P] by linearity over terms, summed as integers over one lcm."""
+        moments = [(n, self.expect_monomial(k)) for k, n in p.terms.items()]
+        lcm = math.lcm(*(m.denominator for _, m in moments))
+        total = sum(n * m.numerator * (lcm // m.denominator) for n, m in moments)
+        return Fraction(total, lcm * p.den)
 
     def symbol_linfty(self, sid: int) -> NormValue:
         bidx, pos = self._owner[sid]

@@ -14,9 +14,12 @@ rationals): the means by `RandomModel.expect_poly`, the second moments by
 X_n in exact polynomial chaos coordinates per dependence block, so each
 E[X_n X_m] is a diagonal sum over orthogonal labels, with no moment
 computed per product monomial (see `randmodel`).  Each `MomentMatrix`
-groups E[X_n X_m] by the power n + m once (`power_sums`); `exact_stats`
-then evaluates both sums by Horner in tau at one time, and `stat_curves`
-is `exact_stats` at each grid point, emitted as floats.
+groups E[X_n X_m] by the power n + m once (`power_sums`), and keeps the
+means and the power sums each as integer numerators over one denominator.
+`exact_stats` evaluates both sums at tau = p/q by the ring-generic
+`_horner` in the integers, sum_k C_k q^(K-k) p^k over D q^K, and
+normalizes the mean and the variance once each; `stat_curves` is
+`exact_stats` at each grid point, emitted as floats.
 
 `_pairwise_expect` multiplies term pairs one by one; it is the reference the
 kernel is tested against, selected per pair by `moment_matrix`'s
@@ -41,6 +44,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul
 
 from .frobenius import MAX_ORDER, ProblemSpec, Radius, SeriesSolution, bounded_sup_norms
 from .poly import Poly, to_fraction
@@ -57,18 +62,27 @@ class MomentMatrix:
 
     @cached_property
     def power_sums(self) -> list[Fraction]:
-        """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k, skipping
-        zeros, each symmetric pair n < m added once doubled, as integers over one lcm."""
-        parts = [[] for _ in range(2 * self.order + 1)]  # (numerator, denominator) per power
-        for n, row in enumerate(self.second):
-            for m, entry in enumerate(row[n:], n):
-                if entry:
-                    parts[n + m].append((entry.numerator * (2 if m > n else 1), entry.denominator))
-        out = []
-        for entries in parts:
-            den = math.lcm(*(d for _, d in entries))
-            out.append(Fraction(sum(a * (den // d) for a, d in entries), den))
-        return out
+        """Coefficients of E[X^N(t)^2] in tau: E[X_n X_m] summed over n + m = k."""
+        nums, den = self._integer_power_sums
+        return [Fraction(c, den) for c in nums]
+
+    @cached_property
+    def _integer_means(self) -> tuple[list[int], int]:
+        """`means` as integer numerators over their one lcm."""
+        den = math.lcm(*(f.denominator for f in self.means))
+        return [f.numerator * (den // f.denominator) for f in self.means], den
+
+    @cached_property
+    def _integer_power_sums(self) -> tuple[list[int], int]:
+        """`power_sums` as integer numerators over one lcm of the nonzero E[X_n X_m],
+        each symmetric pair n < m added once doubled."""
+        entries = [(n, m, entry) for n, row in enumerate(self.second)
+                   for m, entry in enumerate(row[n:], n) if entry]
+        den = math.lcm(*(entry.denominator for _, _, entry in entries))
+        nums = [0] * (2 * self.order + 1)
+        for n, m, entry in entries:
+            nums[n + m] += entry.numerator * (den // entry.denominator) * (2 if m > n else 1)
+        return nums, den
 
 
 @dataclass
@@ -176,10 +190,20 @@ def _horner(coeffs, tau):
 
 
 def exact_stats(mm: MomentMatrix, t, t0) -> tuple[Fraction, Fraction]:
-    """Mean and variance at a single time, as exact rationals."""
+    """Mean and variance at a single time, as exact rationals.
+
+    With tau = p/q and coefficients C_k/D, sum_k (C_k/D) tau^k is
+    sum_k C_k q^(K-k) p^k / (D q^K): `_horner` in the integers, normalized once.
+    """
     tau = to_fraction(t) - to_fraction(t0)
-    mean = _horner(mm.means, tau)
-    return mean, _horner(mm.power_sums, tau) - mean * mean
+    p, q = tau.numerator, tau.denominator
+    (means, m_den), (sums, s_den) = mm._integer_means, mm._integer_power_sums
+    n = mm.order
+    q_pows = list(accumulate(repeat(q, 2 * n), mul, initial=1))  # q^0 .. q^2N
+    mean = _horner(list(map(mul, means, q_pows[n::-1])), p)  # over m_den q^N
+    square = _horner(list(map(mul, sums, q_pows[::-1])), p)  # E[X^N(t)^2] over s_den q^2N
+    return (Fraction(mean, m_den * q_pows[n]),
+            Fraction(square * m_den**2 - mean**2 * s_den, s_den * m_den**2 * q_pows[2 * n]))
 
 
 def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:

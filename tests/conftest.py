@@ -73,6 +73,12 @@ def decode_key(key: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def term_by_term_mean(model: rf.RandomModel, p: rf.Poly) -> Fraction:
+    """E[P] as a Fraction sum of a_u / D E[u], one term at a time."""
+    return sum((Fraction(n, p.den) * model.expect_monomial(k) for k, n in p.terms.items()),
+               Fraction(0))
+
+
 def eval_poly_exact(p: rf.Poly, values: dict[int, Fraction]) -> Fraction:
     """Test-side exact polynomial evaluation."""
     return OraclePoly.of(p).eval_exact(values)

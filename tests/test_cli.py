@@ -711,18 +711,24 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [("check",), ("solve",), ("stats", "--grid", "0:1:0.5"),
                                       MC_SERIES, MC_RK4, ("majorant", "--s", "0.5")],
                              ids=["check", "solve", "stats", "mc-series", "mc-rk4", "majorant"])
-    @pytest.mark.parametrize("key,name", [("t0", "'t0'"), ("radius", "radius")])
-    def test_problem_value_out_of_float_range(self, capsys, tmp_path, argv, key, name):
-        doc = {"problem": {key: "1e400"},
-               "symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
-               "series": {"B": [{"n": 0, "value": "A"}]}, "initial": {"Y0": 1, "Y1": 0}}
+    @pytest.mark.parametrize("patch,message", [
+        ({"problem": {"t0": "1e400"}}, "'t0' is out of float range, got a value of 401 digits"),
+        ({"problem": {"radius": "1e400"}}, "radius is out of float range, got a value of 401 digits"),
+        # past 4300 digits, where `str` of the integer would itself raise
+        ({"problem": {"t0": "1e4300"}}, "'t0' is out of float range, got a value of 4301 digits"),
+        ({"symbols": [{"name": "A", "dist": "uniform", "params": {"a": 0, "b": "1e4300"}}]},
+         "symbol 'A': uniform b is out of float range, got a value of 4301 digits"),
+    ], ids=["t0-'t0'", "radius-radius", "t0-1e4300", "uniform-b-1e4300"])
+    def test_problem_value_out_of_float_range(self, capsys, tmp_path, argv, patch, message):
+        doc = {"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+               "series": {"B": [{"n": 0, "value": "A"}]}, "initial": {"Y0": 1, "Y1": 0}, **patch}
         path = tmp_path / "range.spec"
         path.write_text(json.dumps(doc))
         out_path = tmp_path / "out.csv"
         out_flag = () if argv[0] == "check" else ("--out", str(out_path))
         code, out, err = run(capsys, argv[0], str(path), *argv[1:], *out_flag)
         assert (code, out) == (1, "")
-        assert err == f"error: {name} is out of float range, got a value of 401 digits\n"
+        assert err == f"error: {message}\n"
         assert not out_path.exists()
 
     def test_missing_file_is_validation_failure(self, capsys):

@@ -184,6 +184,10 @@ class TestBuildProblem:
         ({"problem": {"radius": 10**400}}, "radius is out of float range, got a value of 401 digits"),
         ({"series": {"C": [{"n": MAX_GENERATOR_M + 1, "value": 1}]}},
          f"series C: index = {MAX_GENERATOR_M + 1} is over the limit {MAX_GENERATOR_M}"),
+        # past 4300 digits, where `str` of the integer would itself raise
+        ({"problem": {"t0": "1e4300"}}, "'t0' is out of float range, got a value of 4301 digits"),
+        ({"symbols": [{"name": "A", "dist": "uniform", "params": {"a": 0, "b": "1e4300"}}]},
+         "symbol 'A': uniform b is out of float range, got a value of 4301 digits"),
     ])
     def test_error_catalogue(self, doc, message):
         base = {

@@ -27,7 +27,9 @@ from randfrob import (
     SymbolTable,
     Uniform,
 )
+from conftest import term_by_term_mean
 from randfrob.poly import EXP_LIMIT
+from randfrob.uqstats import _pairwise_expect
 
 
 def quad_moment(pdf, k, lo, hi):
@@ -306,6 +308,46 @@ class TestExpectPoly:
         cached_twice = [model.expect_poly(p), model.expect_poly(p)]
         fresh = example_model().expect_poly(p)
         assert cached_twice[0] == cached_twice[1] == fresh
+
+
+def look_alike_model():
+    """Beta(2, 3) twice, Beta(3, 2), Uniform(0, 1), and Beta(1, 1), whose moments are
+    Uniform(0, 1)'s but whose kind is not."""
+    t = SymbolTable()
+    dists = [Beta(2, 3), Beta(3, 2), Uniform(0, 1), Beta(1, 1), Beta(2, 3)]
+    return RandomModel(t, [DependenceBlock((t.add(f"X{i}"),), d) for i, d in enumerate(dists)])
+
+
+class TestSharedMoments:
+    def test_equal_distributions_share_an_id(self):
+        assert look_alike_model()._dist_ids == [0, 1, 2, 3, 0]
+
+    def test_look_alikes_match_references(self):
+        x = [Poly.symbol(i) for i in range(5)]
+        polys = [Poly.const(1), x[0] + x[4], x[2] * x[3] - x[1] ** 2,
+                 (x[0] - x[4]) ** 2 + Fraction(1, 3) * x[3] ** 3, x[2] ** 2 * x[3] + x[0] * x[1]]
+        model, oracle = look_alike_model(), look_alike_model()
+        means = [model.expect_poly(p) for p in polys]
+        second = model.second_moments(polys)
+        assert means == [term_by_term_mean(oracle, p) for p in polys]
+        assert second == [[_pairwise_expect(oracle, p, q) for q in polys] for p in polys]
+        assert means[1] == Fraction(4, 5)  # E[X0 + X4], two Beta(2, 3) means
+
+    def test_iid_blocks_compute_each_moment_once(self, monkeypatch):
+        spec = rf.load_problem("beta_series")  # fresh caches
+        calls = []
+        joint_moment = rf.Distribution.joint_moment
+
+        def spy(dist, exps):
+            calls.append((dist, tuple(exps)))
+            return joint_moment(dist, exps)
+
+        monkeypatch.setattr(rf.Distribution, "joint_moment", spy)
+        rf.moment_matrix(rf.compute_coeffs(spec, 10), spec.model)
+        # Y0 gamma, Y1 uniform, and one Beta(11, 15) for every A_k block
+        assert len({dist for dist, _ in calls}) == 3
+        assert len(calls) == len(set(calls)) == len(spec.model._moment_cache)
+        assert {dist_id for dist_id, _ in spec.model._moment_cache} == {0, 1, 2}
 
 
 class TestNorms:

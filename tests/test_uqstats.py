@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import randfrob as rf
 from randfrob import Poly, build_problem, compute_coeffs
-from conftest import BUNDLED, OraclePoly, eval_poly_exact, finite_support_docs
-from randfrob.uqstats import _pairwise_expect
+from conftest import BUNDLED, OraclePoly, eval_poly_exact, finite_support_docs, term_by_term_mean
+from randfrob.uqstats import _horner, _pairwise_expect
 
 
 class TestMomentMatrix:
@@ -196,6 +196,23 @@ class TestMomentKernel:
         values = [Fraction(1), Fraction(0), Fraction(-1, 2), Fraction(3)]
         assert mm.means == values
         assert mm.second == [[a * b for b in values] for a in values]
+
+
+class TestIntegerArithmetic:
+    """The integer sums over one denominator give the Fractions that term-by-term
+    Fraction arithmetic gives."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_default_order(self, name):
+        spec = rf.load_problem(name)
+        sol = compute_coeffs(spec, spec.default_order)
+        mm = rf.moment_matrix(sol, spec.model)
+        oracle = rf.load_problem(name).model  # fresh caches
+        assert mm.means == [term_by_term_mean(oracle, x) for x in sol.X]  # by `expect_poly`
+        for t in (0, 0.1, Fraction(3, 4), Fraction(-1, 3), -1.25):
+            tau = Fraction(t) - spec.t0
+            mean = _horner(mm.means, tau)
+            assert rf.exact_stats(mm, t, spec.t0) == (mean, _horner(mm.power_sums, tau) - mean**2)
 
 
 class TestStatCurves:
