@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -222,6 +223,7 @@ def _cmd_majorant(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it found it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randfrob",

@@ -27,8 +27,9 @@ the columns of the blocks left out are NaN.
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw.  Single draws
 and such groups share one input evaluation (a weights product with plan
-rows), one slope, one RK4 step (`_rk4`) and one walk over the steps (see
-`mc_rk4`).
+rows), one slope, one RK4 step (`_rk4`) and one walk over the steps, which
+records x at the grid points; each supplies only a piece's steps as maps of
+its state (see `mc_rk4`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import GridMismatchError
@@ -53,6 +54,9 @@ CHUNK = 8192
 # Every RK4 step costs four stage evaluations per draw; the benchmark takes
 # 1 500 steps and the tests at most 10 000, so 10^7 only stops runaways.
 MAX_RK4_STEPS = 10**7
+# Sampling lists its chunks before the first draw; 10^9 draws are 122 071
+# chunks, about an hour at the benchmark's rate, so this only stops runaways.
+MAX_SAMPLES = 10**9
 # RK4 walks its steps in pieces of this many, so the step times, input weights
 # and a group's step maps (with a, b, c per map draw) take memory that does not
 # grow with the step count; 1024 raised `mc-rk4`'s peak RSS by 0.3 MB, 512 did not.
@@ -72,8 +76,8 @@ class McConfig:
     input_truncation: int | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.input_truncation is not None and self.input_truncation < 0:
@@ -285,18 +289,20 @@ def mc_rk4(
     of one RK4 pass over the chunk's single draws, so a chunk where no group
     forms is integrated bit for bit as per draw.
 
-    Both paths walk the steps STEP_BLOCK at a time and evaluate the inputs
-    one way: per piece, the weights series * tau^exps at every step's
-    start, midpoint and end, whose product with plan rows gives a, b and c
-    there, and one slope (x', c - b x - a x').  Single draws take one `_rk4`
-    step on their stacked (x, x') rows, with row i of the weights at step i.
-    Within a group a(tau) and b(tau) are scalars, so an RK4 step is one
-    affine map S -> P_i S + Q_i of the group's (2, n_basis) state of x and
-    x'.  [P_i | Q_i] is one `_rk4` step of 2 + n_basis map draws with the
-    group's A/B rows: the first two start at I unforced, and each other
-    starts at rest, forced by one unit C term (the Y0 and Y1 columns of Q_i
-    stay at rest).  A group builds a piece's maps at once, then applies them
-    in order.  Its basis paths depend only on its A/B values, so they are
+    Both paths go through one `walk` over the steps, STEP_BLOCK at a time,
+    and evaluate the inputs one way: per piece, the weights series *
+    tau^exps at every step's start, midpoint and end, whose product with
+    plan rows gives a, b and c there, and one slope (x', c - b x - a x').
+    Each path gives the walk only a piece's steps as maps of its state; the
+    walk applies them in order and records x at the grid points.  For single
+    draws a step is one `_rk4` step on their stacked (x, x') rows, with row i
+    of the weights at step i.  Within a group a(tau) and b(tau) are scalars,
+    so an RK4 step is one affine map S -> P_i S + Q_i of the group's
+    (2, n_basis) state of x and x'.  [P_i | Q_i] is one `_rk4` step of
+    2 + n_basis map draws with the group's A/B rows: the first two start at
+    I unforced, and each other starts at rest, forced by one unit C term
+    (the Y0 and Y1 columns of Q_i stay at rest).  A group builds a piece's
+    maps at once.  Its basis paths depend only on its A/B values, so they are
     memoized on those values' bytes for this call: chunks that meet the same
     group integrate it once, and the output does not depend on which chunk,
     or thread, gets there first.
@@ -342,15 +348,15 @@ def mc_rk4(
             tau = leg_t[leg] + (step - leg_first[leg]) * h - t0
             yield h, [series[:, None, :] * t[:, None] ** exps for t in (tau, tau + h / 2, tau + h)]
 
-    def march(states, width: int) -> np.ndarray:
-        """The (grid, width) x rows of the states before each step and after the last."""
-        paths = np.empty((len(ts), width))
-        stops = ends + [-1]  # no step is numbered -1, so g stops past the last grid point
-        g = 0
-        for step, state in enumerate(states):
-            while stops[g] == step:
-                paths[g] = state[0]
-                g += 1
+    def walk(state: np.ndarray, advance) -> np.ndarray:
+        """The (grid, columns) x rows of the (x, x') `state` at t0 carried over the
+        steps, where `advance(h, weights)` gives each step of a piece as a map of the state."""
+        paths = np.empty((len(ts), state.shape[1]))
+        steps = (move for h, weights in pieces() for move in advance(h, weights))
+        for g, n in enumerate(leg_n):
+            for move in islice(steps, n):
+                state = move(state)
+            paths[g] = state[0]
         return paths
 
     # Plan rows: each stored A_n, B_n, C_n with n <= input_truncation, then Y0 and Y1.
@@ -378,15 +384,12 @@ def mc_rk4(
         """The (grid, columns) paths of a C-contiguous plan-row matrix."""
         coeffs = rows[:-2]
 
-        def states():
-            state = rows[-2:]  # (x, x') at t0: Y0 and Y1
-            yield state
-            for hs, weights in pieces():
-                for i, h in enumerate(hs.tolist()):
-                    state = _rk4(slope, state, h, *(w[:, i] @ coeffs for w in weights))
-                    yield state
+        def advance(hs, weights):
+            for i, h in enumerate(hs.tolist()):
+                at = [w[:, i] @ coeffs for w in weights]
+                yield lambda state, h=h, at=at: _rk4(slope, state, h, *at)
 
-        return march(states(), rows.shape[1])
+        return walk(rows[-2:], advance)  # (x, x') at t0: Y0 and Y1
 
     # The C rows of a group's map draws: draw 2 + j is forced by C term j alone.
     unit_c = np.eye(n_basis - 2, 2 + n_basis, 2)
@@ -395,19 +398,15 @@ def mc_rk4(
         """The (grid, n_basis) basis paths of a group with A/B plan rows `ab`."""
         coeffs = np.vstack([np.repeat(ab[:, None], 2 + n_basis, axis=1), unit_c])
 
-        def states():
-            state = np.eye(2, n_basis, n_basis - 2)  # the C columns start at rest; Y0, Y1 at I
-            yield state
-            for h, weights in pieces():
-                start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None], (2, len(h), 2 + n_basis))
-                maps = _rk4(slope, start, h[:, None], *(w @ coeffs for w in weights))
-                maps = maps.transpose(1, 0, 2)  # per step, [P_i | Q_i]
-                for p_i, q_i in zip(np.ascontiguousarray(maps[:, :, :2]),
-                                    np.ascontiguousarray(maps[:, :, 2:])):
-                    state = p_i @ state + q_i
-                    yield state
+        def advance(h, weights):
+            start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None], (2, len(h), 2 + n_basis))
+            maps = _rk4(slope, start, h[:, None], *(w @ coeffs for w in weights))
+            maps = maps.transpose(1, 0, 2)  # per step, [P_i | Q_i]
+            for p_i, q_i in zip(np.ascontiguousarray(maps[:, :, :2]),
+                                np.ascontiguousarray(maps[:, :, 2:])):
+                yield lambda state, p=p_i, q=q_i: p @ state + q
 
-        return march(states(), n_basis)
+        return walk(np.eye(2, n_basis, n_basis - 2), advance)  # the C columns at rest; Y0, Y1 at I
 
     # A group's basis paths, keyed on its A/B values; two threads that both
     # miss build the same bits, so the race is harmless.
@@ -490,6 +489,13 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
+def _deviations(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """The largest absolute and relative deviation between x and y, 0.0 for none; a
+    relative one is skipped where both values are 0, and a NaN deviation is passed over."""
+    pairs = [(abs(u - v), max(abs(u), abs(v))) for u, v in zip(x, y)]
+    return max([0.0, *(d for d, _ in pairs)]), max([0.0, *(d / m for d, m in pairs if m > 0)])
+
+
 def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
     """Deviation report between two curves on the same grid.
 
@@ -502,18 +508,8 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
         )
     has_ci = a.ci_halfwidth is not None or b.ci_halfwidth is not None
     points = []
-    max_abs_mean = max_rel_mean = max_abs_var = max_rel_var = 0.0
     for i, t in enumerate(a.grid):
         dmean = a.mean[i] - b.mean[i]
-        dvar = a.variance[i] - b.variance[i]
-        max_abs_mean = max(max_abs_mean, abs(dmean))
-        max_abs_var = max(max_abs_var, abs(dvar))
-        denom_m = max(abs(a.mean[i]), abs(b.mean[i]))
-        denom_v = max(abs(a.variance[i]), abs(b.variance[i]))
-        if denom_m > 0:
-            max_rel_mean = max(max_rel_mean, abs(dmean) / denom_m)
-        if denom_v > 0:
-            max_rel_var = max(max_rel_var, abs(dvar) / denom_v)
         sigmas = None
         outside = None
         if has_ci:
@@ -526,12 +522,5 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
                 sigmas = 0.0 if dmean == 0 else math.inf
             outside = sigmas > CI_MULTIPLIER
         points.append(PointComparison(t, dmean, sigmas, outside))
-    return ComparisonReport(
-        points=points,
-        max_abs_mean=max_abs_mean,
-        max_rel_mean=max_rel_mean,
-        max_abs_var=max_abs_var,
-        max_rel_var=max_rel_var,
-        has_ci=has_ci,
-        labels=(a.label, b.label),
-    )
+    return ComparisonReport(points, *_deviations(a.mean, b.mean),
+                            *_deviations(a.variance, b.variance), has_ci, (a.label, b.label))

@@ -214,16 +214,21 @@ class _Counting(Distribution):
 
     def _moment(self, exponents: Sequence[int]) -> Fraction:
         n = self.trials
-        weights = {0: Fraction(1)}  # |j| so far -> sum of prod S(e_i, j_i) p_i^{j_i}
+        # In integers over one denominator: p_i = a_i / b, so the weight of |j| = k is W_k / b^k.
+        b = math.lcm(*(p.denominator for p in self.probs))
+        weights = {0: 1}  # |j| so far -> W, the sum of prod S(e_i, j_i) a_i^{j_i}
         for e, p in zip(exponents, self.probs):
-            terms = [(j, _stirling2(e, j) * p**j) for j in range(min(e, n) + 1)]
-            step: dict[int, Fraction] = {}
+            a = p.numerator * (b // p.denominator)
+            terms = [(j, _stirling2(e, j) * a**j) for j in range(min(e, n) + 1)]
+            step: dict[int, int] = {}
             for k, w in weights.items():
                 for j, s in terms:
                     if s and k + j <= n:
                         step[k + j] = step.get(k + j, 0) + w * s
             weights = step
-        return sum((math.perm(n, k) * w for k, w in weights.items()), Fraction(0))
+        top = max(weights, default=0)
+        return Fraction(sum(math.perm(n, k) * w * b ** (top - k) for k, w in weights.items()),
+                        b**top)
 
     def component_linfty(self, index: int) -> Fraction:
         return Fraction(self.trials) if self.probs[index] > 0 else Fraction(0)

@@ -14,6 +14,7 @@ import pytest
 from conftest import BUNDLED, UNBOUNDED_DOC, WARN_DOC
 
 import randfrob as rf
+from randfrob import cli, mcengine
 from randfrob.cli import MAX_GRID_POINTS, parse_grid, read_curve, run_command
 from randfrob.errors import SpecError
 from randfrob.frobenius import MAX_GENERATOR_M
@@ -591,8 +592,13 @@ class TestCommands:
         (("--method", "series", "--seed", str(1 << 64)), f"got {1 << 64}"),
         (("--method", "rk4", "--step", "1e-300"), "needs 1e+300 steps, over the limit"),
         (("--method", "rk4", "--step", "5e-324"), "needs inf steps, over the limit"),
-    ], ids=["seed-negative", "seed-2^64", "rk4-tiny-step", "rk4-subnormal-step"])
-    def test_mc_run_out_of_range(self, capsys, tmp_path, flags, message):
+        (("--method", "series", "--samples", "1000000001"), "got 1000000001"),
+        (("--method", "rk4", "--samples", "1000000001"), "got 1000000001"),
+    ], ids=["seed-negative", "seed-2^64", "rk4-tiny-step", "rk4-subnormal-step",
+            "series-samples", "rk4-samples"])
+    def test_mc_run_out_of_range(self, capsys, tmp_path, monkeypatch, flags, message):
+        # every row fails before the first chunk is drawn
+        monkeypatch.setattr(mcengine, "_run_chunks", lambda *args: pytest.fail("sampled"))
         out_path = tmp_path / "mc.csv"
         code, _, err = run(capsys, "mc", "hermite_forced", "--samples", "10",
                            "--grid", "0:1:0.5", *flags, "--out", str(out_path))
@@ -831,3 +837,34 @@ print("numpy" in sys.modules, file=sys.stderr)
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_parser_reuse_matches_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        # The parser is built once per process; a flag given in one call must
+        # not carry over to the next, so every call goes as with a fresh parser.
+        grid = ("--grid", "0:0.2:0.1")
+        sequence = [
+            ("stats", "hermite_forced", *grid, "--full-precision"),
+            ("stats", "hermite_forced", *grid),
+            ("mc", "hermite_forced", "--method", "rk4", "--step", "0.1", "--samples", "10", *grid),
+            ("mc", "hermite_forced", "--method", "series", "--samples", "10", *grid),
+            ("--help",),
+            ("stats", "hermite_forced", "--order"),
+        ]
+
+        def outcomes():
+            results = []
+            for i, argv in enumerate(sequence):
+                out_path = tmp_path / f"{i}.csv"
+                out_flag = ("--out", str(out_path)) if argv[0] != "--help" else ()
+                code, out, err = run(capsys, *argv, *out_flag)
+                written = out_path.read_bytes() if out_path.exists() else None
+                results.append((code, out, err, written))
+                out_path.unlink(missing_ok=True)
+            return results
+
+        reused = outcomes()
+        assert cli._build_parser() is cli._build_parser()
+        assert [r[0] for r in reused] == [0, 0, 0, 0, 0, 2]
+        assert reused[0][3] != reused[1][3]  # full precision, then 6 digits
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert outcomes() == reused

@@ -645,6 +645,46 @@ class TestCompare:
             [(0.0, False)] * 4 + [(math.inf, True)] + [(0.0, False)] * 2)
         assert report.summary().endswith("1 point(s) outside the combined 95% CI: 1")
 
+    @pytest.mark.parametrize("a,b,maxima,points,tail", [
+        # (mean, variance, ci_halfwidth) per curve on the grid [0, 1]; a point
+        # where both values are 0 has no relative deviation
+        (([0.0, 2.0], [0.0, 1.0], None), ([0.0, 1.0], [0.0, 0.5], None),
+         (1.0, 0.5, 0.5, 0.5), [(None, None)] * 2,
+         ["mean:     max abs dev 1, max rel dev 0.5",
+          "variance: max abs dev 0.5, max rel dev 0.5"]),
+        (([1.0, -0.5], [0.25, 0.25], None), ([-1.0, 0.5], [0.25, 1.0], None),
+         (2.0, 2.0, 0.75, 0.75), [(None, None)] * 2,
+         ["mean:     max abs dev 2, max rel dev 2",
+          "variance: max abs dev 0.75, max rel dev 0.75"]),
+        # a NaN deviation is passed over by the maxima and flags no point
+        (([math.nan, 1.0], [1.0, 1.0], [0.5, 0.5]), ([3.0, 2.0], [1.0, 1.0], [0.5, 0.5]),
+         (1.0, 0.5, 0.0, 0.0), [(math.nan, False), (1.96 / math.hypot(0.5, 0.5), True)],
+         ["mean:     max abs dev 1, max rel dev 0.5",
+          "variance: max abs dev 0, max rel dev 0",
+          "1 point(s) outside the combined 95% CI: 1"]),
+        # a CI on one side only: se = 1.96 / 1.96 at t = 0, zero width at t = 1
+        (([1.0, 2.0], [1.0, 0.0], [1.96, 0.0]), ([3.5, 2.0], [0.5, 0.0], None),
+         (2.5, 2.5 / 3.5, 0.5, 0.5), [(2.5, True), (0.0, False)],
+         ["mean:     max abs dev 2.5, max rel dev 0.714286",
+          "variance: max abs dev 0.5, max rel dev 0.5",
+          "1 point(s) outside the combined 95% CI: 0"]),
+        (([], [], None), ([], [], []), (0.0, 0.0, 0.0, 0.0), [],
+         ["mean:     max abs dev 0, max rel dev 0",
+          "variance: max abs dev 0, max rel dev 0",
+          "all mean deviations within the combined 95% CI"]),
+    ], ids=["both-zero", "sign-change", "nan-mean", "one-sided-ci", "empty-grid"])
+    def test_deviation_table(self, a, b, maxima, points, tail):
+        grid = [0.0, 1.0][:len(a[0])]
+        curves = [rf.StatCurve(grid, mean, var, ci) for mean, var, ci in (a, b)]
+        report = compare_curves(*curves)
+        assert (report.max_abs_mean, report.max_rel_mean,
+                report.max_abs_var, report.max_rel_var) == maxima
+        assert report.has_ci == (a[2] is not None or b[2] is not None)
+        assert [p.t for p in report.points] == grid
+        assert repr([(p.mean_sigmas, p.outside_ci) for p in report.points]) == repr(points)
+        assert report.summary().splitlines() == [
+            f"compared a vs b on {len(grid)} grid points", *tail]
+
     def test_summary_text(self, hermite_forced, hf_solution, hf_moments):
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
         mc = mc_series(hf_solution, GRID7, McConfig(samples=4000, seed=3))
