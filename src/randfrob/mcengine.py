@@ -491,7 +491,7 @@ class ComparisonReport:
 
 def _deviations(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """The largest absolute and relative deviation between x and y, 0.0 for none; a
-    relative one is skipped where both values are 0, and a NaN deviation is passed over."""
+    relative one is skipped where both values are 0."""
     pairs = [(abs(u - v), max(abs(u), abs(v))) for u, v in zip(x, y)]
     return max([0.0, *(d for d, _ in pairs)]), max([0.0, *(d / m for d, m in pairs if m > 0)])
 

@@ -3,14 +3,15 @@
 All probabilistic structure lives here.  A `RandomModel` partitions the
 symbols of a `SymbolTable` into mutually independent dependence blocks;
 within a block the joint distribution may couple its symbols (the
-multinomial vector being the canonical example).  `Distribution.joint_moment`
-checks its exponents and computes a block's moment in closed form, always
-as an exact `Fraction`: each field of a kind declares the reader (`_param`)
-that turns its parameter into a rational on construction, so the expectation
-of any polynomial in the symbols is an exact rational.  The counting kinds
-(Bernoulli, binomial, multinomial) share one rule through their factorial
-moments, at a cost set by the exponents and not by the number of trials;
-`finite_discrete` sums over its listed points.
+multinomial vector being the canonical example).  A kind implements two
+hooks: `_moment`, its joint moment in closed form, which only the checked
+`Distribution.joint_moment` calls, and `component_linfty`, a sup bound.
+Each field of a kind declares the reader (`_param`) that turns its
+parameter into a rational on construction, so every moment, and the
+expectation of any polynomial in the symbols, is an exact `Fraction`.  The
+counting kinds (Bernoulli, binomial, multinomial) share one rule through
+their factorial moments, at a cost set by the exponents and not by the
+number of trials; `finite_discrete` sums over its listed points.
 `RandomModel` memoizes block moments per distinct distribution (same kind
 and parameters, as iid `A_k` are) and exponent pattern, and each monomial
 key's split into block patterns, which the means and the chaos kernel both
@@ -69,7 +70,8 @@ NormValue = Union[Fraction, float]  # math.inf marks an unbounded support
 
 
 class Distribution:
-    """Base class; concrete kinds implement moments, norms and sampling."""
+    """Base class: a kind implements `sample` and two hooks, `component_linfty(index)` and
+    `_moment(*exponents)`, which only `joint_moment` calls, after checking the exponents."""
 
     kind = "abstract"
     arity = 1
@@ -84,10 +86,6 @@ class Distribution:
     def _check(self) -> None:
         """Raise DistributionError where the parameters, each valid alone, do not suit the kind."""
 
-    def raw_moment(self, k: int) -> Fraction:
-        """Exact E[Z^k] for scalar kinds, checked as `joint_moment((k,))`."""
-        return self.joint_moment((k,))
-
     def joint_moment(self, exponents: Sequence[int]) -> Fraction:
         """Exact E[prod Z_i^{e_i}], one nonnegative exponent per component."""
         if len(exponents) != self.arity:
@@ -96,19 +94,11 @@ class Distribution:
             )
         if min(exponents) < 0:
             raise DistributionError("moment order must be nonnegative")
-        return self._moment(exponents)
-
-    def _moment(self, exponents: Sequence[int]) -> Fraction:
-        """`joint_moment` after its checks; a scalar kind has one exponent."""
-        return self._raw_moment(exponents[0])
-
-    def linfty(self) -> NormValue:
-        """Essential supremum of |Z| (math.inf when the support is unbounded)."""
-        raise NotImplementedError
+        return self._moment(*exponents)
 
     def component_linfty(self, index: int) -> NormValue:
-        """Essential supremum of |Z_index|; a scalar kind has one component."""
-        return self.linfty()
+        """Essential supremum of |Z_index| (math.inf when unbounded); a scalar kind has index 0."""
+        raise NotImplementedError
 
     def sample(self, stream, size: int) -> np.ndarray:
         """`size` independent draws: shape (size,), or (size, arity) for vector kinds."""
@@ -185,10 +175,10 @@ class PointMass(Distribution):
 
     kind = "pointmass"
 
-    def _raw_moment(self, k: int) -> Fraction:
+    def _moment(self, k: int) -> Fraction:
         return self.value**k
 
-    def linfty(self) -> Fraction:
+    def component_linfty(self, index: int) -> Fraction:
         return abs(self.value)
 
     def sample(self, stream, size: int) -> np.ndarray:
@@ -212,7 +202,7 @@ class _Counting(Distribution):
     with `trials`.
     """
 
-    def _moment(self, exponents: Sequence[int]) -> Fraction:
+    def _moment(self, *exponents: int) -> Fraction:
         n = self.trials
         # In integers over one denominator: p_i = a_i / b, so the weight of |j| = k is W_k / b^k.
         b = math.lcm(*(p.denominator for p in self.probs))
@@ -232,9 +222,6 @@ class _Counting(Distribution):
 
     def component_linfty(self, index: int) -> Fraction:
         return Fraction(self.trials) if self.probs[index] > 0 else Fraction(0)
-
-    def linfty(self) -> Fraction:
-        return max(map(self.component_linfty, range(self.arity)))
 
 
 @dataclass(frozen=True)
@@ -284,10 +271,10 @@ class Beta(Distribution):
 
     kind = "beta"
 
-    def _raw_moment(self, k: int) -> Fraction:
+    def _moment(self, k: int) -> Fraction:
         return _rising(self.alpha, k) / _rising(self.alpha + self.beta, k)
 
-    def linfty(self) -> Fraction:
+    def component_linfty(self, index: int) -> Fraction:
         return Fraction(1)
 
     def sample(self, stream, size: int) -> np.ndarray:
@@ -304,10 +291,10 @@ class Gamma(Distribution):
     def _check(self) -> None:
         float_rational(1 / self.rate, "gamma rate's reciprocal")  # the scale of a draw
 
-    def _raw_moment(self, k: int) -> Fraction:
+    def _moment(self, k: int) -> Fraction:
         return _rising(self.shape, k) / self.rate**k
 
-    def linfty(self) -> float:
+    def component_linfty(self, index: int) -> float:
         return math.inf
 
     def sample(self, stream, size: int) -> np.ndarray:
@@ -325,10 +312,10 @@ class Uniform(Distribution):
         if not self.a < self.b:
             raise DistributionError(f"uniform needs a < b, got [{self.a}, {self.b}]")
 
-    def _raw_moment(self, k: int) -> Fraction:
+    def _moment(self, k: int) -> Fraction:
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
 
-    def linfty(self) -> Fraction:
+    def component_linfty(self, index: int) -> Fraction:
         return max(abs(self.a), abs(self.b))
 
     def sample(self, stream, size: int) -> np.ndarray:
@@ -346,10 +333,10 @@ class FiniteDiscrete(Distribution):
         if len(self.support) != len(self.probs):
             raise DistributionError("finite_discrete support and probs differ in length")
 
-    def _raw_moment(self, k: int) -> Fraction:
+    def _moment(self, k: int) -> Fraction:
         return sum((p * x**k for x, p in zip(self.support, self.probs)), Fraction(0))
 
-    def linfty(self) -> Fraction:
+    def component_linfty(self, index: int) -> Fraction:
         points = [abs(x) for x, p in zip(self.support, self.probs) if p > 0]
         return max(points, default=Fraction(0))
 
@@ -557,10 +544,6 @@ class RandomModel:
         total = sum(n * m.numerator * (lcm // m.denominator) for n, m in moments)
         return Fraction(total, lcm * p.den)
 
-    def symbol_linfty(self, sid: int) -> NormValue:
-        bidx, pos = self._owner[sid]
-        return self.blocks[bidx].dist.component_linfty(pos)
-
     def poly_linfty_bound(self, p: Poly) -> NormValue:
         """Triangle-inequality upper bound on ess sup |P|.
 
@@ -572,7 +555,8 @@ class RandomModel:
         for key, num in p.terms.items():
             factor = abs(num)
             for sid, e in key_factors(key):
-                norm = self.symbol_linfty(sid)
+                bidx, pos = self._owner[sid]
+                norm = self.blocks[bidx].dist.component_linfty(pos)
                 if norm == math.inf:
                     return math.inf
                 factor *= norm**e

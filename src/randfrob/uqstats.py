@@ -14,8 +14,9 @@ rationals): the means by `RandomModel.expect_poly`, the second moments by
 X_n in exact polynomial chaos coordinates per dependence block, so each
 E[X_n X_m] is a diagonal sum over orthogonal labels, with no moment
 computed per product monomial (see `randmodel`).  Each `MomentMatrix`
-groups E[X_n X_m] by the power n + m once (`power_sums`), and keeps the
-means and the power sums each as integer numerators over one denominator.
+groups E[X_n X_m] by the power n + m once (`power_sums`), summing each
+diagonal n + m = k in integers over its own lcm, and keeps the means and
+the power sums each as integer numerators over one denominator.
 `exact_stats` evaluates both sums at tau = p/q by the ring-generic
 `_horner` in the integers, sum_k C_k q^(K-k) p^k over D q^K, and
 normalizes the mean and the variance once each; `stat_curves` is
@@ -74,15 +75,18 @@ class MomentMatrix:
 
     @cached_property
     def _integer_power_sums(self) -> tuple[list[int], int]:
-        """`power_sums` as integer numerators over one lcm of the nonzero E[X_n X_m],
-        each symmetric pair n < m added once doubled."""
-        entries = [(n, m, entry) for n, row in enumerate(self.second)
-                   for m, entry in enumerate(row[n:], n) if entry]
-        den = math.lcm(*(entry.denominator for _, _, entry in entries))
-        nums = [0] * (2 * self.order + 1)
-        for n, m, entry in entries:
-            nums[n + m] += entry.numerator * (den // entry.denominator) * (2 if m > n else 1)
-        return nums, den
+        """`power_sums` as integer numerators over one lcm: each diagonal n + m = k is summed
+        in integers over its own lcm, each pair n < m once doubled, then the sums are scaled."""
+        diagonals = [[] for _ in range(2 * self.order + 1)]
+        for n, row in enumerate(self.second):
+            for m, entry in enumerate(row[n:], n):
+                if entry:
+                    diagonals[n + m].append((entry.numerator * (2 if m > n else 1),
+                                             entry.denominator))
+        dens = [math.lcm(*(q for _, q in diag)) for diag in diagonals]
+        sums = [sum(p * (d // q) for p, q in diag) for diag, d in zip(diagonals, dens)]
+        den = math.lcm(*dens)
+        return [c * (den // d) for c, d in zip(sums, dens)], den
 
 
 @dataclass
@@ -101,6 +105,9 @@ class StatCurve:
             raise ValueError("grid, mean and variance must have equal lengths")
         if self.ci_halfwidth is not None and len(self.ci_halfwidth) != n:
             raise ValueError("ci_halfwidth length must match the grid")
+        for name in ("grid", "mean", "variance", "ci_halfwidth"):
+            if not all(map(math.isfinite, getattr(self, name) or [])):
+                raise ValueError(f"{name} holds a non-finite value")
         for t, v in zip(self.grid, self.variance):
             if v < 0:  # no route builds one, but a hand-built curve or a curve file can
                 raise ValueError(f"variance {float(v):g} at t={float(t):g} is negative")

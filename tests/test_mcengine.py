@@ -656,12 +656,6 @@ class TestCompare:
          (2.0, 2.0, 0.75, 0.75), [(None, None)] * 2,
          ["mean:     max abs dev 2, max rel dev 2",
           "variance: max abs dev 0.75, max rel dev 0.75"]),
-        # a NaN deviation is passed over by the maxima and flags no point
-        (([math.nan, 1.0], [1.0, 1.0], [0.5, 0.5]), ([3.0, 2.0], [1.0, 1.0], [0.5, 0.5]),
-         (1.0, 0.5, 0.0, 0.0), [(math.nan, False), (1.96 / math.hypot(0.5, 0.5), True)],
-         ["mean:     max abs dev 1, max rel dev 0.5",
-          "variance: max abs dev 0, max rel dev 0",
-          "1 point(s) outside the combined 95% CI: 1"]),
         # a CI on one side only: se = 1.96 / 1.96 at t = 0, zero width at t = 1
         (([1.0, 2.0], [1.0, 0.0], [1.96, 0.0]), ([3.5, 2.0], [0.5, 0.0], None),
          (2.5, 2.5 / 3.5, 0.5, 0.5), [(2.5, True), (0.0, False)],
@@ -672,7 +666,7 @@ class TestCompare:
          ["mean:     max abs dev 0, max rel dev 0",
           "variance: max abs dev 0, max rel dev 0",
           "all mean deviations within the combined 95% CI"]),
-    ], ids=["both-zero", "sign-change", "nan-mean", "one-sided-ci", "empty-grid"])
+    ], ids=["both-zero", "sign-change", "one-sided-ci", "empty-grid"])
     def test_deviation_table(self, a, b, maxima, points, tail):
         grid = [0.0, 1.0][:len(a[0])]
         curves = [rf.StatCurve(grid, mean, var, ci) for mean, var, ci in (a, b)]
@@ -684,6 +678,16 @@ class TestCompare:
         assert repr([(p.mean_sigmas, p.outside_ci) for p in report.points]) == repr(points)
         assert report.summary().splitlines() == [
             f"compared a vs b on {len(grid)} grid points", *tail]
+
+    def test_curve_rejects_non_finite(self):
+        # so no NaN deviation reaches compare_curves, where it would flag no point
+        lists = {"grid": [0.0, 1.0], "mean": [1.0, 2.0], "variance": [0.5, 0.5],
+                 "ci_halfwidth": [0.1, 0.1]}
+        rf.StatCurve(**lists)
+        for name in lists:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} holds a non-finite value$"):
+                    rf.StatCurve(**{**lists, name: [lists[name][0], bad]})
 
     def test_summary_text(self, hermite_forced, hf_solution, hf_moments):
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)

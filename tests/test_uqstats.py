@@ -50,7 +50,8 @@ class TestMomentMatrix:
         assert full.means == streamed.means
         assert full.second == streamed.second
 
-    @pytest.mark.parametrize("name,order", [("hermite_forced", 40), ("airy", 60)])
+    @pytest.mark.parametrize("name,order", [("hermite_forced", 40), ("airy", 60),
+                                            ("beta_series", 20)])
     def test_power_sums_match_fold(self, bundled_specs, name, order):
         spec = bundled_specs[name]
         mm = rf.moment_matrix(compute_coeffs(spec, order), spec.model)
