@@ -24,7 +24,6 @@ a series.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -37,12 +36,12 @@ from .randmodel import (
     distribution_from_spec,
     float_rational,
 )
+from .record import Record
 
 Radius = Union[Fraction, float]  # math.inf for entire series
 
 
-@dataclass
-class SeriesProcess:
+class SeriesProcess(Record):
     """Power-series data process: sparse map n -> coefficient polynomial."""
 
     coeffs: dict[int, Poly]
@@ -52,8 +51,7 @@ class SeriesProcess:
         return sorted(self.coeffs.items())
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(Record):
     """A fully resolved problem: series data, initial conditions, model."""
 
     a: SeriesProcess
@@ -89,8 +87,7 @@ class ProblemSpec:
         return terms
 
 
-@dataclass
-class SeriesSolution:
+class SeriesSolution(Record):
     """Computed series coefficients X_0 .. X_N of the solution process."""
 
     X: list[Poly]
@@ -209,23 +206,20 @@ def _radius_estimate(proc: SeriesProcess, norms: list[tuple[int, float]]) -> flo
     return math.inf if rho == 0.0 else 1.0 / rho
 
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(Record, frozen=True):
     series: str
     n: int
     sup_bound: float  # math.inf when unbounded
     bounded: bool
 
 
-@dataclass(frozen=True)
-class L2Check:
+class L2Check(Record, frozen=True):
     label: str
     norm: float
     finite: bool
 
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(Record):
     """Verdicts on the hypotheses; the fields, in order, are `check --json`'s keys."""
 
     status: str  # "pass" | "warn" | "fail"
@@ -239,9 +233,12 @@ class HypothesisReport:
 
     def to_dict(self) -> dict:
         """The report as JSON data; an infinite value becomes the string "inf"."""
-        return asdict(self, dict_factory=lambda items: {
-            key: "inf" if value == math.inf else value for key, value in items
-        })
+        def plain(record: Record) -> dict:
+            return {name: "inf" if value == math.inf else value
+                    for name, value in zip(record._fields, record._values())}
+
+        return {**plain(self), "messages": list(self.messages), "l2": list(map(plain, self.l2)),
+                "coefficients": list(map(plain, self.coefficients))}  # keys keep their order
 
 
 def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
@@ -279,15 +276,9 @@ def validate_hypotheses(spec: ProblemSpec) -> HypothesisReport:
         )
 
     return HypothesisReport(
-        status="fail" if failed else ("warn" if warned else "pass"),
-        messages=messages,
-        radius_estimate_a=radius_a,
-        radius_estimate_b=radius_b,
-        radius_estimate=estimate,
-        declared_radius=declared,
-        coefficients=coefficients,
-        l2=l2,
-    )
+        status="fail" if failed else ("warn" if warned else "pass"), messages=messages,
+        radius_estimate_a=radius_a, radius_estimate_b=radius_b, radius_estimate=estimate,
+        declared_radius=declared, coefficients=coefficients, l2=l2)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +360,9 @@ def build_problem(doc: Mapping) -> ProblemSpec:
     except DistributionError as exc:
         raise SpecError(str(exc)) from exc
 
-    return ProblemSpec(
-        a=processes["A"],
-        b=processes["B"],
-        c=processes["C"],
-        y0=y0,
-        y1=y1,
-        t0=t0,
-        radius=radius,
-        model=model,
-        default_order=default_order,
-        name=str(doc.get("name", "")),
-    )
+    return ProblemSpec(a=processes["A"], b=processes["B"], c=processes["C"], y0=y0, y1=y1,
+                       t0=t0, radius=radius, model=model, default_order=default_order,
+                       name=str(doc.get("name", "")))
 
 
 def _read_radius(value) -> Radius:

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -45,6 +44,7 @@ from .errors import GridMismatchError
 from .frobenius import ProblemSpec, SeriesSolution, coeff_recursion
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
+from .record import Record
 from .uqstats import StatCurve, _horner, _warn_outside_radius
 
 if TYPE_CHECKING:  # numpy and the thread pool are imported by the functions that sample
@@ -66,8 +66,7 @@ CI_MULTIPLIER = 1.96  # normal-approximation 95% interval; not configurable
 THREADS_ENV = "RANDFROB_THREADS"
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Record, frozen=True):
     """Sampling run configuration."""
 
     samples: int
@@ -204,13 +203,8 @@ def _aggregate(
         means.append(mean)
         variances.append(var)
         halfwidths.append(CI_MULTIPLIER * math.sqrt(var / samples))
-    return StatCurve(
-        grid=[float(t) for t in grid],
-        mean=means,
-        variance=variances,
-        ci_halfwidth=halfwidths,
-        label=label,
-    )
+    return StatCurve(grid=[float(t) for t in grid], mean=means, variance=variances,
+                     ci_halfwidth=halfwidths, label=label)
 
 
 def mc_series(
@@ -253,6 +247,13 @@ def _steps_for(delta: float, h: float) -> int:
             f" using {n} steps of {delta / n:g}"
         )
     return n
+
+
+def _repeats(values: np.ndarray) -> bool:
+    """Whether a 1-d array holds some value twice: among its first 64 entries, which
+    settles most arrays that do, else anywhere, by one sort of the whole array."""
+    import numpy as np
+    return any((s[1:] == s[:-1]).any() for s in (np.sort(values[:64]), np.sort(values)))
 
 
 def _rk4(slope, state, h, start, mid, end):
@@ -415,15 +416,16 @@ def mc_rk4(
     def worker(start: int, count: int):
         rows = plan(_sample_matrix(spec.model, cfg.seed, start, count, blocks))
         # Draws with equal A/B bits are one group, in draw order (lexsort is
-        # stable); without A/B terms every draw is in one group.
-        if n_ab:
-            bits = rows[:n_ab].view(np.uint64)
-            order = np.lexsort(bits)
+        # stable); without A/B terms every draw is in one group.  An A/B row
+        # that repeats none of its values leaves every draw alone, unsorted.
+        bits = rows[:n_ab].view(np.uint64)
+        if not all(map(_repeats, bits)):
+            order, bounds = np.arange(count), np.arange(count + 1)
+        else:
+            order = np.lexsort(bits) if n_ab else np.arange(count)
             ordered = bits[:, order]
             cuts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
             bounds = np.concatenate(([0], cuts, [count]))
-        else:
-            order, bounds = np.arange(count), np.array([0, count])
         sizes = np.diff(bounds)
         groups = [order[lo:hi] for lo, hi, size in zip(bounds, bounds[1:], sizes) if size > n_basis]
         single = np.empty(count, dtype=bool)
@@ -452,16 +454,14 @@ def mc_rk4(
 # curve comparison
 
 
-@dataclass(frozen=True)
-class PointComparison:
+class PointComparison(Record, frozen=True):
     t: float
     mean_delta: float
     mean_sigmas: float | None  # |delta| in combined-CI standard errors
     outside_ci: bool | None
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(Record):
     points: list[PointComparison]
     max_abs_mean: float
     max_rel_mean: float

@@ -5,9 +5,9 @@ A `SymbolTable` interns symbol names as dense ids in declaration order.  A
 which symbol id s raised to e adds e << (FIELD_BITS * s), so the key of a
 product of monomials is the sum of their keys; `terms` maps each key to a
 nonzero integer numerator over one positive denominator `den`, with
-gcd(den, *numerators) == 1.  Arithmetic is integer dict work plus one gcd
-reduction per result, so it never rounds; `Fraction` appears only at the
-edges, and float evaluation lives in `mcengine._EvalPlan`.
+gcd(den, *numerators) == 1.  Arithmetic is integer dict work plus at most
+one gcd reduction per result, so it never rounds; `Fraction` appears only at
+the edges, and float evaluation lives in `mcengine._EvalPlan`.
 
 `Poly.add_products` is the n-ary sum `acc + w1*(f1*x1) + w2*(f2*x2) + ...`
 that the coefficient recursion needs for each X_n: every product goes into
@@ -95,10 +95,10 @@ def _top_exponent(keys) -> int:
     return top
 
 
-def _new(nums: dict[int, int], den: int, top: int) -> Poly:
-    """A Poly of nonzero numerators over a positive den, reduced by their gcd."""
+def _new(nums: dict[int, int], den: int, top: int, g: int | None = None) -> Poly:
+    """A Poly of nonzero numerators over a positive den, reduced by their gcd g if known."""
     if den != 1:
-        g = math.gcd(den, *nums.values())
+        g = math.gcd(den, *nums.values()) if g is None else g
         if g != 1:
             nums, den = {k: n // g for k, n in nums.items()}, den // g
     p = object.__new__(Poly)
@@ -238,7 +238,8 @@ class Poly:
         return _new(out, den, top)
 
     def __neg__(self) -> Poly:
-        return _new({k: -n for k, n in self.terms.items()}, self.den, self.top)
+        # -self is reduced as self is: its gcd is 1
+        return _new({k: -n for k, n in self.terms.items()}, self.den, self.top, 1)
 
     def __sub__(self, other) -> Poly:
         other = _as_poly(other)
@@ -287,7 +288,8 @@ class Poly:
             return NotImplemented
         if d < 1:
             raise ValueError(f"a Poly divides only by a positive int, got {d}")
-        return _new(dict(self.terms), self.den * d, self.top)
+        g = math.gcd(d, *self.terms.values())  # = gcd(den * d, ...), as gcd(den, ...) = 1
+        return _new(dict(self.terms), self.den * d, self.top, g)
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:

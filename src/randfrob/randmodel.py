@@ -6,10 +6,10 @@ within a block the joint distribution may couple its symbols (the
 multinomial vector being the canonical example).  A kind implements two
 hooks: `_moment`, its joint moment in closed form, which only the checked
 `Distribution.joint_moment` calls, and `component_linfty`, a sup bound.
-Each field of a kind declares the reader (`_param`) that turns its
-parameter into a rational on construction, so every moment, and the
-expectation of any polynomial in the symbols, is an exact `Fraction`.  The
-counting kinds (Bernoulli, binomial, multinomial) share one rule through
+A kind lists its parameters in `params`, each with the reader that turns
+it into a rational on construction, so every moment, and the expectation of
+any polynomial in the symbols, is an exact `Fraction`.
+The counting kinds (Bernoulli, binomial, multinomial) share one rule through
 their factorial moments, at a cost set by the exponents and not by the
 number of trials; `finite_discrete` sums over its listed points.
 `RandomModel` memoizes block moments per distinct distribution (same kind
@@ -54,7 +54,6 @@ same values as in a full draw, and the columns of the rest are NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
@@ -62,6 +61,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import DistributionError, MissingSymbolError
 from .poly import Poly, SymbolTable, key_factors, to_fraction
+from .record import Record
 
 if TYPE_CHECKING:  # numpy is imported where a draw needs it, so loading a model does not
     import numpy as np
@@ -69,18 +69,23 @@ if TYPE_CHECKING:  # numpy is imported where a draw needs it, so loading a model
 NormValue = Union[Fraction, float]  # math.inf marks an unbounded support
 
 
-class Distribution:
+class Distribution(Record, frozen=True):
     """Base class: a kind implements `sample` and two hooks, `component_linfty(index)` and
-    `_moment(*exponents)`, which only `joint_moment` calls, after checking the exponents."""
+    `_moment(*exponents)`, which only `joint_moment` calls, after checking the exponents.
+    Its fields are its `params`, each read by `reader(value, "<kind> <name>")`."""
 
     kind = "abstract"
     arity = 1
+    params = ()  # (name, reader) per parameter, in order
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name, _ in cls.params)
 
     def __post_init__(self):
-        """Read each `_param` field of a kind by its reader, then run `_check`."""
-        for f in fields(self):
-            value = f.metadata["reader"](getattr(self, f.name), f"{self.kind} {f.name}")
-            object.__setattr__(self, f.name, value)
+        """Read each parameter by its reader, then run `_check`."""
+        for name, reader in self.params:
+            object.__setattr__(self, name, reader(getattr(self, name), f"{self.kind} {name}"))
         self._check()
 
     def _check(self) -> None:
@@ -164,16 +169,9 @@ def _probs(value, what: str) -> tuple[Fraction, ...]:
     return tuple(p / total for p in ps)  # exact renormalization of float dust
 
 
-def _param(reader):
-    """A distribution field, read by `reader(value, "<kind> <field>")` on construction."""
-    return field(metadata={"reader": reader})
-
-
-@dataclass(frozen=True)
 class PointMass(Distribution):
-    value: Fraction = _param(float_rational)
-
     kind = "pointmass"
+    params = (("value", float_rational),)
 
     def _moment(self, k: int) -> Fraction:
         return self.value**k
@@ -224,11 +222,9 @@ class _Counting(Distribution):
         return Fraction(self.trials) if self.probs[index] > 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
 class Bernoulli(_Counting):
-    p: Fraction = _param(_probability)
-
     kind = "bernoulli"
+    params = (("p", _probability),)
     trials = 1
 
     @property
@@ -239,12 +235,9 @@ class Bernoulli(_Counting):
         return (stream.random(size) < float(self.p)).astype(float)
 
 
-@dataclass(frozen=True)
 class Binomial(_Counting):
-    n: int = _param(_count)
-    p: Fraction = _param(_probability)
-
     kind = "binomial"
+    params = (("n", _count), ("p", _probability))
 
     @property
     def trials(self) -> int:
@@ -264,12 +257,9 @@ def _rising(x: Fraction, k: int) -> Fraction:
     return Fraction(math.prod(a + j * b for j in range(k)), b**k)
 
 
-@dataclass(frozen=True)
 class Beta(Distribution):
-    alpha: Fraction = _param(_positive)
-    beta: Fraction = _param(_positive)
-
     kind = "beta"
+    params = (("alpha", _positive), ("beta", _positive))
 
     def _moment(self, k: int) -> Fraction:
         return _rising(self.alpha, k) / _rising(self.alpha + self.beta, k)
@@ -281,12 +271,9 @@ class Beta(Distribution):
         return stream.beta(float(self.alpha), float(self.beta), size)
 
 
-@dataclass(frozen=True)
 class Gamma(Distribution):
-    shape: Fraction = _param(_positive)
-    rate: Fraction = _param(_positive)  # shape-rate parametrization: mean = shape / rate
-
     kind = "gamma"
+    params = (("shape", _positive), ("rate", _positive))  # mean = shape / rate
 
     def _check(self) -> None:
         float_rational(1 / self.rate, "gamma rate's reciprocal")  # the scale of a draw
@@ -301,12 +288,9 @@ class Gamma(Distribution):
         return stream.gamma(float(self.shape), float(1 / self.rate), size)
 
 
-@dataclass(frozen=True)
 class Uniform(Distribution):
-    a: Fraction = _param(float_rational)
-    b: Fraction = _param(float_rational)
-
     kind = "uniform"
+    params = (("a", float_rational), ("b", float_rational))
 
     def _check(self) -> None:
         if not self.a < self.b:
@@ -322,12 +306,9 @@ class Uniform(Distribution):
         return stream.uniform(float(self.a), float(self.b), size)
 
 
-@dataclass(frozen=True)
 class FiniteDiscrete(Distribution):
-    support: tuple[Fraction, ...] = _param(_points)
-    probs: tuple[Fraction, ...] = _param(_probs)
-
     kind = "finite_discrete"
+    params = (("support", _points), ("probs", _probs))
 
     def _check(self) -> None:
         if len(self.support) != len(self.probs):
@@ -350,12 +331,9 @@ class FiniteDiscrete(Distribution):
         return points[np.minimum(idx, len(points) - 1)]
 
 
-@dataclass(frozen=True)
 class MultinomialVector(_Counting):
-    trials: int = _param(_count)
-    probs: tuple[Fraction, ...] = _param(_probs)
-
     kind = "multinomial"
+    params = (("trials", _count), ("probs", _probs))
 
     @property
     def arity(self) -> int:
@@ -423,25 +401,19 @@ _DISTRIBUTIONS = {
 def distribution_from_spec(kind: str, params: dict) -> Distribution:
     """Build a distribution from its problem-file form (kind name + params).
 
-    The parameter names are the fields of the kind's class, in order.
+    The parameter names are those of the kind's `params`.
     """
     key = str(kind).lower()
     cls = _DISTRIBUTIONS.get(key)
     if cls is None:
         known = ", ".join(sorted(_DISTRIBUTIONS))
         raise DistributionError(f"unknown distribution kind {kind!r} (known: {known})")
-    wanted = [f.name for f in fields(cls)]
-    missing = [p for p in wanted if p not in params]
-    extra = [p for p in params if p not in wanted]
-    if missing:
-        raise DistributionError(f"{key}: missing parameter(s) {missing}")
-    if extra:
-        raise DistributionError(f"{key}: unknown parameter(s) {extra}")
+    if set(params) != set(cls._fields):
+        raise DistributionError(f"{key} takes the parameters {list(cls._fields)}, got {[*params]}")
     return cls(**params)
 
 
-@dataclass(frozen=True)
-class DependenceBlock:
+class DependenceBlock(Record, frozen=True):
     """An ordered group of symbols with a declared joint distribution."""
 
     symbols: tuple[int, ...]

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -51,10 +50,10 @@ from operator import mul
 from .frobenius import MAX_ORDER, ProblemSpec, Radius, SeriesSolution, bounded_sup_norms
 from .poly import Poly, to_fraction
 from .randmodel import RandomModel
+from .record import Record
 
 
-@dataclass
-class MomentMatrix:
+class MomentMatrix(Record):
     """First and second moments of the series coefficients, exact rationals."""
 
     means: list[Fraction]
@@ -89,8 +88,7 @@ class MomentMatrix:
         return [c * (den // d) for c, d in zip(sums, dens)], den
 
 
-@dataclass
-class StatCurve:
+class StatCurve(Record):
     """Mean/variance values on a time grid; MC curves add CI half-widths."""
 
     grid: list[float]
@@ -113,8 +111,7 @@ class StatCurve:
                 raise ValueError(f"variance {float(v):g} at t={float(t):g} is negative")
 
 
-@dataclass
-class MajorantSeq:
+class MajorantSeq(Record):
     """Dominating sequence for the coefficient mean-square norms."""
 
     s: float
@@ -171,12 +168,8 @@ def stat_curves(
     """
     _warn_outside_radius(grid, t0, radius)
     stats = [exact_stats(mm, t, t0) for t in grid]
-    return StatCurve(
-        grid=[float(t) for t in grid],
-        mean=[float(mean) for mean, _ in stats],
-        variance=[float(var) for _, var in stats],
-        label=label,
-    )
+    return StatCurve(grid=[float(t) for t in grid], mean=[float(mean) for mean, _ in stats],
+                     variance=[float(var) for _, var in stats], label=label)
 
 
 def _warn_outside_radius(grid, t0, radius) -> None:

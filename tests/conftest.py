@@ -206,6 +206,27 @@ class OraclePoly:
         return " ".join(pieces) or "0"
 
 
+def reduced_fold_coeffs(spec: rf.ProblemSpec, order: int) -> list[rf.Poly]:
+    """X_0 .. X_order of the coefficient recursion, folded one `acc + w * (f * x)` at
+    a time in `compute_coeffs`'s order, every intermediate Poly rebuilt by
+    `Poly(terms, den)`, which reduces it by the gcd of den and all its numerators."""
+    def reduced(p: rf.Poly) -> rf.Poly:
+        return rf.Poly(p.terms, p.den)
+
+    X = [spec.y0, spec.y1]
+    for n in range(order - 1):
+        products = [(n - k + 1, f, X[n - k + 1]) for k, f in spec.a.items() if k <= n]
+        products += [(1, f, X[n - k]) for k, f in spec.b.items() if k <= n]
+        acc = rf.Poly.zero()
+        for w, f, x in products:
+            acc = reduced(acc + reduced(w * reduced(f * x)))
+        rhs = reduced(-acc)
+        if n in spec.c.coeffs:
+            rhs = reduced(rhs + spec.c.coeffs[n])
+        X.append(reduced(rhs / ((n + 2) * (n + 1))))
+    return X
+
+
 def scalar_series_coeffs(a, b, c, y0, y1, order):
     """Independent scalar (deterministic) coefficient recursion.
 

@@ -800,6 +800,16 @@ print("numpy" in sys.modules, file=sys.stderr)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.split() == ["False", "True"]
 
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # a fresh interpreter: importing them took milliseconds of every command's start
+        script = ("import sys, randfrob\n"
+                  "[randfrob.load_problem(name) for name in randfrob.bundled_problems()]\n"
+                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
     def test_mc_series_warns_outside_radius(self, tmp_path):
         # on stderr, as a user sees it; the run still writes every row
         out_path = tmp_path / "mc.csv"

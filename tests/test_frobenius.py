@@ -13,7 +13,8 @@ from randfrob import Poly, SpecError, build_problem, compute_coeffs, residual_co
 from randfrob.frobenius import MAX_GENERATOR_M, MAX_ORDER, coeff_recursion
 from randfrob.specfile import parse_document
 from conftest import (
-    UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, finite_support_docs, rk4_docs, scalar_series_coeffs,
+    BUNDLED, UNBOUNDED_DOC, WARN_DOC, eval_poly_exact, finite_support_docs, reduced_fold_coeffs,
+    rk4_docs, scalar_series_coeffs,
 )
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -298,6 +299,17 @@ class TestRecursion:
         for n in range(13):
             expected = Fraction(-1, (n + 3) * (n + 2)) * (a * sol.X[n])
             assert sol.X[n + 3] == expected
+
+    @pytest.mark.parametrize("name,order", [*((name, 12) for name in BUNDLED),
+                                            ("hermite_forced", 80), ("airy", 120)])
+    def test_matches_reduce_every_step_fold(self, bundled_specs, name, order):
+        # negation and division skip the full gcd; every X_n still has the
+        # terms, term order and den of a fold that reduces after each step
+        spec = bundled_specs[name]
+        got = compute_coeffs(spec, order).X
+        want = reduced_fold_coeffs(spec, order)
+        assert [(list(x.terms.items()), x.den) for x in got] == [
+            (list(x.terms.items()), x.den) for x in want]
 
     def test_deterministic_reduction(self):
         # all point masses: coefficients equal the scalar Taylor recursion

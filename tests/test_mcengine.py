@@ -1,6 +1,5 @@
 """Monte Carlo engine: reproducibility, the RK4 oracle, and comparisons."""
 
-import dataclasses
 import math
 import re
 import warnings
@@ -51,6 +50,21 @@ class TestConfig:
         for step in (0, -1e-3, math.inf, math.nan):
             with pytest.raises(ValueError, match="rk4_step"):
                 McConfig(samples=10, seed=1, rk4_step=step)
+
+    def test_record_constructor(self):
+        # fields by position or keyword, defaults from the class, and a
+        # TypeError for a missing, unknown, doubled or surplus argument
+        assert McConfig(8, 1) == McConfig(seed=1, samples=8) == McConfig(8, 1, 1e-3, None)
+        assert McConfig(8, 1).rk4_step == McConfig.rk4_step == 1e-3
+        for args, kwargs in [((8,), {}), ((8, 1), {"step": 1}), ((8, 1), {"seed": 2}),
+                             ((8, 1, 1e-3, None, 0), {})]:
+            with pytest.raises(TypeError, match="McConfig takes the fields"):
+                McConfig(*args, **kwargs)
+        assert hash(McConfig(8, 1)) == hash(McConfig(seed=1, samples=8))
+        with pytest.raises(AttributeError):
+            McConfig(8, 1).seed = 2
+        with pytest.raises(TypeError, match="unhashable"):  # not frozen
+            hash(rf.StatCurve([0.0], [1.0], [0.0]))
 
 
 class TestReproducibility:
@@ -494,6 +508,50 @@ class TestRk4Method:
         assert curve.mean == [0.0, 0.0, 0.0]
         assert curve.variance == [0.0, 0.0, 0.0]
 
+    def test_row_without_repeats_skips_the_sort(self, bundled_specs, monkeypatch):
+        # beta_series' A_0 row holds distinct beta draws, so no two draws
+        # share their A/B values: no lexsort, and the curves of the sorted path
+        spec, grid = bundled_specs["beta_series"], [0.0, 0.3]
+        cfg = McConfig(samples=300, seed=3, rk4_step=1e-2, input_truncation=6)
+        monkeypatch.setattr(np, "lexsort", lambda keys: pytest.fail("sorted the draws"))
+        skipped = quiet_rk4(spec, grid, cfg)
+        monkeypatch.undo()
+        monkeypatch.setattr(mcengine, "_repeats", lambda values: True)
+        assert quiet_rk4(spec, grid, cfg) == skipped
+
+    def test_equal_draws_group_whatever_the_kind(self, monkeypatch):
+        # numpy draws beta(1e-310, 15) as 0.0 every time, so each chunk's
+        # draws form one group, which the sort finds; grouping changes the
+        # last bits of the curves, so they must be those of the sorted path
+        doc = {
+            "symbols": [{"name": "a", "dist": "beta", "params": {"alpha": "1e-310", "beta": 15}},
+                        {"name": "U", "dist": "uniform", "params": {"a": -1, "b": 1}}],
+            "series": {"A": [{"n": 0, "value": "a"}], "B": [{"n": 0, "value": 1}],
+                       "C": [{"n": 1, "value": "U"}]},
+            "initial": {"Y0": "U", "Y1": 0},
+        }
+        spec, grid = build_problem(doc), [0.0, 0.5, 1.0]
+        cfg = McConfig(samples=2 * CHUNK + 5, seed=7, rk4_step=1e-2)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+        curve = quiet_rk4(spec, grid, cfg)
+        assert len(sorts) == 3
+        assert all((keys == keys[:, :1]).all() for keys in sorts)  # one A/B value per chunk
+        monkeypatch.setattr(mcengine, "_repeats", lambda values: False)
+        alone = quiet_rk4(spec, grid, cfg)
+        assert (alone.mean, alone.variance) != (curve.mean, curve.variance)
+
+    @pytest.mark.parametrize("values,expected", [
+        ([1.0, 2.0, 3.0], False),
+        ([2.0, 1.0, 2.0], True),
+        ([*range(100)], False),
+        ([*range(99), 70], True),  # the repeat lies past the first 64
+        ([], False),
+    ])
+    def test_repeats(self, values, expected):
+        assert mcengine._repeats(np.array(values)) is expected
+
     def test_grid_validation(self, hermite_forced):
         cfg = McConfig(samples=2, seed=0)
         with pytest.raises(ValueError, match="ascending"):
@@ -518,11 +576,12 @@ class TestRk4Method:
         spec = bundled_specs["beta_series"]  # A and B reach index 40
         k, grid = 3, [0.0, 0.3, 0.6]
         cfg = McConfig(samples=64, seed=5, rk4_step=1e-2)
-        cut = dataclasses.replace(spec, **{
-            name: SeriesProcess({n: p for n, p in getattr(spec, name).items() if n <= k})
-            for name in ("a", "b", "c")
-        })
-        truncated = quiet_rk4(spec, grid, dataclasses.replace(cfg, input_truncation=k))
+        a, b, c = (SeriesProcess({n: p for n, p in proc.items() if n <= k})
+                   for proc in (spec.a, spec.b, spec.c))
+        cut = rf.ProblemSpec(a, b, c, spec.y0, spec.y1, spec.t0, spec.radius, spec.model,
+                             spec.default_order, spec.name)
+        truncated = quiet_rk4(spec, grid, McConfig(samples=64, seed=5, rk4_step=1e-2,
+                                                   input_truncation=k))
         assert truncated == quiet_rk4(cut, grid, cfg)
         assert truncated.mean[1:] != quiet_rk4(spec, grid, cfg).mean[1:]
 
@@ -624,9 +683,9 @@ class TestCompare:
         # standard errors) at t = 0.5 and 1.5, and 0.005 (within) at t = 1
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
         shift = {0.5: 0.05, 1.0: 0.005, 1.5: 0.05}
-        shifted = dataclasses.replace(
-            exact, mean=[m + shift.get(t, 0.0) for t, m in zip(exact.grid, exact.mean)],
-            ci_halfwidth=[0.01] * len(GRID7), label="shifted")
+        shifted = rf.StatCurve(
+            exact.grid, [m + shift.get(t, 0.0) for t, m in zip(exact.grid, exact.mean)],
+            exact.variance, ci_halfwidth=[0.01] * len(GRID7), label="shifted")
         report = compare_curves(exact, shifted)
         assert [p.t for p in report.points if p.outside_ci] == [0.5, 1.5]
         assert report.points[4].mean_sigmas == pytest.approx(0.005 / (0.01 / 1.96))
@@ -637,8 +696,8 @@ class TestCompare:
         # two exact curves, one carrying zero half-widths: a mean that differs
         # at all lies infinitely many standard errors out
         exact = rf.stat_curves(hf_moments, GRID7, hermite_forced.t0)
-        other = dataclasses.replace(exact, mean=[m + 1 if t == 1.0 else m for t, m in zip(GRID7, exact.mean)],
-                                    ci_halfwidth=[0.0] * len(GRID7))
+        other = rf.StatCurve(exact.grid, [m + 1 if t == 1.0 else m for t, m in zip(GRID7, exact.mean)],
+                             exact.variance, ci_halfwidth=[0.0] * len(GRID7), label=exact.label)
         report = compare_curves(exact, other)
         assert report.has_ci
         assert [(p.mean_sigmas, p.outside_ci) for p in report.points] == (

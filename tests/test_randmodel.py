@@ -320,6 +320,16 @@ class TestSharedMoments:
     def test_equal_distributions_share_an_id(self):
         assert look_alike_model()._dist_ids == [0, 1, 2, 3, 0]
 
+    def test_equality_is_kind_and_parameters(self):
+        # the moment cache is shared by equal distributions, so kinds with
+        # equal parameters must differ, and equal ones hash alike
+        assert len({Beta(2, 3), Gamma(2, 3), Uniform(2, 3)}) == 3
+        assert Beta(2, 3) == Beta(alpha="2", beta=3.0)
+        assert hash(Beta(2, 3)) == hash(Beta(alpha="2", beta=3.0))
+        assert repr(Beta(2, 3)) == "Beta(alpha=Fraction(2, 1), beta=Fraction(3, 1))"
+        with pytest.raises(AttributeError):
+            Beta(2, 3).alpha = 1
+
     def test_look_alikes_match_references(self):
         x = [Poly.symbol(i) for i in range(5)]
         polys = [Poly.const(1), x[0] + x[4], x[2] * x[3] - x[1] ** 2,
@@ -537,6 +547,8 @@ class TestValidationAndFactory:
         ("multinomial", {"trials": 1, "probs": ["1/2", "-1/2", 1]},
          "multinomial probs must lie in [0, 1], got -1/2"),
         ("uniform", {"a": 1, "b": 1}, "uniform needs a < b, got [1, 1]"),
+        ("beta", {"alpha": 1}, "beta takes the parameters ['alpha', 'beta'], got ['alpha']"),
+        ("bernoulli", {"p": 0, "q": 1}, "bernoulli takes the parameters ['p'], got ['p', 'q']"),
     ])
     def test_each_rule_names_its_parameter(self, kind, params, message):
         with pytest.raises(DistributionError, match=re.escape(message)):
