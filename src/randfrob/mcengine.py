@@ -502,10 +502,13 @@ def compare_curves(a: StatCurve, b: StatCurve) -> ComparisonReport:
     CI flagging uses the mean's combined standard error from whichever
     curves carry half-widths; exact curves contribute zero width.
     """
-    if a.grid != b.grid:
+    if len(a.grid) != len(b.grid):
         raise GridMismatchError(
             f"curves have different grids ({len(a.grid)} vs {len(b.grid)} points)"
         )
+    for i, (u, v) in enumerate(zip(a.grid, b.grid)):
+        if u != v:
+            raise GridMismatchError(f"curves have different grids (point {i}: t={u} vs t={v})")
     has_ci = a.ci_halfwidth is not None or b.ci_halfwidth is not None
     points = []
     for i, t in enumerate(a.grid):

@@ -9,12 +9,13 @@ gcd(den, *numerators) == 1.  Arithmetic is integer dict work plus at most
 one gcd reduction per result, so it never rounds; `Fraction` appears only at
 the edges, and float evaluation lives in `mcengine._EvalPlan`.
 
-`Poly.add_products` is the n-ary sum `acc + w1*(f1*x1) + w2*(f2*x2) + ...`
-that the coefficient recursion needs for each X_n: every product goes into
-one dict over the lcm of the denominators, so the growing sum is never
-copied and the gcd reduction runs once.  A key whose sum reaches zero is
-deleted, as in `+`, so the terms come out in the order the pairwise fold
-would give.
+`Poly.add_products` is the one merge of terms: the n-ary sum
+`acc + w1*(f1*x1) + w2*(f2*x2) + ...`, in which an x of None stands for f
+alone.  `+` and `-` are its one-term case, and the coefficient recursion
+makes one call per X_n: every product goes into one dict over the lcm of the
+denominators, so the growing sum is never copied and the gcd reduction runs
+once.  acc's keys keep their order and new keys follow as they arrive; a key
+whose sum reaches zero is deleted, so if it comes back it goes last.
 
 Exponents stay below EXP_LIMIT, so the top bit of each field is a guard
 and a sum of two keys never carries into the next field.  Each Poly keeps
@@ -53,7 +54,7 @@ def to_fraction(value) -> Fraction:
 
     Floats convert via their exact binary value; decimal strings convert with
     decimal semantics, so prefer strings (or ints) wherever exactness matters.
-    A decimal exponent beyond +-MAX_DECIMAL_EXPONENT raises SpecError.
+    NaN, +-inf, x/0 and a decimal exponent beyond +-MAX_DECIMAL_EXPONENT raise SpecError.
     """
     if isinstance(value, Fraction):
         return value
@@ -70,7 +71,7 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (int, float, str)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise SpecError(f"cannot read {value!r} as a rational number") from exc
     raise TypeError(f"cannot read {type(value).__name__} as a rational number")
 
@@ -198,33 +199,25 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        g = math.gcd(self.den, other.den)
-        f_self, f_other = other.den // g, self.den // g  # both sides over the lcm
-        out = dict(self.terms) if f_self == 1 else {k: n * f_self for k, n in self.terms.items()}
-        for k, n in other.terms.items():
-            acc = out.get(k, 0) + n * f_other
-            if acc:
-                out[k] = acc
-            else:
-                del out[k]
-        return _new(out, self.den * f_self, max(self.top, other.top))
+        return self.add_products([(1, other, None)])
 
     __radd__ = __add__
 
     def add_products(self, triples) -> Poly:
-        """self + sum(w * (f * x)) over a list of (int w, Poly f, Poly x), as one sum.
+        """self + sum(w * (f * x)) over a list of (int w, Poly f, Poly x or None).
 
-        Equal to folding `acc = acc + w * (f * x)`, term order included, but
-        with one dict over the lcm of self.den and each f.den * x.den and one
-        gcd reduction at the end.  Each product is formed by `f * x` first,
-        so terms that cancel inside it never touch the sum.
+        An x of None stands for f alone, so no product is built.  The sum is
+        one dict over the lcm of self.den and each product's den, with one
+        gcd reduction at the end; term order as in the module docstring.
+        Each product is formed by `f * x` first, so terms that cancel inside
+        it never touch the sum.
         """
-        den = math.lcm(self.den, *(f.den * x.den for _, f, x in triples))
+        den = math.lcm(self.den, *(f.den if x is None else f.den * x.den for _, f, x in triples))
         scale = den // self.den
         out = dict(self.terms) if scale == 1 else {k: n * scale for k, n in self.terms.items()}
         top, get = self.top, out.get
         for w, f, x in triples:
-            p = f * x
+            p = f if x is None else f * x
             top = max(top, p.top)
             scale = w * (den // p.den)
             if not scale:
@@ -245,26 +238,23 @@ class Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self.add_products([(-1, other, None)])
 
     def __rsub__(self, other) -> Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other.add_products([(-1, self, None)])
 
     def __mul__(self, other) -> Poly:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.terms, other.terms
-        # Terms come out in the order of the double loop over a, then b.
+        # Terms follow the double loop over a, then b; a one-term factor goes first.
+        a, b = (other.terms, self.terms) if len(other.terms) == 1 else (self.terms, other.terms)
         if len(a) == 1:
             ((ka, na),) = a.items()
             out = {ka + kb: na * nb for kb, nb in b.items()}
-        elif len(b) == 1:
-            ((kb, nb),) = b.items()
-            out = {ka + kb: na * nb for ka, na in a.items()}
         else:
             out = {}
             for ka, na in a.items():

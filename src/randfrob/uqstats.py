@@ -252,6 +252,13 @@ def majorant_sequence(spec: ProblemSpec, s, order: int) -> MajorantSeq:
 TAIL_RATIO_THRESHOLD = 0.999
 
 
+def _finite(name: str, value) -> float:
+    """float(value), or ValueError naming the argument if that is NaN or +-inf."""
+    if not math.isfinite(x := float(value)):
+        raise ValueError(f"{name} must be a finite number, got {x}")
+    return x
+
+
 def tail_bound(maj: MajorantSeq, t, t0, trunc_order: int) -> float:
     """Estimate sum_{n > trunc_order} H_n |t-t0|^n.
 
@@ -264,8 +271,11 @@ def tail_bound(maj: MajorantSeq, t, t0, trunc_order: int) -> float:
     When q has not dropped below 0.999 (the ratios have not yet stabilized
     below 1 at this evaluation point; compute more majorant terms or reduce
     s) the bound is reported as not convergent and the result is math.inf.
+    A negative trunc_order or a NaN or infinite t or t0 raises ValueError.
     """
-    tau = abs(float(t) - float(t0))
+    if trunc_order < 0:
+        raise ValueError(f"trunc_order must be >= 0, got {trunc_order}")
+    tau = abs(_finite("t", t) - _finite("t0", t0))
     if tau >= maj.s:
         raise ValueError(
             f"t must satisfy |t - t0| < s: |{float(t):g} - {float(t0):g}| >= {maj.s:g}"
@@ -299,10 +309,7 @@ def lipschitz_k(spec: ProblemSpec, t) -> float:
     the returned value is an upper-bound surrogate, not the exact essential
     supremum.
     """
-    tau = abs(float(t) - float(spec.t0))
+    tau = abs(_finite("t", t) - float(spec.t0))
     if tau >= float(spec.radius):
         raise ValueError(f"t={float(t):g} lies outside the declared radius")
-    total = 0.0
-    for _, n, bound in bounded_sup_norms(spec):
-        total += float(bound) * tau**n
-    return max(1.0, total)
+    return max(1.0, sum(float(bound) * tau**n for _, n, bound in bounded_sup_norms(spec)))

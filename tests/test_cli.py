@@ -363,6 +363,14 @@ class TestCommands:
         assert code == 1
         assert "different grids" in err
 
+    def test_compare_names_the_first_grid_difference(self, capsys, tmp_path):
+        # a stats curve on 0:0.5:0.25 against an mc curve on 0:1:0.5: 3 points each
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,mean,variance\n0,1,0\n0.25,1,0.5\n0.5,1,1\n")
+        b.write_text("t,mean,variance,ci_halfwidth\n0,1,0,0\n0.5,1,1,0.1\n1,1,2,0.1\n")
+        assert run(capsys, "compare", str(a), str(b)) == (
+            1, "", "error: curves have different grids (point 1: t=0.25 vs t=0.5)\n")
+
     def test_full_precision_flag(self, capsys, tmp_path):
         short = tmp_path / "s.csv"
         full = tmp_path / "f.csv"
@@ -736,6 +744,22 @@ class TestCommands:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("patch,message", [
+        ({"problem": {"radius": math.inf}}, "radius must be a rational number, got inf"),
+        ({"problem": {"order": math.inf}}, "'order' must be an integer >= 2, got inf"),
+        ({"initial": {"Y0": 1, "Y1": math.inf}}, "initial Y1 must be a rational number, got inf"),
+        ({"symbols": [{"name": "U", "dist": "uniform", "params": {"a": -math.inf, "b": 1}}],
+          "series": {}}, "symbol 'U': cannot read -inf as a rational number"),
+    ], ids=["radius", "order", "Y1", "uniform-a"])
+    def test_json_infinity_names_its_key(self, capsys, tmp_path, patch, message):
+        # json reads Infinity as a float, which has no integer ratio
+        doc = {"symbols": [{"name": "A", "dist": "bernoulli", "params": {"p": "1/2"}}],
+               "series": {"B": [{"n": 0, "value": "A"}]}, "initial": {"Y0": 1, "Y1": 0}, **patch}
+        path = tmp_path / "inf.spec"
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        assert run(capsys, "check", str(path)) == (1, "", f"error: {message}\n")
 
     def test_missing_file_is_validation_failure(self, capsys):
         code, _, err = run(capsys, "check", "nowhere.spec")

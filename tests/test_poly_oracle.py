@@ -72,6 +72,18 @@ class TestAgainstOracle:
             want = want + w * (f * x)
         assert_same(acc.packed().add_products(packed), want)
 
+    @given(_oracles, st.lists(st.tuples(st.integers(-3, 4), _oracles), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_add_products_of_f_alone(self, acc, pairs):
+        # an x of None adds w * f itself, as a product with the constant 1 would
+        got = acc.packed().add_products([(w, f.packed(), None) for w, f in pairs])
+        one = acc.packed().add_products([(w, f.packed(), Poly.const(1)) for w, f in pairs])
+        want = acc
+        for w, f in pairs:
+            want = want + w * f
+        assert_same(got, want)
+        assert (got.den, got.top) == (one.den, one.top)
+
     def test_add_products_of_nothing(self):
         acc, zero = Poly({1: 3, 0: -1}, 4), Poly.zero()
         for triples in ([], [(0, acc, acc)], [(2, zero, acc)], [(1, acc, zero), (0, acc, acc)]):

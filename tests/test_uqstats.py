@@ -232,6 +232,13 @@ class TestStatCurves:
             assert curve.mean[i] == float(mean)
             assert curve.variance[i] == float(var)
 
+    def test_non_finite_t_is_a_spec_error(self, hermite_forced, hf_moments):
+        for t in (math.inf, -math.inf, math.nan):
+            with pytest.raises(rf.SpecError, match="as a rational number"):
+                rf.exact_stats(hf_moments, t, hermite_forced.t0)
+            with pytest.raises(rf.SpecError, match="as a rational number"):
+                rf.stat_curves(hf_moments, [0.0, t], hermite_forced.t0)
+
     def test_radius_warning(self, bundled_specs):
         spec = bundled_specs["beta_series"]
         mm = rf.moment_matrix(compute_coeffs(spec, 4), spec.model)
@@ -481,6 +488,15 @@ class TestTailBound:
         with pytest.raises(ValueError, match="more terms"):
             rf.tail_bound(maj, 1.0, 0.0, 30)
 
+    def test_rejects_negative_order_and_non_finite_t(self, hermite_forced):
+        maj = rf.majorant_sequence(hermite_forced, 1.6, 40)
+        with pytest.raises(ValueError, match=r"^trunc_order must be >= 0, got -1$"):
+            rf.tail_bound(maj, 1.0, 0.0, -1)
+        for t, t0, name in ((math.nan, 0.0, "t"), (math.inf, 0.0, "t"), (0.5, math.nan, "t0"),
+                            (0.5, -math.inf, "t0")):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number, got"):
+                rf.tail_bound(maj, t, t0, 20)
+
 
 class TestLipschitz:
     def test_trivial_floor(self):
@@ -514,3 +530,8 @@ class TestLipschitz:
         }
         with pytest.raises(rf.UnboundedCoefficientError):
             rf.lipschitz_k(build_problem(doc), 0.5)
+
+    def test_rejects_non_finite_t(self, hermite_forced):
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^t must be a finite number, got"):
+                rf.lipschitz_k(hermite_forced, t)
