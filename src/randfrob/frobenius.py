@@ -14,9 +14,11 @@ Matching coefficients of the series expansion of the equation gives
 
 which `coeff_recursion` runs in any ring: `compute_coeffs` on the exact
 `Poly` inputs, `mcengine.mc_series` on float64 rows of sampled inputs.  On
-`Poly`s each convolution is one n-ary sum, `Poly.add_products`, over the
-(m+1, A_{n-m}, X_{m+1}) and (1, B_{n-m}, X_m) triples; other rings add the
-same products one at a time in the same order.  The C = 0 special case is
+`Poly`s each X_{n+2} is one `Poly.add_products` call over the (-(m+1),
+A_{n-m}, X_{m+1}), (-1, B_{n-m}, X_m) and (1, C_n, None) triples, with the
+division in its one gcd reduction.  Other rings add the same products one at
+a time in the same order, then negate, add C_n and divide, as the sign of a
+float zero depends on that order.  The C = 0 special case is
 the homogeneous equation, and sparse problem files omit the zero entries of
 a series.
 """
@@ -98,21 +100,11 @@ class SeriesSolution(Record):
         assert len(self.X) == self.order + 1
 
 
-def _convolution(terms, X: Sequence, n: int, acc):
-    """acc + sum_{m=0}^{n} ((m+1) A_{n-m} X_{m+1} + B_{n-m} X_m) over the (s, k, term) inputs.
-
-    A `Poly` acc takes the (weight, factor, X) triples in one n-ary sum;
-    other rings fold them in the same order, one `acc + w * (f * x)` each.
-    """
+def _convolution(terms, X: Sequence, n: int, sign: int = 1) -> list:
+    """The (sign * weight, factor, X) triples of the module docstring's sum over m."""
     # k = n - m, so an A term's weight is m + 1 = n - k + 1
-    triples = [(n - k + 1, f, X[n - k + 1]) if s == 0 else (1, f, X[n - k])
-               for s, k, f in terms if s < 2 and k <= n]
-    if isinstance(acc, Poly):
-        return acc.add_products(triples)
-    for w, f, x in triples:
-        p = f * x
-        acc = acc + (p if w == 1 else w * p)
-    return acc
+    return [(sign * (n - k + 1), f, X[n - k + 1]) if s == 0 else (sign, f, X[n - k])
+            for s, k, f in terms if s < 2 and k <= n]
 
 
 def coeff_recursion(terms, y0, y1, order: int, zero) -> list:
@@ -125,11 +117,16 @@ def coeff_recursion(terms, y0, y1, order: int, zero) -> list:
     c = {k: f for s, k, f in terms if s == 2}
     X = [y0, y1]
     for n in range(order - 1):
-        rhs = -_convolution(terms, X, n, zero)
-        cn = c.get(n)
-        if cn is not None:
-            rhs = rhs + cn
-        X.append(rhs / ((n + 2) * (n + 1)))
+        cn, d = c.get(n), (n + 2) * (n + 1)
+        if isinstance(zero, Poly):
+            tail = [] if cn is None else [(1, cn, None)]
+            X.append(zero.add_products(_convolution(terms, X, n, -1) + tail, d))
+            continue
+        acc = zero
+        for w, f, x in _convolution(terms, X, n):
+            p = f * x
+            acc = acc + (p if w == 1 else w * p)
+        X.append((-acc if cn is None else -acc + cn) / d)
     return X
 
 
@@ -163,7 +160,7 @@ def residual_coefficients(sol: SeriesSolution) -> list[Poly]:
     """
     spec = sol.spec
     terms = spec.inputs()
-    return [_convolution(terms, sol.X, n, ((n + 2) * (n + 1)) * sol.X[n + 2])
+    return [(((n + 2) * (n + 1)) * sol.X[n + 2]).add_products(_convolution(terms, sol.X, n))
             - spec.c.coeffs.get(n, 0) for n in range(sol.order - 1)]
 
 

@@ -13,9 +13,9 @@ the edges, and float evaluation lives in `mcengine._EvalPlan`.
 `acc + w1*(f1*x1) + w2*(f2*x2) + ...`, in which an x of None stands for f
 alone.  `+` and `-` are its one-term case, and the coefficient recursion
 makes one call per X_n: every product goes into one dict over the lcm of the
-denominators, so the growing sum is never copied and the gcd reduction runs
-once.  acc's keys keep their order and new keys follow as they arrive; a key
-whose sum reaches zero is deleted, so if it comes back it goes last.
+denominators, so the growing sum is never copied, and one gcd reduction runs
+after the division.  acc's keys keep their order and new keys follow as they
+arrive; a key whose sum reaches zero is deleted, so if it comes back it goes last.
 
 Exponents stay below EXP_LIMIT, so the top bit of each field is a guard
 and a sum of two keys never carries into the next field.  Each Poly keeps
@@ -27,15 +27,19 @@ serialization is deterministic, and `parse_poly` reads the same syntax:
 
     3/2*A^2*Y0 - 1/6*Y1 + 2
 
-Symbols are opaque: a 0/1-valued symbol squared stays squared.  Reductions
-that depend on the symbol's distribution belong to the moment layer.
+It spells each key once per `SymbolTable`, which keeps its text and sort
+key, in pure Python, so `solve` never imports numpy.  Symbols are opaque: a
+0/1-valued symbol squared stays squared.  Reductions that depend on the
+symbol's distribution belong to the moment layer.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping
 
 from .errors import ExponentOverflowError, MissingSymbolError, SpecError
@@ -123,6 +127,7 @@ class SymbolTable:
     def __init__(self):
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
+        self._spelled: dict[int, tuple[tuple[int, ...], str]] = {}  # `format_poly`'s cache
 
     def add(self, name: str) -> int:
         if not self._NAME_RE.match(name):
@@ -141,6 +146,8 @@ class SymbolTable:
             raise MissingSymbolError(f"undeclared symbol {name!r}") from None
 
     def name_of(self, sid: int) -> str:
+        if not 0 <= sid < len(self._names):
+            raise MissingSymbolError(f"no symbol with id {sid} among {len(self._names)} declared")
         return self._names[sid]
 
     @property
@@ -203,14 +210,14 @@ class Poly:
 
     __radd__ = __add__
 
-    def add_products(self, triples) -> Poly:
-        """self + sum(w * (f * x)) over a list of (int w, Poly f, Poly x or None).
+    def add_products(self, triples, divisor: int = 1) -> Poly:
+        """(self + sum(w * (f * x))) / divisor over a list of (int w, Poly f, Poly x or None).
 
         An x of None stands for f alone, so no product is built.  The sum is
-        one dict over the lcm of self.den and each product's den, with one
-        gcd reduction at the end; term order as in the module docstring.
-        Each product is formed by `f * x` first, so terms that cancel inside
-        it never touch the sum.
+        one dict over the lcm of self.den and each product's den, times the
+        positive int divisor, with one gcd reduction at the end; term order as
+        in the module docstring.  Each product is formed by `f * x` first, so
+        terms that cancel inside it never touch the sum.
         """
         den = math.lcm(self.den, *(f.den if x is None else f.den * x.den for _, f, x in triples))
         scale = den // self.den
@@ -228,7 +235,7 @@ class Poly:
                     out[k] = acc
                 else:
                     del out[k]
-        return _new(out, den, top)
+        return _new(out, den * divisor, top)
 
     def __neg__(self) -> Poly:
         # -self is reduced as self is: its gcd is 1
@@ -251,10 +258,13 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         # Terms follow the double loop over a, then b; a one-term factor goes first.
-        a, b = (other.terms, self.terms) if len(other.terms) == 1 else (self.terms, other.terms)
+        x, y = (other, self) if len(other.terms) == 1 else (self, other)
+        a, b, g = x.terms, y.terms, None
         if len(a) == 1:
             ((ka, na),) = a.items()
             out = {ka + kb: na * nb for kb, nb in b.items()}
+            if x.den == 1:  # y is reduced, so gcd(y.den, na * content of y) = gcd(y.den, na)
+                g = math.gcd(y.den, na)
         else:
             out = {}
             for ka, na in a.items():
@@ -268,7 +278,7 @@ class Poly:
         top = self.top + other.top
         if top >= EXP_LIMIT:
             top = _top_exponent(out)
-        return _new(out, self.den * other.den, top)
+        return _new(out, self.den * other.den, top, g)
 
     __rmul__ = __mul__
 
@@ -310,34 +320,37 @@ def format_poly(p: Poly, table: SymbolTable | None = None) -> str:
     """
     if not p.terms:
         return "0"
-    import numpy as np  # for the term sort only, so the exact commands start without it
-    keys = list(p.terms)
-    fields = max(1, -(-max(keys).bit_length() // FIELD_BITS))
-    raw = b"".join([k.to_bytes(fields * FIELD_BITS // 8, "little") for k in keys])
-    exps = np.frombuffer(raw, f"<u{FIELD_BITS // 8}").reshape(len(keys), fields).astype(np.int64)
-    # Descending graded lexicographic order: total degree first, then the
-    # exponent of symbol 0, of symbol 1, ...  lexsort's last row is primary.
-    order = np.lexsort(np.vstack([-exps[:, ::-1].T, -exps.sum(axis=1)]))
-    exps = exps[order]
-    names = [table.name_of(s) if table is not None else f"s{s}" for s in range(fields)]
-    words: list[list[str]] = [[] for _ in keys]
-    rows, sids = np.nonzero(exps)
-    for r, s, e in zip(rows.tolist(), sids.tolist(), exps[rows, sids].tolist()):
-        words[r].append(names[s] if e == 1 else f"{names[s]}^{e}")
+    from array import array  # a field per item; imported here, as `import randfrob` needs none
+    # Each key is spelled once per table: its sort key (degree, -id1, e1,
+    # -id2, e2, ...) over its nonzero fields, by symbol id, and its text.
+    spelled = table._spelled if table is not None else {}
+    new = [key for key in p.terms if key not in spelled]
+    width = -(-max(new, default=0).bit_length() // FIELD_BITS)  # its last field is nonzero
+    names = table.names if table is not None else [f"s{s}" for s in range(width)]
+    if width > len(names):
+        table.name_of(width - 1)  # raises MissingSymbolError naming the highest id
+    for key in new:
+        fields = array("I", key.to_bytes(-(-key.bit_length() // FIELD_BITS) * FIELD_BITS // 8,
+                                         "little"))
+        if sys.byteorder == "big":
+            fields.byteswap()
+        sort, words = [sum(fields)], []
+        for sid, e in compress(enumerate(fields), fields):
+            sort += (-sid, e)
+            words.append(names[sid] if e == 1 else f"{names[sid]}^{e}")
+        spelled[key] = (tuple(sort), "*".join(words))
 
+    # Descending graded lexicographic order: total degree first, then the
+    # exponent of symbol 0, of symbol 1, ...
     pieces: list[str] = []
-    for i, factors in zip(order.tolist(), words):
-        num = p.terms[keys[i]]
+    for key in sorted(p.terms, key=lambda k: spelled[k][0], reverse=True):
+        num, word = p.terms[key], spelled[key][1]
         g = math.gcd(num, p.den)
         mag = f"{abs(num) // g}/{p.den // g}" if p.den != g else str(abs(num) // g)
-        if not factors or mag != "1":
-            factors.insert(0, mag)
-        text = "*".join(factors)
-        if not pieces:
-            pieces.append(f"-{text}" if num < 0 else text)
-        else:
-            pieces.append(f"- {text}" if num < 0 else f"+ {text}")
-    return " ".join(pieces)
+        text = f"{mag}*{word}" if word and mag != "1" else word or mag
+        pieces.append(f"- {text}" if num < 0 else f"+ {text}")
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 def parse_poly(text: str, table: SymbolTable) -> Poly:

@@ -206,6 +206,40 @@ class OraclePoly:
         return " ".join(pieces) or "0"
 
 
+def lexsort_format_poly(p: rf.Poly, table: rf.SymbolTable | None = None) -> str:
+    """An independent `format_poly`, the oracle for its text: every key decoded
+    into a row of exponents by numpy, the rows sorted by `np.lexsort`
+    (descending graded lexicographic order) and every term spelled anew."""
+    if not p.terms:
+        return "0"
+    keys = list(p.terms)
+    fields = max(1, -(-max(keys).bit_length() // FIELD_BITS))
+    raw = b"".join([k.to_bytes(fields * FIELD_BITS // 8, "little") for k in keys])
+    exps = np.frombuffer(raw, f"<u{FIELD_BITS // 8}").reshape(len(keys), fields).astype(np.int64)
+    # lexsort's last row is primary: total degree, then symbol 0, symbol 1, ...
+    order = np.lexsort(np.vstack([-exps[:, ::-1].T, -exps.sum(axis=1)]))
+    exps = exps[order]
+    names = [table.name_of(s) if table is not None else f"s{s}" for s in range(fields)]
+    words: list[list[str]] = [[] for _ in keys]
+    rows, sids = np.nonzero(exps)
+    for r, s, e in zip(rows.tolist(), sids.tolist(), exps[rows, sids].tolist()):
+        words[r].append(names[s] if e == 1 else f"{names[s]}^{e}")
+
+    pieces: list[str] = []
+    for i, factors in zip(order.tolist(), words):
+        num = p.terms[keys[i]]
+        g = math.gcd(num, p.den)
+        mag = f"{abs(num) // g}/{p.den // g}" if p.den != g else str(abs(num) // g)
+        if not factors or mag != "1":
+            factors.insert(0, mag)
+        text = "*".join(factors)
+        if not pieces:
+            pieces.append(f"-{text}" if num < 0 else text)
+        else:
+            pieces.append(f"- {text}" if num < 0 else f"+ {text}")
+    return " ".join(pieces)
+
+
 def reduced_fold_coeffs(spec: rf.ProblemSpec, order: int) -> list[rf.Poly]:
     """X_0 .. X_order of the coefficient recursion, folded one `acc + w * (f * x)` at
     a time in `compute_coeffs`'s order, every intermediate Poly rebuilt by

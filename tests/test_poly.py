@@ -280,3 +280,13 @@ class TestSymbolTable:
             t.add("2bad")
         with pytest.raises(MissingSymbolError):
             t.id_of("nope")
+
+    def test_name_of_unknown_id(self):
+        t = SymbolTable()
+        t.add("x")
+        assert t.name_of(0) == "x"
+        for sid in (1, 3, -1):
+            with pytest.raises(MissingSymbolError, match=f"no symbol with id {sid}"):
+                t.name_of(sid)
+        with pytest.raises(MissingSymbolError, match="no symbol with id 3"):
+            format_poly(Poly.symbol(3), t)

@@ -4,6 +4,7 @@ Arithmetic must give the same coefficients in the same term insertion
 order, because Monte Carlo sums and the coefficient dump follow that order.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from randfrob import Poly, SymbolTable, build_problem, compute_coeffs, format_poly, parse_poly
 from randfrob.mcengine import _EvalPlan
-from conftest import BUNDLED, OraclePoly, finite_support_docs
+from randfrob.poly import EXP_LIMIT, FIELD_BITS
+from conftest import BUNDLED, OraclePoly, finite_support_docs, lexsort_format_poly
 
 NAMES = ("A", "Y0", "Y1", "C")
 
@@ -25,10 +27,30 @@ _coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 _oracles = st.dictionaries(_monomials, _coeffs, max_size=6).map(OraclePoly)
 _scalars = st.one_of(st.integers(-12, 12), _coeffs)
 
+# Numbers whose primes are few, so a factor's numerator shares primes with
+# the other factor's denominator.
+_smooth = st.lists(st.sampled_from([2, 3, 5, 7]), max_size=4).map(math.prod)
+_smooth_coeffs = st.builds(lambda s, n, d: Fraction(s * n, d), st.sampled_from([1, -1]),
+                           _smooth, _smooth)
+_one_terms = st.builds(lambda m, c: OraclePoly({m: c}), _monomials,
+                       st.one_of(st.builds(lambda s, n: Fraction(s * n), st.sampled_from([1, -1]),
+                                           _smooth), _smooth_coeffs))
+_smooth_oracles = st.dictionaries(_monomials, _smooth_coeffs, max_size=6).map(OraclePoly)
 
-def table() -> SymbolTable:
+# Polys over seven symbols, so a key spans up to seven 32-bit fields, with
+# exponents up to EXP_LIMIT - 1, big numerators of both signs and den > 1.
+WIDE = ("A", "Y0", "Y1", "C", "B_1", "x", "z9")
+_wide_keys = st.dictionaries(
+    st.integers(0, len(WIDE) - 1),
+    st.one_of(st.integers(1, 3), st.integers(EXP_LIMIT - 3, EXP_LIMIT - 1)), max_size=3,
+).map(lambda exps: sum(e << (FIELD_BITS * sid) for sid, e in exps.items()))
+_wide_polys = st.builds(Poly, st.dictionaries(_wide_keys, st.integers(-10**30, 10**30), max_size=12),
+                        st.integers(1, 10**12))
+
+
+def table(names=NAMES) -> SymbolTable:
     t = SymbolTable()
-    for name in NAMES:
+    for name in names:
         t.add(name)
     return t
 
@@ -141,6 +163,51 @@ class TestAgainstOracle:
         assert format_poly(parse_poly(text, t), t) == text
         spaced = " " + re.sub(r"([*^+-])", r" \1 ", text) + " "
         assert parse_poly(spaced, t) == p.packed()
+
+    @given(_one_terms, _smooth_oracles)
+    @settings(max_examples=200, deadline=None)
+    def test_one_term_product(self, one, p):
+        # a one-term factor of den 1 reduces by gcd(den, its numerator) alone
+        for got, want in ((one.packed() * p.packed(), one * p), (p.packed() * one.packed(), p * one)):
+            assert_same(got, want)
+            assert math.gcd(got.den, *got.terms.values()) == 1
+
+
+class TestFormat:
+    @given(_wide_polys, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_lexsort_formatter(self, p, with_table):
+        t = table(WIDE) if with_table else None
+        text = lexsort_format_poly(p, t)
+        assert format_poly(p, t) == text
+        assert format_poly(p, t) == text  # from the table's spelled keys
+        if with_table:
+            assert parse_poly(text, t) == p
+
+    def test_solved_coefficients(self, bundled_specs):
+        for spec in bundled_specs.values():
+            for x in compute_coeffs(spec, 12).X:
+                assert format_poly(x, spec.table) == lexsort_format_poly(x, spec.table)
+
+    def test_edge_polys(self):
+        t = table(WIDE)
+        top = EXP_LIMIT - 1
+        s0s2, s0s1 = (1 << 2 * FIELD_BITS) + 1, (1 << FIELD_BITS) + 1  # they tie on s0
+        for p in (Poly.zero(), Poly.const(Fraction(-3, 4)), Poly({0: 5, 1 << 6 * FIELD_BITS: -7}, 3),
+                  Poly({s0s2: 1, s0s1: -1}),
+                  Poly({top: 1, top << 6 * FIELD_BITS: -1, (top << 3 * FIELD_BITS) + 2: 2}, 9)):
+            assert format_poly(p, t) == lexsort_format_poly(p, t)
+            assert format_poly(p) == lexsort_format_poly(p)
+
+    @given(_oracles, _oracles)
+    @settings(max_examples=60, deadline=None)
+    def test_spelled_keys_survive_a_new_symbol(self, p, q):
+        t = table()
+        before = format_poly(p.packed(), t)
+        sid = t.add("Z")
+        q = q.packed() * Poly.symbol(sid) + p.packed()
+        assert format_poly(p.packed(), t) == before
+        assert format_poly(q, t) == format_poly(q, table((*NAMES, "Z"))) == lexsort_format_poly(q, t)
 
 
 def oracle_coeffs(spec, order: int) -> list[OraclePoly]:
