@@ -70,9 +70,12 @@ def _load_spec(arg: str) -> ProblemSpec:
 def _write_csv(path: str, header: list[str], rows) -> None:
     # No field needs CSV quoting: symbol names match [A-Za-z_][A-Za-z0-9_]*, and
     # polynomial text, ints and `_fmt` floats hold no ',', '"', '\r' or '\n'.
+    # `rows` may be a generator; `print` writes each field as it is, uncopied.
     try:
         with open(path, "w", newline="", encoding="utf-8") as fp:
-            fp.writelines(",".join(map(str, row)) + "\n" for row in (header, *rows))
+            print(*header, sep=",", file=fp)
+            for row in rows:
+                print(*row, sep=",", file=fp)
     except OSError as exc:
         raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -158,9 +161,10 @@ def _cmd_solve(args) -> int:
     spec = _load_spec(args.spec)
     order = spec.default_order if args.order is None else args.order
     sol = compute_coeffs(spec, order)
-    rows = [[n, format_poly(p, spec.table)] for n, p in enumerate(sol.X)]
+    # a generator: each coefficient's text is formatted as its row is written
+    rows = ((n, format_poly(p, spec.table)) for n, p in enumerate(sol.X))
     _write_csv(args.out, ["n", "polynomial"], rows)
-    print(f"wrote {len(rows)} coefficients to {args.out}")
+    print(f"wrote {len(sol.X)} coefficients to {args.out}")
     return 0
 
 

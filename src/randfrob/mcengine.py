@@ -57,6 +57,9 @@ MAX_RK4_STEPS = 10**7
 # Sampling lists its chunks before the first draw; 10^9 draws are 122 071
 # chunks, about an hour at the benchmark's rate, so this only stops runaways.
 MAX_SAMPLES = 10**9
+# `_run_chunks`' pool starts as many threads as RANDFROB_THREADS asks, up to one
+# per chunk; this stops a stray value from starting thousands.  Output ignores it.
+MAX_THREADS = 256
 # RK4 walks its steps in pieces of this many, so the step times, input weights
 # and a group's step maps (with a, b, c per map draw) take memory that does not
 # grow with the step count; 1024 raised `mc-rk4`'s peak RSS by 0.3 MB, 512 did not.
@@ -91,8 +94,8 @@ def _worker_count() -> int:
         n = int(raw) if raw else 1
     except ValueError:
         n = 0
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    if not 1 <= n <= MAX_THREADS:
+        raise ValueError(f"{THREADS_ENV} must be an integer in [1, {MAX_THREADS}], got {raw!r}")
     return n
 
 

@@ -11,10 +11,11 @@ the edges, and float evaluation lives in `mcengine._EvalPlan`.
 
 `Poly.add_products` is the one merge of terms: the n-ary sum
 `acc + w1*(f1*x1) + w2*(f2*x2) + ...`, in which an x of None stands for f
-alone.  `+` and `-` are its one-term case, and the coefficient recursion
-makes one call per X_n: every product goes into one dict over the lcm of the
-denominators, so the growing sum is never copied, and one gcd reduction runs
-after the division.  acc's keys keep their order and new keys follow as they
+alone and a constant f scales x's terms, with no product formed.  `+` and
+`-` are its one-term case, and the coefficient recursion makes one call per
+X_n: every product goes into one dict over the lcm of the denominators, so
+the growing sum is never copied, and one gcd reduction runs after the
+division.  acc's keys keep their order and new keys follow as they
 arrive; a key whose sum reaches zero is deleted, so if it comes back it goes last.
 
 Exponents stay below EXP_LIMIT, so the top bit of each field is a guard
@@ -127,7 +128,7 @@ class SymbolTable:
     def __init__(self):
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self._spelled: dict[int, tuple[tuple[int, ...], str]] = {}  # `format_poly`'s cache
+        self._spelled: dict[int, tuple] = {}  # `format_poly`'s cache: sort key, then text
 
     def add(self, name: str) -> int:
         if not self._NAME_RE.match(name):
@@ -216,17 +217,22 @@ class Poly:
         An x of None stands for f alone, so no product is built.  The sum is
         one dict over the lcm of self.den and each product's den, times the
         positive int divisor, with one gcd reduction at the end; term order as
-        in the module docstring.  Each product is formed by `f * x` first, so
-        terms that cancel inside it never touch the sum.
+        in the module docstring.  A constant f scales x's terms directly, with
+        no product and no gcd; any other product is formed by `f * x` first,
+        so terms that cancel inside it never touch the sum.
         """
         den = math.lcm(self.den, *(f.den if x is None else f.den * x.den for _, f, x in triples))
         scale = den // self.den
         out = dict(self.terms) if scale == 1 else {k: n * scale for k, n in self.terms.items()}
         top, get = self.top, out.get
         for w, f, x in triples:
-            p = f if x is None else f * x
+            if x is not None and not f.top and f.terms:  # top 0: f's one key is 0
+                # f * x, unreduced: x's keys in order, numerators f's times x's, over f.den * x.den
+                p, scale = x, w * f.terms[0] * (den // (f.den * x.den))
+            else:
+                p = f if x is None else f * x
+                scale = w * (den // p.den)
             top = max(top, p.top)
-            scale = w * (den // p.den)
             if not scale:
                 continue
             for k, n in p.terms.items():
@@ -321,8 +327,9 @@ def format_poly(p: Poly, table: SymbolTable | None = None) -> str:
     if not p.terms:
         return "0"
     from array import array  # a field per item; imported here, as `import randfrob` needs none
-    # Each key is spelled once per table: its sort key (degree, -id1, e1,
-    # -id2, e2, ...) over its nonzero fields, by symbol id, and its text.
+    # Each key is spelled once per table, as one tuple (degree, -id1, e1,
+    # -id2, e2, ..., text) over its nonzero fields, by symbol id.  Two keys'
+    # tuples differ before either one's text, so sorting never compares text.
     spelled = table._spelled if table is not None else {}
     new = [key for key in p.terms if key not in spelled]
     width = -(-max(new, default=0).bit_length() // FIELD_BITS)  # its last field is nonzero
@@ -338,19 +345,21 @@ def format_poly(p: Poly, table: SymbolTable | None = None) -> str:
         for sid, e in compress(enumerate(fields), fields):
             sort += (-sid, e)
             words.append(names[sid] if e == 1 else f"{names[sid]}^{e}")
-        spelled[key] = (tuple(sort), "*".join(words))
+        sort.append("*".join(words))
+        spelled[key] = tuple(sort)
 
     # Descending graded lexicographic order: total degree first, then the
-    # exponent of symbol 0, of symbol 1, ...
+    # exponent of symbol 0, of symbol 1, ...  Signs and terms alternate in
+    # `pieces`; the first sign is "-" or nothing.
     pieces: list[str] = []
-    for key in sorted(p.terms, key=lambda k: spelled[k][0], reverse=True):
-        num, word = p.terms[key], spelled[key][1]
+    for key in sorted(p.terms, key=spelled.__getitem__, reverse=True):
+        num, word = p.terms[key], spelled[key][-1]
         g = math.gcd(num, p.den)
         mag = f"{abs(num) // g}/{p.den // g}" if p.den != g else str(abs(num) // g)
         text = f"{mag}*{word}" if word and mag != "1" else word or mag
-        pieces.append(f"- {text}" if num < 0 else f"+ {text}")
-    text = " ".join(pieces)
-    return text[2:] if text[0] == "+" else f"-{text[2:]}"
+        pieces += (" - " if num < 0 else " + ", text)
+    pieces[0] = pieces[0].strip(" +")
+    return "".join(pieces)
 
 
 def parse_poly(text: str, table: SymbolTable) -> Poly:

@@ -184,6 +184,23 @@ class TestCommands:
         with open(out_path, newline="", encoding="utf-8") as fp:
             assert list(csv.reader(fp)) == [["n", "polynomial"], *rows]
 
+    def test_write_csv_streams_a_generator(self, tmp_path):
+        rows = [[0, "3/2*A^2*Y0 - 1/6*Y1 + 2", 0.5], [1, "-B", -1]]
+        listed, streamed = tmp_path / "list.csv", tmp_path / "gen.csv"
+        cli._write_csv(str(listed), ["n", "polynomial", "x"], rows)
+        cli._write_csv(str(streamed), ["n", "polynomial", "x"], (row for row in rows))
+        assert streamed.read_bytes() == listed.read_bytes()
+        assert listed.read_bytes() == b"n,polynomial,x\n0,3/2*A^2*Y0 - 1/6*Y1 + 2,0.5\n1,-B,-1\n"
+
+    def test_solve_streams_its_rows(self, capsys, tmp_path):
+        out_path = tmp_path / "coeffs.csv"
+        code, out, _ = run(capsys, "solve", "beta_series", "--order", "26", "--out", str(out_path))
+        assert (code, out) == (0, f"wrote 27 coefficients to {out_path}\n")
+        assert len(out_path.read_text().splitlines()) == 28
+        code, out, err = run(capsys, "solve", "hermite_forced", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
     def test_stats_table(self, capsys, tmp_path):
         out_path = tmp_path / "stats.csv"
         code, _, _ = run(capsys, "stats", "hermite_forced", "--order", "20",
@@ -615,7 +632,7 @@ class TestCommands:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("threads,code", [
-        ("", 0), ("2", 0), ("abc", 1), ("0", 1), ("-3", 1), ("1.5", 1),
+        ("", 0), ("2", 0), ("abc", 1), ("0", 1), ("-3", 1), ("1.5", 1), ("100000", 1),
     ])
     def test_mc_threads_setting(self, capsys, tmp_path, monkeypatch, threads, code):
         monkeypatch.setenv("RANDFROB_THREADS", threads)
@@ -625,7 +642,8 @@ class TestCommands:
         assert got == code
         assert out_path.exists() == (code == 0)
         if code:
-            assert err == f"error: RANDFROB_THREADS must be an integer >= 1, got {threads!r}\n"
+            assert err == (f"error: RANDFROB_THREADS must be an integer in [1, 256],"
+                           f" got {threads!r}\n")
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--order", "4"),

@@ -36,6 +36,10 @@ _one_terms = st.builds(lambda m, c: OraclePoly({m: c}), _monomials,
                        st.one_of(st.builds(lambda s, n: Fraction(s * n), st.sampled_from([1, -1]),
                                            _smooth), _smooth_coeffs))
 _smooth_oracles = st.dictionaries(_monomials, _smooth_coeffs, max_size=6).map(OraclePoly)
+# Factors of `add_products` triples, constants among them.
+_factors = st.one_of(_oracles, _coeffs.map(lambda c: OraclePoly({(): c})))
+# 2*A + 5/3*Y0 over packed keys, A = symbol 0 and Y0 = symbol 1.
+X_AY0 = Poly({1: 6, 1 << FIELD_BITS: 5}, 3)
 
 # Polys over seven symbols, so a key spans up to seven 32-bit fields, with
 # exponents up to EXP_LIMIT - 1, big numerators of both signs and den > 1.
@@ -84,7 +88,7 @@ class TestAgainstOracle:
         assert list(got.terms.items()) == list(fold.terms.items())
         assert (got.den, got.top) == (fold.den, fold.top)
 
-    @given(_oracles, st.lists(st.tuples(st.integers(-3, 4), _oracles, _oracles), max_size=4))
+    @given(_oracles, st.lists(st.tuples(st.integers(-3, 4), _factors, _oracles), max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_add_products_is_the_fold(self, acc, triples):
         packed = [(w, f.packed(), x.packed()) for w, f, x in triples]
@@ -111,6 +115,23 @@ class TestAgainstOracle:
         for triples in ([], [(0, acc, acc)], [(2, zero, acc)], [(1, acc, zero), (0, acc, acc)]):
             assert acc.add_products(triples) == acc
             self.assert_add_products_is_the_fold(acc, triples)
+
+    # A constant f scales x's numerators instead of forming f * x: 3/2*A - 1/2*Y0
+    # + 1/2 plus constants over den 4 and 9, with weights of each sign and 0.
+    @pytest.mark.parametrize("triples", [
+        [(1, Poly.const(Fraction(1, 4)), X_AY0)],
+        [(3, Poly.const(Fraction(1, 9)), X_AY0), (1, Poly.const(Fraction(1, 4)), X_AY0)],
+        [(-2, Poly.const(Fraction(1, 4)), X_AY0), (1, Poly.const(Fraction(-7, 9)), X_AY0)],
+        [(0, Poly.const(Fraction(1, 9)), X_AY0), (-1, Poly.const(5), X_AY0)],
+        [(1, Poly.const(Fraction(-3, 2)), Poly.symbol(0))],  # cancels A
+        [(2, Poly.const(Fraction(-3, 4)), Poly.symbol(0)), (1, Poly.const(Fraction(1, 9)), X_AY0)],
+        [(1, Poly.const(Fraction(1, 4)), Poly({1: 6, 0: -2})), (1, Poly.const(2), Poly.symbol(0))],
+        [(1, Poly.const(Fraction(1, 9)), Poly.zero()), (1, Poly.zero(), X_AY0)],
+        [(2, Poly.symbol(0) + 1 - Poly.symbol(0), X_AY0)],  # a constant whose top is 1
+    ], ids=["quarter", "ninth-then-quarter", "negative", "zero-weight", "cancels-a-key",
+            "cancels-then-returns", "cancels-a-constant", "zero-factors", "top-above-0"])
+    def test_add_products_of_constant_factors(self, triples):
+        self.assert_add_products_is_the_fold(Poly({1: 3, 1 << FIELD_BITS: -1, 0: 1}, 2), triples)
 
     def test_add_products_moves_a_cancelled_key_to_the_end(self):
         # the sum drops key 1 at the first product and takes it back last
