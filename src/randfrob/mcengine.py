@@ -27,9 +27,11 @@ the columns of the blocks left out are NaN.
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw.  Single draws
 and such groups share one input evaluation (a weights product with plan
-rows), one slope, one RK4 step (`_rk4`) and one walk over the steps, which
-records x at the grid points; each supplies only a piece's steps as maps of
-its state (see `mc_rk4`).
+rows), one slope, one RK4 step (`_rk4`) and one walk over each leg's steps
+in pieces, which records x at the grid points.  Single draws step through a
+piece; a group folds a piece's step maps into one affine map (`_compose`),
+and its pieces are windows of STEP_WINDOW steps counted from each leg's
+first step, so the window fixes a group's bits (see `mc_rk4`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import GridMismatchError
@@ -60,10 +61,14 @@ MAX_SAMPLES = 10**9
 # `_run_chunks`' pool starts as many threads as RANDFROB_THREADS asks, up to one
 # per chunk; this stops a stray value from starting thousands.  Output ignores it.
 MAX_THREADS = 256
-# RK4 walks its steps in pieces of this many, so the step times, input weights
-# and a group's step maps (with a, b, c per map draw) take memory that does not
-# grow with the step count; 1024 raised `mc-rk4`'s peak RSS by 0.3 MB, 512 did not.
+# RK4 walks each leg's steps in pieces, of STEP_BLOCK steps for single draws
+# and STEP_WINDOW for a group, so the step times, input weights and a group's
+# step maps (with a, b, c per map draw) take memory that does not grow with the
+# step count; 1024 raised `mc-rk4`'s peak RSS by 0.3 MB, 512 did not.
 STEP_BLOCK = 512
+# A group folds each piece's maps into one (`_compose`) and applies that, so
+# the window fixes the rounding of its paths, as CHUNK fixes that of the sums.
+STEP_WINDOW = 512
 CI_MULTIPLIER = 1.96  # normal-approximation 95% interval; not configurable
 
 THREADS_ENV = "RANDFROB_THREADS"
@@ -272,6 +277,23 @@ def _rk4(slope, state, h, start, mid, end):
     return state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _compose(maps: np.ndarray) -> np.ndarray:
+    """The affine map S -> P S + Q, as one [P | Q], that applies in turn each
+    map [P_i | Q_i] of a (steps, 2, 2 + columns) stack.
+
+    Adjacent pairs fold level by level, one batched matmul per level, by
+    (P2, Q2) o (P1, Q1) = (P2 P1, P2 Q1 + Q2); an odd tail is carried up.
+    The tree depends only on the step count, so the bits do too.
+    """
+    import numpy as np
+    while len(maps) > 1:
+        pairs = len(maps) & ~1
+        folded = maps[1:pairs:2, :, :2] @ maps[0:pairs:2]
+        folded[:, :, 2:] += maps[1:pairs:2, :, 2:]
+        maps = np.concatenate([folded, maps[pairs:]])
+    return maps[0]
+
+
 def mc_rk4(
     spec: ProblemSpec,
     grid: Sequence[float],
@@ -293,23 +315,26 @@ def mc_rk4(
     of one RK4 pass over the chunk's single draws, so a chunk where no group
     forms is integrated bit for bit as per draw.
 
-    Both paths go through one `walk` over the steps, STEP_BLOCK at a time,
-    and evaluate the inputs one way: per piece, the weights series *
-    tau^exps at every step's start, midpoint and end, whose product with
-    plan rows gives a, b and c there, and one slope (x', c - b x - a x').
-    Each path gives the walk only a piece's steps as maps of its state; the
-    walk applies them in order and records x at the grid points.  For single
-    draws a step is one `_rk4` step on their stacked (x, x') rows, with row i
-    of the weights at step i.  Within a group a(tau) and b(tau) are scalars,
-    so an RK4 step is one affine map S -> P_i S + Q_i of the group's
-    (2, n_basis) state of x and x'.  [P_i | Q_i] is one `_rk4` step of
-    2 + n_basis map draws with the group's A/B rows: the first two start at
-    I unforced, and each other starts at rest, forced by one unit C term
-    (the Y0 and Y1 columns of Q_i stay at rest).  A group builds a piece's
-    maps at once.  Its basis paths depend only on its A/B values, so they are
-    memoized on those values' bytes for this call: chunks that meet the same
-    group integrate it once, and the output does not depend on which chunk,
-    or thread, gets there first.
+    Both paths go through one `walk` over each leg's steps, in pieces
+    counted from the leg's first step, and evaluate the inputs one way: per
+    piece, the weights series * tau^exps at every step's start, midpoint and
+    end, whose product with plan rows gives a, b and c there, and one slope
+    (x', c - b x - a x').  Each path carries its state over a piece; the
+    walk records x at each leg's end.  Single draws take pieces of
+    STEP_BLOCK steps, each step one `_rk4` step on their stacked (x, x')
+    rows, with row i of the weights at step i.  Within a group a(tau) and
+    b(tau) are scalars, so an RK4 step is one affine map S -> P_i S + Q_i of
+    the group's (2, n_basis) state of x and x'.  [P_i | Q_i] is one `_rk4`
+    step of 2 + n_basis map draws with the group's A/B rows: the first two
+    start at I unforced, and each other starts at rest, forced by one unit C
+    term (the Y0 and Y1 columns of Q_i stay at rest).  A group takes windows
+    of STEP_WINDOW steps: it builds a window's maps at once, folds them into
+    one with `_compose` and applies that one.  The fold's tree depends only
+    on the window's step count, so the window, not STEP_BLOCK or the thread
+    count, fixes a group's bits.  Its basis paths depend only on its A/B
+    values, so they are memoized on those values' bytes for this call:
+    chunks that meet the same group integrate it once, and the output does
+    not depend on which chunk, or thread, gets there first.
     """
     import numpy as np
     t0 = float(spec.t0)
@@ -330,36 +355,27 @@ def mc_rk4(
     # every nonempty leg at least one step.
     check_steps((ts[-1] - t0) / cfg.rk4_step if ts else 0.0)
     # Per grid point, the leg to it from the point before (t0 for the
-    # first): its start time, step count and step size.
+    # first): its start time, span and step count.
     leg_t = [t0] + ts[:-1]
     deltas = [t - t_start for t_start, t in zip(leg_t, ts)]
     leg_n = [_steps_for(d, cfg.rk4_step) if d > 1e-14 else 0 for d in deltas]
-    leg_h = np.array([d / n if n else 0.0 for d, n in zip(deltas, leg_n)])
-    ends = list(accumulate(leg_n))  # steps taken at each grid point
-    total = ends[-1] if ends else 0
-    check_steps(total)
-    leg_t, leg_end = np.array(leg_t), np.array(ends, dtype=np.int64)
-    leg_first = leg_end - leg_n
+    check_steps(sum(leg_n))
 
-    def pieces():
-        """Per STEP_BLOCK piece of the steps: each step's size, and the input
-        weights at its start, midpoint and end, (3, steps, terms) arrays whose
-        product with plan rows gives a, b and c there."""
-        for lo in range(0, total, STEP_BLOCK):
-            step = np.arange(lo, min(lo + STEP_BLOCK, total))
-            leg = np.searchsorted(leg_end, step, side="right")
-            h = leg_h[leg]
-            tau = leg_t[leg] + (step - leg_first[leg]) * h - t0
-            yield h, [series[:, None, :] * t[:, None] ** exps for t in (tau, tau + h / 2, tau + h)]
+    def walk(state: np.ndarray, advance, size: int) -> np.ndarray:
+        """The (grid, columns) x rows of the (x, x') `state` at t0 carried over the steps.
 
-    def walk(state: np.ndarray, advance) -> np.ndarray:
-        """The (grid, columns) x rows of the (x, x') `state` at t0 carried over the
-        steps, where `advance(h, weights)` gives each step of a piece as a map of the state."""
+        Each leg's steps go in pieces of `size`, counted from its first step;
+        `advance(state, h, weights)` carries the state over a piece of steps of
+        size h, given the input weights at each step's start, midpoint and end,
+        (3, steps, terms) arrays whose product with plan rows gives a, b and c there.
+        """
         paths = np.empty((len(ts), state.shape[1]))
-        steps = (move for h, weights in pieces() for move in advance(h, weights))
-        for g, n in enumerate(leg_n):
-            for move in islice(steps, n):
-                state = move(state)
+        for g, (first, d, n) in enumerate(zip(leg_t, deltas, leg_n)):
+            h = d / max(n, 1)
+            for lo in range(0, n, size):
+                tau = first + np.arange(lo, min(lo + size, n)) * h - t0
+                weights = [series[:, None, :] * t[:, None] ** exps for t in (tau, tau + h / 2, tau + h)]
+                state = advance(state, h, weights)
             paths[g] = state[0]
         return paths
 
@@ -385,15 +401,15 @@ def mc_rk4(
         return out
 
     def integrate(rows: np.ndarray) -> np.ndarray:
-        """The (grid, columns) paths of a C-contiguous plan-row matrix."""
+        """The (grid, columns) paths of a C-contiguous plan-row matrix, step by step."""
         coeffs = rows[:-2]
 
-        def advance(hs, weights):
-            for i, h in enumerate(hs.tolist()):
-                at = [w[:, i] @ coeffs for w in weights]
-                yield lambda state, h=h, at=at: _rk4(slope, state, h, *at)
+        def advance(state, h, weights):
+            for i in range(weights[0].shape[1]):
+                state = _rk4(slope, state, h, *(w[:, i] @ coeffs for w in weights))
+            return state
 
-        return walk(rows[-2:], advance)  # (x, x') at t0: Y0 and Y1
+        return walk(rows[-2:], advance, STEP_BLOCK)  # (x, x') at t0: Y0 and Y1
 
     # The C rows of a group's map draws: draw 2 + j is forced by C term j alone.
     unit_c = np.eye(n_basis - 2, 2 + n_basis, 2)
@@ -402,15 +418,15 @@ def mc_rk4(
         """The (grid, n_basis) basis paths of a group with A/B plan rows `ab`."""
         coeffs = np.vstack([np.repeat(ab[:, None], 2 + n_basis, axis=1), unit_c])
 
-        def advance(h, weights):
-            start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None], (2, len(h), 2 + n_basis))
-            maps = _rk4(slope, start, h[:, None], *(w @ coeffs for w in weights))
-            maps = maps.transpose(1, 0, 2)  # per step, [P_i | Q_i]
-            for p_i, q_i in zip(np.ascontiguousarray(maps[:, :, :2]),
-                                np.ascontiguousarray(maps[:, :, 2:])):
-                yield lambda state, p=p_i, q=q_i: p @ state + q
+        def advance(state, h, weights):
+            start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None],
+                                    (2, weights[0].shape[1], 2 + n_basis))
+            maps = _rk4(slope, start, h, *(w @ coeffs for w in weights))
+            window = _compose(maps.transpose(1, 0, 2))  # per step, [P_i | Q_i]
+            return window[:, :2] @ state + window[:, 2:]
 
-        return walk(np.eye(2, n_basis, n_basis - 2), advance)  # the C columns at rest; Y0, Y1 at I
+        # the C columns at rest; Y0, Y1 at I
+        return walk(np.eye(2, n_basis, n_basis - 2), advance, STEP_WINDOW)
 
     # A group's basis paths, keyed on its A/B values; two threads that both
     # miss build the same bits, so the race is harmless.
@@ -426,7 +442,7 @@ def mc_rk4(
             order, bounds = np.arange(count), np.arange(count + 1)
         else:
             order = np.lexsort(bits) if n_ab else np.arange(count)
-            ordered = bits[:, order]
+            ordered = np.take(bits, order, axis=1)
             cuts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
             bounds = np.concatenate(([0], cuts, [count]))
         sizes = np.diff(bounds)
@@ -437,7 +453,7 @@ def mc_rk4(
 
         paths = np.empty((len(ts), count))
         if len(singles):
-            paths[:, singles] = integrate(np.ascontiguousarray(rows[:, singles]))
+            paths[:, singles] = integrate(np.take(rows, singles, axis=1))
         for members in groups:
             ab = rows[:n_ab, members[0]]
             key = ab.tobytes()
@@ -445,9 +461,9 @@ def mc_rk4(
             if basis is None:
                 basis = memo[key] = group_paths(ab)
             if np.isfinite(basis).all():
-                paths[:, members] = basis @ rows[n_ab:, members]
+                paths[:, members] = basis @ np.take(rows[n_ab:], members, axis=1)
             else:  # inf * 0 would make nan of a draw whose data are zero
-                paths[:, members] = integrate(np.ascontiguousarray(rows[:, members]))
+                paths[:, members] = integrate(np.take(rows, members, axis=1))
         return paths
 
     return _aggregate(grid, _run_chunks(cfg.samples, worker), label=f"mc-rk4[{cfg.samples}]")

@@ -2,6 +2,7 @@
 
 import math
 import re
+from itertools import accumulate
 import warnings
 from fractions import Fraction
 
@@ -283,6 +284,28 @@ class TestSeriesMethod:
         curve = mc_series(hf_solution, GRID7, McConfig(samples=777, seed=13))
         assert all(v >= 0 for v in curve.variance)
 
+    def test_pooled_chunks_match_one_pass(self):
+        # chunks of unequal counts (one of a single draw) and different means:
+        # pooling their squared deviations needs ddof=1 and each chunk's
+        # n_k (mean_k - mean)^2, or the variance is off
+        draws = [[[1.0, 2.5, 4.0, -0.5], [10.0], [-3.0, 0.25, 7.0]],
+                 [[0.5, 0.75, 0.25, 1.0], [-2.0], [3.0, 3.5, 2.5]]]  # per grid point
+        chunks = []
+        for k in range(3):
+            rows = [np.array(point[k]) for point in draws]
+            sums = np.array([row.sum() for row in rows])
+            squares = np.array([((row - row.mean()) ** 2).sum() for row in rows])
+            chunks.append((len(rows[0]), sums, squares))
+        curve = mcengine._aggregate([0.0, 1.0], chunks, label="pooled")
+        for g, point in enumerate(draws):
+            values = [x for chunk in point for x in chunk]
+            mean = math.fsum(values) / len(values)
+            var = math.fsum((x - mean) ** 2 for x in values) / (len(values) - 1)
+            assert curve.mean[g] == pytest.approx(mean, rel=1e-12)
+            assert curve.variance[g] == pytest.approx(var, rel=1e-12)
+            assert curve.ci_halfwidth[g] == pytest.approx(1.96 * math.sqrt(var / len(values)),
+                                                          rel=1e-12)
+
     @pytest.mark.parametrize("route", ["series", "rk4"])
     def test_variance_survives_large_mean(self, route):
         # x = 1e8 + U: sum x^2 - N mean^2 would cancel every digit of the
@@ -491,6 +514,30 @@ class TestRk4Method:
         if doc is self.ALL_SINGLE:  # no group forms: the per-draw walk, bit for bit
             assert (default.mean, default.variance) == (want.mean, want.variance)
         for m1, v1, m2, v2 in zip(default.mean, default.variance, want.mean, want.variance):
+            second = max(v1 + m1 * m1, v2 + m2 * m2)
+            assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)
+            assert abs(v1 - v2) <= 1e-12 * second
+
+    def test_group_windows_cut_each_leg(self, monkeypatch):
+        # a group composes each leg's maps STEP_WINDOW at a time, counted from
+        # the leg's first step: legs of 1, W - 1, W, W + 1 and 2W + 3 steps
+        # and zero-step legs, at the exact step 2^-10, must still be the step
+        # by step walk up to rounding, and the same bits whatever the thread
+        # count or the blocks of the single draws
+        w = mcengine.STEP_WINDOW
+        steps = [0, 1, w - 1, w, 0, w + 1, 2 * w + 3]
+        grid = [n / 1024 for n in accumulate(steps)]
+        spec = build_problem(self.TWO_C_TERMS)
+        cfg = McConfig(samples=CHUNK + 100, seed=11, rk4_step=2.0**-10)
+        curves = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RANDFROB_THREADS", threads)
+            curves.append(quiet_rk4(spec, grid, cfg))
+        monkeypatch.setattr(mcengine, "STEP_BLOCK", 7)
+        curves.append(quiet_rk4(spec, grid, cfg))
+        assert all(curve == curves[0] for curve in curves)
+        got, want = curves[0], per_draw_rk4(spec, grid, cfg)
+        for m1, v1, m2, v2 in zip(got.mean, got.variance, want.mean, want.variance):
             second = max(v1 + m1 * m1, v2 + m2 * m2)
             assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)
             assert abs(v1 - v2) <= 1e-12 * second

@@ -466,6 +466,19 @@ class TestTailBound:
         maj = rf.MajorantSeq(s=1.0, d_s=0.0, h=[1.0, 1.0, 0.0, 0.0, 0.0], input_max_index=-1)
         assert rf.tail_bound(maj, 0.5, 0.0, 1) == 0.0
 
+    @pytest.mark.parametrize("r,s,t,t0,trunc", [
+        (0.8, 1.0, 0.5, 0.0, 3),
+        (2.0, 0.45, -0.3, 0.1, 6),  # t below t0
+        (1.0, 1.0, 0.9, 0.0, 0),
+    ])
+    def test_geometric_majorant_tail(self, r, s, t, t0, trunc):
+        # h_n = r^n: the tail sum over n > N is (r tau)^(N+1) / (1 - r tau),
+        # which the terms past h_K and the extrapolation from the ratio r must add up to
+        maj = rf.MajorantSeq(s=s, d_s=0.0, h=[r**n for n in range(12)], input_max_index=-1)
+        q = r * abs(t - t0)
+        assert rf.tail_bound(maj, t, t0, trunc) == pytest.approx(q ** (trunc + 1) / (1 - q),
+                                                                  rel=1e-12)
+
     def test_zero_at_expansion_point(self, hermite_forced):
         maj = rf.majorant_sequence(hermite_forced, 1.6, 30)
         assert rf.tail_bound(maj, 0.0, 0.0, 20) == 0.0
