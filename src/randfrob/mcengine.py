@@ -27,11 +27,10 @@ the columns of the blocks left out are NaN.
 The RK4 route uses that the equation is linear: draws that repeat their A/B
 values integrate one basis of paths and combine it per draw.  Single draws
 and such groups share one input evaluation (a weights product with plan
-rows), one slope, one RK4 step (`_rk4`) and one walk over each leg's steps
-in pieces, which records x at the grid points.  Single draws step through a
-piece; a group folds a piece's step maps into one affine map (`_compose`),
-and its pieces are windows of STEP_WINDOW steps counted from each leg's
-first step, so the window fixes a group's bits (see `mc_rk4`).
+rows), one slope, one RK4 step (`_rk4`) and one walk over the steps in
+pieces, which records x at the grid points.  A group's pieces are windows of
+STEP_WINDOW steps; it folds their step maps between grid points into one
+affine map (`_compose`), so the window fixes its bits (see `mc_rk4`).
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import GridMismatchError
@@ -61,13 +61,12 @@ MAX_SAMPLES = 10**9
 # `_run_chunks`' pool starts as many threads as RANDFROB_THREADS asks, up to one
 # per chunk; this stops a stray value from starting thousands.  Output ignores it.
 MAX_THREADS = 256
-# RK4 walks each leg's steps in pieces, of STEP_BLOCK steps for single draws
-# and STEP_WINDOW for a group, so the step times, input weights and a group's
+# RK4 walks its steps in pieces, so the step times, input weights and a group's
 # step maps (with a, b, c per map draw) take memory that does not grow with the
 # step count; 1024 raised `mc-rk4`'s peak RSS by 0.3 MB, 512 did not.
 STEP_BLOCK = 512
-# A group folds each piece's maps into one (`_compose`) and applies that, so
-# the window fixes the rounding of its paths, as CHUNK fixes that of the sums.
+# A group's pieces: it folds their maps between grid points into one
+# (`_compose`), so the window fixes its bits, as CHUNK fixes the sums'.
 STEP_WINDOW = 512
 CI_MULTIPLIER = 1.96  # normal-approximation 95% interval; not configurable
 
@@ -278,19 +277,16 @@ def _rk4(slope, state, h, start, mid, end):
 
 
 def _compose(maps: np.ndarray) -> np.ndarray:
-    """The affine map S -> P S + Q, as one [P | Q], that applies in turn each
-    map [P_i | Q_i] of a (steps, 2, 2 + columns) stack.
-
-    Adjacent pairs fold level by level, one batched matmul per level, by
-    (P2, Q2) o (P1, Q1) = (P2 P1, P2 Q1 + Q2); an odd tail is carried up.
-    The tree depends only on the step count, so the bits do too.
-    """
+    """The [P | Q] of S -> P S + Q that applies in turn each [P_i | Q_i] of a
+    (steps, 2, 2 + columns) stack.  Pairs fold level by level, one batched
+    matmul per level, as (P2, Q2) o (P1, Q1) = (P2 P1, P2 Q1 + Q2); an odd
+    tail is carried up.  The tree, so the bits, depend only on the step count."""
     import numpy as np
     while len(maps) > 1:
         pairs = len(maps) & ~1
         folded = maps[1:pairs:2, :, :2] @ maps[0:pairs:2]
         folded[:, :, 2:] += maps[1:pairs:2, :, 2:]
-        maps = np.concatenate([folded, maps[pairs:]])
+        maps = np.concatenate([folded, maps[pairs:]]) if pairs < len(maps) else folded
     return maps[0]
 
 
@@ -315,26 +311,23 @@ def mc_rk4(
     of one RK4 pass over the chunk's single draws, so a chunk where no group
     forms is integrated bit for bit as per draw.
 
-    Both paths go through one `walk` over each leg's steps, in pieces
-    counted from the leg's first step, and evaluate the inputs one way: per
-    piece, the weights series * tau^exps at every step's start, midpoint and
-    end, whose product with plan rows gives a, b and c there, and one slope
-    (x', c - b x - a x').  Each path carries its state over a piece; the
-    walk records x at each leg's end.  Single draws take pieces of
-    STEP_BLOCK steps, each step one `_rk4` step on their stacked (x, x')
-    rows, with row i of the weights at step i.  Within a group a(tau) and
-    b(tau) are scalars, so an RK4 step is one affine map S -> P_i S + Q_i of
-    the group's (2, n_basis) state of x and x'.  [P_i | Q_i] is one `_rk4`
-    step of 2 + n_basis map draws with the group's A/B rows: the first two
-    start at I unforced, and each other starts at rest, forced by one unit C
-    term (the Y0 and Y1 columns of Q_i stay at rest).  A group takes windows
-    of STEP_WINDOW steps: it builds a window's maps at once, folds them into
-    one with `_compose` and applies that one.  The fold's tree depends only
-    on the window's step count, so the window, not STEP_BLOCK or the thread
-    count, fixes a group's bits.  Its basis paths depend only on its A/B
-    values, so they are memoized on those values' bytes for this call:
-    chunks that meet the same group integrate it once, and the output does
-    not depend on which chunk, or thread, gets there first.
+    Both paths go through one `walk` over the steps in pieces counted from
+    t0, and evaluate the inputs one way: per piece, the weights series *
+    tau^exps at every step's start, midpoint and end, whose product with
+    plan rows gives a, b and c there, and one slope (x', c - b x - a x').
+    The walk cuts the pieces at the grid points, where it records x.  For
+    single draws (pieces of STEP_BLOCK) a step is one `_rk4` step on their
+    stacked (x, x') rows, with row i of the weights at step i.  Within a
+    group a(tau) and b(tau) are scalars, so an RK4 step is one affine map
+    S -> P_i S + Q_i of its (2, n_basis) state of x and x'; [P_i | Q_i] is
+    one `_rk4` step of 2 + n_basis map draws with its A/B rows: two start at
+    I unforced, each other at rest, forced by one unit C term (the Y0 and Y1
+    columns of Q_i stay at rest).  A group builds a piece's maps at once and
+    applies each cut's as one (`_compose`), so its pieces (STEP_WINDOW) and
+    the grid, not STEP_BLOCK or threads, fix its bits.  Its basis paths
+    depend only on its A/B values, so they are memoized on those values'
+    bytes for this call: chunks that meet the same group integrate it once,
+    and the output does not depend on which chunk, or thread, gets there first.
     """
     import numpy as np
     t0 = float(spec.t0)
@@ -355,27 +348,37 @@ def mc_rk4(
     # every nonempty leg at least one step.
     check_steps((ts[-1] - t0) / cfg.rk4_step if ts else 0.0)
     # Per grid point, the leg to it from the point before (t0 for the
-    # first): its start time, span and step count.
+    # first): its start time, step count and step size.
     leg_t = [t0] + ts[:-1]
     deltas = [t - t_start for t_start, t in zip(leg_t, ts)]
     leg_n = [_steps_for(d, cfg.rk4_step) if d > 1e-14 else 0 for d in deltas]
-    check_steps(sum(leg_n))
+    leg_h = np.array([d / n if n else 0.0 for d, n in zip(deltas, leg_n)])
+    ends = list(accumulate(leg_n))  # steps taken at each grid point
+    total = ends[-1] if ends else 0
+    check_steps(total)
+    leg_t, leg_end = np.array(leg_t), np.array(ends, dtype=np.int64)
+    leg_first = leg_end - leg_n
 
     def walk(state: np.ndarray, advance, size: int) -> np.ndarray:
         """The (grid, columns) x rows of the (x, x') `state` at t0 carried over the steps.
 
-        Each leg's steps go in pieces of `size`, counted from its first step;
-        `advance(state, h, weights)` carries the state over a piece of steps of
-        size h, given the input weights at each step's start, midpoint and end,
-        (3, steps, terms) arrays whose product with plan rows gives a, b and c there.
-        """
-        paths = np.empty((len(ts), state.shape[1]))
-        for g, (first, d, n) in enumerate(zip(leg_t, deltas, leg_n)):
-            h = d / max(n, 1)
-            for lo in range(0, n, size):
-                tau = first + np.arange(lo, min(lo + size, n)) * h - t0
-                weights = [series[:, None, :] * t[:, None] ** exps for t in (tau, tau + h / 2, tau + h)]
-                state = advance(state, h, weights)
+        Per piece of `size` steps, `advance(h, weights)` takes the step sizes and
+        the input weights at each step's start, midpoint and end, (3, steps, terms)
+        arrays whose product with plan rows gives a, b and c there; it gives
+        `carry(state, i, j)`, which carries a state over steps i..j-1 of the piece."""
+        paths, at = np.empty((len(ts), state.shape[1])), 0
+        for g, end in enumerate(ends):
+            while at < end:  # up to the grid point or the piece's end
+                lo = at - at % size
+                if at == lo:
+                    step = np.arange(lo, min(lo + size, total))
+                    leg = np.searchsorted(leg_end, step, side="right")
+                    h = leg_h[leg]
+                    tau = leg_t[leg] + (step - leg_first[leg]) * h - t0
+                    carry = advance(h, [series[:, None, :] * t[:, None] ** exps
+                                        for t in (tau, tau + h / 2, tau + h)])
+                stop = min(end, lo + size)
+                state, at = carry(state, at - lo, stop - lo), stop
             paths[g] = state[0]
         return paths
 
@@ -404,10 +407,13 @@ def mc_rk4(
         """The (grid, columns) paths of a C-contiguous plan-row matrix, step by step."""
         coeffs = rows[:-2]
 
-        def advance(state, h, weights):
-            for i in range(weights[0].shape[1]):
-                state = _rk4(slope, state, h, *(w[:, i] @ coeffs for w in weights))
-            return state
+        def advance(h, weights):
+            h = h.tolist()
+            def carry(state, i, j):
+                for k in range(i, j):
+                    state = _rk4(slope, state, h[k], *(w[:, k] @ coeffs for w in weights))
+                return state
+            return carry
 
         return walk(rows[-2:], advance, STEP_BLOCK)  # (x, x') at t0: Y0 and Y1
 
@@ -418,15 +424,16 @@ def mc_rk4(
         """The (grid, n_basis) basis paths of a group with A/B plan rows `ab`."""
         coeffs = np.vstack([np.repeat(ab[:, None], 2 + n_basis, axis=1), unit_c])
 
-        def advance(state, h, weights):
-            start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None],
-                                    (2, weights[0].shape[1], 2 + n_basis))
-            maps = _rk4(slope, start, h, *(w @ coeffs for w in weights))
-            window = _compose(maps.transpose(1, 0, 2))  # per step, [P_i | Q_i]
-            return window[:, :2] @ state + window[:, 2:]
+        def advance(h, weights):
+            start = np.broadcast_to(np.eye(2, 2 + n_basis)[:, None], (2, len(h), 2 + n_basis))
+            maps = _rk4(slope, start, h[:, None], *(w @ coeffs for w in weights))
+            maps = maps.transpose(1, 0, 2)  # per step, [P_i | Q_i]
+            def carry(state, i, j):
+                segment = _compose(maps[i:j])
+                return segment[:, :2] @ state + segment[:, 2:]
+            return carry
 
-        # the C columns at rest; Y0, Y1 at I
-        return walk(np.eye(2, n_basis, n_basis - 2), advance, STEP_WINDOW)
+        return walk(np.eye(2, n_basis, n_basis - 2), advance, STEP_WINDOW)  # C at rest; Y0, Y1 at I
 
     # A group's basis paths, keyed on its A/B values; two threads that both
     # miss build the same bits, so the race is harmless.

@@ -503,8 +503,9 @@ class TestRk4Method:
         (HIGH_INDEX, [0.0, 0.25, 0.5, 1.0]),
     ], ids=["hermite_forced", "two-c-terms", "all-single-draws", "high-index"])
     def test_step_blocks_do_not_change_result(self, hermite_forced, monkeypatch, doc, grid):
-        # both paths walk the steps STEP_BLOCK at a time; blocks of 7 steps
-        # cut the legs anywhere and must give the same bits
+        # single draws walk the steps STEP_BLOCK at a time and groups
+        # STEP_WINDOW at a time; blocks of 7 steps cut the legs anywhere and
+        # must give the same bits
         spec = hermite_forced if doc is None else build_problem(doc)
         cfg = McConfig(samples=64, seed=3, rk4_step=1e-3)
         default = quiet_rk4(spec, grid, cfg)
@@ -519,16 +520,18 @@ class TestRk4Method:
             assert abs(v1 - v2) <= 1e-12 * second
 
     def test_group_windows_cut_each_leg(self, monkeypatch):
-        # a group composes each leg's maps STEP_WINDOW at a time, counted from
-        # the leg's first step: legs of 1, W - 1, W, W + 1 and 2W + 3 steps
-        # and zero-step legs, at the exact step 2^-10, must still be the step
-        # by step walk up to rounding, and the same bits whatever the thread
-        # count or the blocks of the single draws
+        # a group composes its maps in windows of STEP_WINDOW steps, cut at
+        # each leg's end: legs of 1, W - 1, W, W + 1 and 2W + 3 steps and
+        # zero-step legs, at the exact step 2^-10, end at, just before and
+        # just after window edges, and must still be the step by step walk
+        # up to rounding.  The last chunk's 3 draws are single draws, walked
+        # STEP_BLOCK steps at a time; the bits must not depend on the thread
+        # count or on the blocks
         w = mcengine.STEP_WINDOW
         steps = [0, 1, w - 1, w, 0, w + 1, 2 * w + 3]
         grid = [n / 1024 for n in accumulate(steps)]
         spec = build_problem(self.TWO_C_TERMS)
-        cfg = McConfig(samples=CHUNK + 100, seed=11, rk4_step=2.0**-10)
+        cfg = McConfig(samples=CHUNK + 3, seed=11, rk4_step=2.0**-10)
         curves = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RANDFROB_THREADS", threads)
