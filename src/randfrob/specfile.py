@@ -65,7 +65,7 @@ def bundled_problems() -> dict[str, Path]:
 def resolve_problem(arg: str) -> Path:
     """Resolve a CLI argument to a problem file: a path, or a bundled name."""
     path = Path(arg)
-    if path.exists():
+    if path.exists() and not path.is_dir():  # '' is '.', and ./airy/ must not hide bundled airy
         return path
     bundled = bundled_problems()
     name = arg[: -len(_SUFFIX)] if arg.endswith(_SUFFIX) else arg

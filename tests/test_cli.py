@@ -1,6 +1,7 @@
 """Command-line interface and problem-file handling, end to end."""
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -86,6 +87,31 @@ class TestDocuments:
         assert resolve_problem(str(own)) == own
         with pytest.raises(rf.SpecError, match="no such problem file"):
             resolve_problem("missing.spec")
+
+    def test_resolver_skips_directories(self, capsys, tmp_path, monkeypatch):
+        # '' is the working directory, and ./airy/ is no problem file: both fall
+        # through to the bundled names
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "airy").mkdir()
+        assert resolve_problem("airy") == rf.bundled_problems()["airy"]
+        code, out, _ = run(capsys, "check", "airy")
+        assert code == 0 and out.startswith("status: pass")
+        code, out, err = run(capsys, "check", "")
+        assert (code, out) == (1, "")
+        assert err == ("error: no such problem file '' (bundled problems: airy, beta_series,"
+                       " hermite, hermite_forced, polynomial_data)\n")
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no /dev/stdin")
+    def test_resolver_reads_non_regular_files(self, tmp_path, monkeypatch):
+        # a pipe is read as a problem file, not skipped like a directory
+        monkeypatch.chdir(tmp_path)
+        assert resolve_problem("/dev/stdin") == Path("/dev/stdin")
+        env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
+        with rf.bundled_problems()["hermite_forced"].open("rb") as spec:
+            proc = subprocess.run([sys.executable, "-m", "randfrob", "check", "/dev/stdin"],
+                                  stdin=spec, capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("status: pass")
 
     def test_malformed_json(self, tmp_path):
         bad = tmp_path / "bad.spec"
@@ -844,14 +870,34 @@ print("numpy" in sys.modules, file=sys.stderr)
         assert proc.stderr.split() == ["False", "True"]
 
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # a fresh interpreter: importing them took milliseconds of every command's start
+        # a fresh interpreter: importing them took milliseconds of every command's start,
+        # and without cached bytecode each module the import loads is compiled first
         script = ("import sys, randfrob\n"
                   "[randfrob.load_problem(name) for name in randfrob.bundled_problems()]\n"
-                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                  "print(sorted({'dataclasses', 'inspect', 'numpy', 'randfrob.cli',\n"
+                  "              'randfrob.mcengine', 'randfrob.uqstats'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=str(Path(rf.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    @pytest.mark.parametrize("name", sorted(rf._LAZY))
+    def test_lazy_names(self, name):
+        # each Monte Carlo or statistics name is its submodule's own object
+        module = importlib.import_module(f"randfrob.{rf._LAZY[name]}")
+        assert getattr(rf, name) is getattr(module, name)
+        assert name in dir(rf) and name in rf.__all__
+        namespace = {}
+        exec(f"from randfrob import {name}", namespace)
+        assert namespace[name] is getattr(module, name)
+
+    def test_star_import_and_unknown_name(self):
+        namespace = {}
+        exec("from randfrob import *", namespace)
+        assert {name: namespace[name] for name in rf._LAZY} == {
+            name: getattr(rf, name) for name in rf._LAZY}
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            rf.no_such_name
 
     def test_mc_series_warns_outside_radius(self, tmp_path):
         # on stderr, as a user sees it; the run still writes every row
