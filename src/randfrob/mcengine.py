@@ -14,12 +14,13 @@ in chunk order; the reduction tree never depends on scheduling.
 
 Both routes evaluate only the stored input polynomials (A_n, B_n, C_n, Y0,
 Y1) at the draws, through one `_EvalPlan` built once per call; the series
-route feeds those rows to `coeff_recursion`, the recursion `solve` runs on
-`Poly`s, and warns outside the declared radius as `stats` does.  Both read
-their inputs from `ProblemSpec.inputs`, which checks a generator's M: the
-series route at order N those of index <= N - 2, as `solve` does, and the
-RK4 route those of index <= its input truncation.  So each draws only the
-leading dependence blocks up to the last one owning a symbol its plan reads
+route feeds those rows, and its constant inputs as numbers, to
+`coeff_recursion`, the recursion `solve` runs on `Poly`s, and warns outside
+the declared radius as `stats` does.  Both read their inputs from
+`ProblemSpec.inputs`, which checks a generator's M: the series route at
+order N those of index <= N - 2, as `solve` does, and the RK4 route those of
+index <= its input truncation.  So each draws only the leading dependence
+blocks up to the last one owning a symbol its plan reads
 (`RandomModel.leading_blocks`).  Blocks draw in declaration order from the
 chunk's stream, so the blocks drawn get the same values as in a full draw;
 the columns of the blocks left out are NaN.
@@ -30,7 +31,8 @@ and such groups share one input evaluation (a weights product with plan
 rows), one slope, one RK4 step (`_rk4`) and one walk over the steps in
 pieces, which records x at the grid points.  A group's pieces are windows of
 STEP_WINDOW steps; it folds their step maps between grid points into one
-affine map (`_compose`), so the window fixes its bits (see `mc_rk4`).
+affine map (`_compose`), so the window fixes its bits (see `mc_rk4`).  A
+chunk's paths hold its groups in turn, then its single draws in draw order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import GridMismatchError
@@ -46,7 +48,7 @@ from .frobenius import ProblemSpec, SeriesSolution, coeff_recursion
 from .poly import Poly, key_factors
 from .randmodel import RandomModel
 from .record import Record
-from .uqstats import StatCurve, _horner, _warn_outside_radius
+from .uqstats import StatCurve, _warn_outside_radius
 
 if TYPE_CHECKING:  # numpy and the thread pool are imported by the functions that sample
     import numpy as np
@@ -224,23 +226,34 @@ def mc_series(
     The paper's random differential transform method: evaluating commutes
     with the ring operations, so each chunk's X_0 .. X_N are `coeff_recursion`
     run on its draws' rows of `spec.inputs(N - 2)`, the inputs (and generator
-    check) of `compute_coeffs`.  Only `sol.spec` and `sol.order` are read, not
-    `sol.X`.  Horner's rule in tau = t - t0 forms the partial sums: tau^N
-    alone may leave the float range where the sum does not.
+    check) of `compute_coeffs`.  A constant input enters as a number, which
+    gives the bits of a row of it.  Only `sol.spec` and `sol.order` are read,
+    not `sol.X`.  Horner's rule in tau = t - t0, in place on one (grid, count)
+    array, forms the partial sums: tau^N alone may leave the float range where
+    the sum does not.
     """
     import numpy as np
     spec, order = sol.spec, sol.order
     _warn_outside_radius(grid, spec.t0, spec.radius)
     taus = np.array([float(t) - float(spec.t0) for t in grid])[:, None]
     terms = spec.inputs(order - 2, f"order {order}")
-    plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+    inputs = [p for _, _, p in terms] + [spec.y0, spec.y1]
+    consts = [p.terms.get(0, 0) / p.den if p.terms.keys() <= {0} else None for p in inputs]
+    plan = _EvalPlan([p for p, c in zip(inputs, consts) if c is None])
     blocks = spec.model.leading_blocks(sid for sid, _ in plan.powers)
 
+    def coeffs(start: int, count: int) -> list:
+        rows = iter(plan(_sample_matrix(spec.model, cfg.seed, start, count, blocks)))
+        *data, y0, y1 = [next(rows) if c is None else c for c in consts]
+        return coeff_recursion([(s, k, f) for (s, k, _), f in zip(terms, data)],
+                               y0, y1, order, np.zeros(count))
+
     def worker(start: int, count: int):
-        rows = plan(_sample_matrix(spec.model, cfg.seed, start, count, blocks))
-        coeffs = coeff_recursion([(s, k, rows[j]) for j, (s, k, _) in enumerate(terms)],
-                                 rows[-2], rows[-1], order, np.zeros(count))
-        return _horner(coeffs, taus)
+        paths = np.zeros((len(taus), count))
+        for c in reversed(coeffs(start, count)):  # Horner, in place
+            paths *= taus
+            paths += c
+        return paths
 
     return _aggregate(grid, _run_chunks(cfg.samples, worker), label=f"mc-series[{cfg.samples}]")
 
@@ -309,7 +322,9 @@ def mc_rk4(
     draws than the n_basis = (C terms + 2) basis columns integrates those
     columns and combines them per draw; every other draw is its own column
     of one RK4 pass over the chunk's single draws, so a chunk where no group
-    forms is integrated bit for bit as per draw.
+    forms is integrated bit for bit as per draw.  Otherwise the chunk's paths
+    are in group order, each group's basis times its draws' C/Y0/Y1 rows
+    written into its own slice, and the single draws, in draw order, last.
 
     Both paths go through one `walk` over the steps in pieces counted from
     t0, and evaluate the inputs one way: per piece, the weights series *
@@ -446,31 +461,30 @@ def mc_rk4(
         # that repeats none of its values leaves every draw alone, unsorted.
         bits = rows[:n_ab].view(np.uint64)
         if not all(map(_repeats, bits)):
-            order, bounds = np.arange(count), np.arange(count + 1)
-        else:
-            order = np.lexsort(bits) if n_ab else np.arange(count)
-            ordered = np.take(bits, order, axis=1)
-            cuts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
-            bounds = np.concatenate(([0], cuts, [count]))
-        sizes = np.diff(bounds)
-        groups = [order[lo:hi] for lo, hi, size in zip(bounds, bounds[1:], sizes) if size > n_basis]
-        single = np.empty(count, dtype=bool)
-        single[order] = np.repeat(sizes <= n_basis, sizes)
-        singles = np.flatnonzero(single)
-
+            return integrate(rows)
+        order = np.lexsort(bits) if n_ab else np.arange(count)
+        ordered = np.take(bits, order, axis=1)
+        cuts = np.flatnonzero((ordered[:, 1:] != ordered[:, :-1]).any(axis=0)) + 1
+        sizes = np.diff(np.concatenate(([0], cuts, [count])))
+        big = sizes > n_basis
+        if not big.any():
+            return integrate(rows)
+        grouped = np.repeat(big, sizes)
+        members, single = order[grouped], np.sort(order[~grouped])
+        data = np.take(rows[n_ab:], members, axis=1)
         paths = np.empty((len(ts), count))
-        if len(singles):
-            paths[:, singles] = integrate(np.take(rows, singles, axis=1))
-        for members in groups:
-            ab = rows[:n_ab, members[0]]
+        for lo, hi in pairwise(accumulate(sizes[big], initial=0)):
+            ab = rows[:n_ab, members[lo]]
             key = ab.tobytes()
             basis = memo.get(key)
             if basis is None:
                 basis = memo[key] = group_paths(ab)
             if np.isfinite(basis).all():
-                paths[:, members] = basis @ np.take(rows[n_ab:], members, axis=1)
+                np.matmul(basis, data[:, lo:hi], out=paths[:, lo:hi])
             else:  # inf * 0 would make nan of a draw whose data are zero
-                paths[:, members] = integrate(np.take(rows, members, axis=1))
+                paths[:, lo:hi] = integrate(np.take(rows, members[lo:hi], axis=1))
+        if len(single):
+            paths[:, len(members):] = integrate(np.take(rows, single, axis=1))
         return paths
 
     return _aggregate(grid, _run_chunks(cfg.samples, worker), label=f"mc-rk4[{cfg.samples}]")

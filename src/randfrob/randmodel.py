@@ -342,15 +342,15 @@ class MultinomialVector(_Counting):
     def sample(self, stream, size: int) -> np.ndarray:
         import numpy as np
         # Sequential binomial decomposition: condition each category count on
-        # the trials not yet assigned to earlier categories.
+        # the trials not yet assigned to earlier ones (the scalar `trials` first).
         counts = np.empty((size, self.arity))
-        remaining = np.full(size, self.trials, dtype=np.int64)
+        remaining = self.trials
         mass = Fraction(1)  # of the categories not yet drawn
         for j, p in enumerate(self.probs[:-1]):
             cond = min(1.0, float(p / mass)) if mass > 0 else 0.0
-            c = stream.binomial(remaining, cond)
+            c = stream.binomial(remaining, cond, size)
             counts[:, j] = c
-            remaining -= c
+            remaining = remaining - c
             mass -= p
         counts[:, -1] = remaining
         return counts

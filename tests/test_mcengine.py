@@ -20,6 +20,7 @@ from randfrob import (
 from randfrob import mcengine
 from randfrob.frobenius import coeff_recursion
 from randfrob.mcengine import CHUNK, _EvalPlan, _sample_matrix
+from randfrob.uqstats import _horner
 
 GRID7 = [0.25 * k for k in range(7)]
 
@@ -321,6 +322,68 @@ class TestSeriesMethod:
         for var in curve.variance:
             assert var == pytest.approx(1 / 12, rel=0.05)
 
+    # x = 3/4 + t/2 solves x'' + x'/2 - x/4 = 1/16 - t/8 with x(0) = 3/4 and
+    # x'(0) = 1/2: every input is a dyadic constant, so each X_n past X_1 is an
+    # exact float 0 and every draw's path is 3/4 + t/2 to the bit.  U is read
+    # by no input.
+    CONSTANT = {
+        "symbols": [{"name": "U", "dist": "uniform", "params": {"a": 0, "b": 1}}],
+        "series": {"A": [{"n": 0, "value": "1/2"}], "B": [{"n": 0, "value": "-1/4"}],
+                   "C": [{"n": 0, "value": "1/16"}, {"n": 1, "value": "-1/8"}]},
+        "initial": {"Y0": "3/4", "Y1": "1/2"},
+    }
+
+    @staticmethod
+    def every_row_series(sol, grid, cfg):
+        """`mc_series` with every input a plan row and the ring `_horner`."""
+        spec, order = sol.spec, sol.order
+        taus = np.array([float(t) - float(spec.t0) for t in grid])[:, None]
+        terms = spec.inputs(order - 2)
+        plan = _EvalPlan([p for _, _, p in terms] + [spec.y0, spec.y1])
+
+        def worker(start, count):
+            rows = plan(_sample_matrix(spec.model, cfg.seed, start, count))
+            coeffs = coeff_recursion([(s, k, rows[j]) for j, (s, k, _) in enumerate(terms)],
+                                     rows[-2], rows[-1], order, np.zeros(count))
+            return _horner(coeffs, taus)
+
+        return mcengine._aggregate(grid, mcengine._run_chunks(cfg.samples, worker),
+                                   label=f"mc-series[{cfg.samples}]")
+
+    @pytest.mark.parametrize("name,order,grid", [
+        ("beta_series", 20, [0.0, 0.3, 0.6]),
+        ("hermite_forced", 20, GRID7),
+        (None, 12, [0.0, 0.5, 1.0]),
+    ], ids=["beta_series", "hermite_forced", "constant"])
+    def test_constant_inputs_keep_the_bits(self, bundled_specs, monkeypatch, name, order, grid):
+        # constant inputs enter the recursion as numbers, which multiply
+        # and add with the bits of a constant row; beta_series has 18
+        # constant B_n, hermite_forced its A_1 = -2
+        spec = build_problem(self.CONSTANT) if name is None else bundled_specs[name]
+        sol = compute_coeffs(spec, order)
+        cfg = McConfig(samples=2 * CHUNK + 5, seed=17)
+        want = self.every_row_series(sol, grid, cfg)
+        plans, draws = [], []
+
+        class Recording(_EvalPlan):
+            def __init__(self, polys):
+                super().__init__(polys)
+                plans.append(self.rows)
+
+        draw = RandomModel.draw
+        monkeypatch.setattr(mcengine, "_EvalPlan", Recording)
+        monkeypatch.setattr(RandomModel, "draw", lambda model, stream, count, blocks=None:
+                            draws.append(blocks) or draw(model, stream, count, blocks))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RANDFROB_THREADS", threads)
+            assert mc_series(sol, grid, cfg) == want
+        inputs = [p for _, _, p in spec.inputs(order - 2)] + [spec.y0, spec.y1]
+        assert plans[0] == sum(bool(p.terms.keys() - {0}) for p in inputs)
+        if name is None:
+            assert plans == [0, 0] and set(draws) == {0}
+            assert want.mean == [0.75 + t / 2 for t in grid]
+            assert want.variance == [0.0] * len(grid)
+
 
 class TestSeriesRecursion:
     """The float recursion on sampled inputs against the exact route: the
@@ -532,6 +595,38 @@ class TestRk4Method:
         grid = [n / 1024 for n in accumulate(steps)]
         spec = build_problem(self.TWO_C_TERMS)
         cfg = McConfig(samples=CHUNK + 3, seed=11, rk4_step=2.0**-10)
+        curves = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RANDFROB_THREADS", threads)
+            curves.append(quiet_rk4(spec, grid, cfg))
+        monkeypatch.setattr(mcengine, "STEP_BLOCK", 7)
+        curves.append(quiet_rk4(spec, grid, cfg))
+        assert all(curve == curves[0] for curve in curves)
+        got, want = curves[0], per_draw_rk4(spec, grid, cfg)
+        for m1, v1, m2, v2 in zip(got.mean, got.variance, want.mean, want.variance):
+            second = max(v1 + m1 * m1, v2 + m2 * m2)
+            assert abs(m1 - m2) <= 1e-12 * math.sqrt(second)
+            assert abs(v1 - v2) <= 1e-12 * second
+
+    def test_groups_and_single_draws_share_chunks(self, monkeypatch):
+        # B_0 = a + g*u is 0 or 1 where g = 0, two groups in every chunk, and
+        # continuous on the draws with g = 1, single draws in the same chunks.
+        # A chunk writes its groups' paths in group order and its single
+        # draws last: the bits must not depend on the thread count or on
+        # STEP_BLOCK, and only the sums' rounding may differ from a per-draw pass
+        doc = {
+            "symbols": [{"name": "a", "dist": "bernoulli", "params": {"p": "1/2"}},
+                        {"name": "g", "dist": "bernoulli", "params": {"p": "1/500"}},
+                        {"name": "u", "dist": "uniform", "params": {"a": -1, "b": 1}}],
+            "series": {"B": [{"n": 0, "value": "a + g*u"}], "C": [{"n": 0, "value": "a - u"}]},
+            "initial": {"Y0": "u", "Y1": 1},
+        }
+        spec, grid = build_problem(doc), [0.0, 0.25, 0.5, 1.0]
+        cfg = McConfig(samples=2 * CHUNK + 1000, seed=5, rk4_step=1e-2)
+        g_column = spec.model.table.id_of("g")
+        singles = [_sample_matrix(spec.model, cfg.seed, start, min(CHUNK, cfg.samples - start))
+                   [:, g_column].sum() for start in range(0, cfg.samples, CHUNK)]
+        assert all(0 < n < 100 for n in singles)
         curves = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RANDFROB_THREADS", threads)

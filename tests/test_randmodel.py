@@ -149,6 +149,35 @@ class TestJointMoments:
         se = prod.std(ddof=1) / math.sqrt(n)
         assert abs(prod.mean() - float(enumeration_moment((1, 1)))) < 5 * se
 
+    @pytest.mark.parametrize("probs", [
+        ("1/3", "2/3"), ("0", "1"), ("1", "0"),
+        ("1/5", "3/10", "1/2"), ("0", "1/4", "3/4"), ("1/2", "1/2", "0"), ("0", "1", "0"),
+    ])
+    @pytest.mark.parametrize("trials", [0, 1, 3])
+    def test_multinomial_draw_bits(self, trials, probs):
+        # reference: every category, the first too, drawn from an int64
+        # array of the trials not yet assigned
+        dist = MultinomialVector(trials, tuple(Fraction(p) for p in probs))
+        size = 1000
+
+        def reference(stream):
+            counts = np.empty((size, dist.arity))
+            remaining = np.full(size, trials, dtype=np.int64)
+            mass = Fraction(1)
+            for j, p in enumerate(dist.probs[:-1]):
+                cond = min(1.0, float(p / mass)) if mass > 0 else 0.0
+                c = stream.binomial(remaining, cond)
+                counts[:, j] = c
+                remaining -= c
+                mass -= p
+            counts[:, -1] = remaining
+            return counts
+
+        got = dist.sample(np.random.Generator(np.random.Philox(key=[5, 2])), size)
+        want = reference(np.random.Generator(np.random.Philox(key=[5, 2])))
+        assert got.tobytes() == want.tobytes()
+        assert (got.sum(axis=1) == trials).all()
+
 
 def counting_support(trials, probs):
     """(counts, pmf) of every outcome of `trials` draws over the categories of `probs`.
